@@ -9,74 +9,17 @@ decoder subtracts recovered coefficients until the alias graph empties.
 Everything downstream of signal generation touches only
 O(k * polylog n) samples.
 """
-from .bench import (
-    ExperimentConfig,
-    ExperimentResult,
-    SweepPoint,
-    TrialRow,
-    auto_sweep,
-    run_experiment,
-    run_trial,
-)
-from .frontend import BinBank, BinObservation, bin_index, steering_vector, subsample_and_transform
-from .metrics import (
-    TrialStats,
-    energy_tail_bound,
-    kay_variance,
-    multiton_bound,
-    prop1_bound,
-    q_function,
-    support_recovery,
-    value_error_bound,
-    zeroton_bound,
-)
-from .oracle import (
-    OracleReport,
-    OracleSizeError,
-    brute_singleton,
-    compare_spectra,
-    dense_dft,
-    noiseless_check,
-)
-from .peeling import DecodeResult, PeelEvent, decode, peel
-from .planner import (
-    PRESETS,
-    ClusterParams,
-    FrontendPlan,
-    IncoherenceReport,
-    PlanningError,
-    Preset,
-    build_plan,
-    choose_cluster_params,
-    cluster_shifts,
-    plan_delays,
-    plan_stages,
-    preset_by_name,
-    preset_for_length,
-    rip_bound,
-    smallest_coprime_base,
-    sparsity_index,
-    verify_incoherence,
-)
-from .singleton import (
-    BinVerdict,
-    ClusterEstimateError,
-    VerdictKind,
-    classify_bin,
-    cluster_estimate,
-    kay_weights,
-    refine,
-    singleton_residual_threshold,
-    zero_ton_threshold,
-)
+from .bench import ExperimentConfig, auto_sweep, run_experiment
+from .frontend import BinBank, subsample_and_transform
+from .metrics import support_recovery
+from .peeling import DecodeResult, PeelEvent, decode
+from .planner import PRESETS, FrontendPlan, PlanningError, build_plan
 from .spectral import (
     Constellation,
     SparseSpectrum,
     TimeSignal,
     add_noise,
-    random_phase_spectrum,
     random_spectrum,
-    snr_db_to_linear,
     synthesize,
 )
 
@@ -84,68 +27,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinBank",
-    "BinObservation",
-    "BinVerdict",
-    "ClusterEstimateError",
-    "ClusterParams",
     "Constellation",
     "DecodeResult",
     "ExperimentConfig",
-    "ExperimentResult",
     "FrontendPlan",
-    "IncoherenceReport",
-    "OracleReport",
-    "OracleSizeError",
     "PRESETS",
     "PeelEvent",
     "PlanningError",
-    "Preset",
     "SparseSpectrum",
-    "SweepPoint",
     "TimeSignal",
-    "TrialRow",
-    "TrialStats",
-    "VerdictKind",
     "add_noise",
     "auto_sweep",
-    "bin_index",
-    "brute_singleton",
     "build_plan",
-    "choose_cluster_params",
-    "classify_bin",
-    "cluster_estimate",
-    "cluster_shifts",
-    "compare_spectra",
     "decode",
-    "dense_dft",
-    "energy_tail_bound",
-    "kay_variance",
-    "kay_weights",
-    "multiton_bound",
-    "noiseless_check",
-    "peel",
-    "plan_delays",
-    "plan_stages",
-    "preset_by_name",
-    "preset_for_length",
-    "prop1_bound",
-    "q_function",
-    "random_phase_spectrum",
     "random_spectrum",
-    "refine",
-    "rip_bound",
     "run_experiment",
-    "run_trial",
-    "singleton_residual_threshold",
-    "smallest_coprime_base",
-    "snr_db_to_linear",
-    "sparsity_index",
-    "steering_vector",
     "subsample_and_transform",
     "support_recovery",
     "synthesize",
-    "value_error_bound",
-    "verify_incoherence",
-    "zero_ton_threshold",
-    "zeroton_bound",
 ]

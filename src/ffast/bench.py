@@ -40,8 +40,6 @@ class ExperimentConfig:
     seed: int = 0
     random_phases: bool = False
     snap: bool = True
-    sweep_mode: str = "bins"
-    out: str | None = None
 
     def __post_init__(self) -> None:
         preset_by_name(self.preset)
@@ -90,7 +88,6 @@ def plan_for_config(config: ExperimentConfig) -> FrontendPlan:
         gamma=config.gamma,
         c1=config.c1,
         seed=config.seed,
-        sweep_mode=config.sweep_mode,
     )
 
 
@@ -173,7 +170,6 @@ def auto_sweep(
     clusters_max: int = 16,
     gamma: float = 0.2,
     c1: float = 8.0,
-    sweep_mode: str = "bins",
 ) -> list[SweepPoint]:
     """Scaling study over the stretched-length preset family.
 
@@ -203,7 +199,6 @@ def auto_sweep(
                 c1=c1,
                 trials=trials,
                 seed=seed ^ (scale << 20),
-                sweep_mode=sweep_mode,
             )
             result = run_experiment(config)
             if result.stats.support_success >= needed:

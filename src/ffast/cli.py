@@ -35,6 +35,7 @@ EXIT_VERIFY = 4
 _BOOL_KEYS = {"random_phases", "snap", "stable_output"}
 _INT_KEYS = {"k", "clusters", "per_cluster", "trials", "seed"}
 _FLOAT_KEYS = {"gamma", "c1"}
+_NOT_CONFIG_KEYS = {"command", "handler", "config"}
 
 
 def _parse_snr(text: str) -> float | None:
@@ -51,14 +52,23 @@ def _parse_scales(text: str) -> list[int]:
 
 
 def _apply_config_file(args: argparse.Namespace, path: str) -> None:
-    """INI [experiment] keys override parsed flags of the same name."""
+    """INI [experiment] keys override parsed flags of the same name.
+
+    Only the subcommand's own flags may be set; any other key (a typo
+    such as `snr` for `snr_db`) is a configuration error.
+    """
     cfg = ConfigParser()
     if not cfg.read(path, encoding="utf-8"):
         raise FormatError(f"unreadable config file {path}")
     if not cfg.has_section("experiment"):
         raise PlanningError(f"config file {path} lacks an [experiment] section")
+    known = set(vars(args)) - _NOT_CONFIG_KEYS
     for key, raw in cfg["experiment"].items():
         key = key.replace("-", "_")
+        if key not in known:
+            raise PlanningError(
+                f"config file {path}: unknown key {key!r} for '{args.command}'"
+            )
         if key in _BOOL_KEYS:
             value: object = cfg["experiment"].getboolean(key)
         elif key in _INT_KEYS:
@@ -87,8 +97,6 @@ def _experiment_config(args: argparse.Namespace) -> bench.ExperimentConfig:
         seed=args.seed,
         random_phases=args.random_phases,
         snap=args.snap,
-        sweep_mode=args.sweep_mode,
-        out=args.out,
     )
 
 
@@ -123,7 +131,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         c1=args.c1,
         seed=args.seed,
-        sweep_mode=args.sweep_mode,
     )
     report = verify_incoherence(plan)
     if args.out:
@@ -196,7 +203,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         per_cluster=args.per_cluster if args.per_cluster else 3,
         gamma=args.gamma,
         c1=args.c1,
-        sweep_mode=args.sweep_mode,
     )
     stable = args.stable_output
     rows = [
@@ -311,9 +317,6 @@ def _add_common(sub: argparse.ArgumentParser, *, seed_required: bool) -> None:
     sub.add_argument("--trials", type=int, default=1)
     sub.add_argument("--seed", type=int, default=None if seed_required else 0,
                      help="base RNG seed" + (" (required)" if seed_required else ""))
-    sub.add_argument("--sweep-mode", choices=("bins", "periods"), default="bins",
-                     dest="sweep_mode",
-                     help="how stretched presets scale: fixed bins or fixed periods")
     sub.add_argument("--random-phases", action="store_true", dest="random_phases",
                      help="draw coefficient phases uniformly instead of from the grid")
     sub.add_argument("--no-snap", action="store_false", dest="snap",

@@ -1,83 +1,24 @@
-"""File formats: binary signal/spectrum containers, plan configs, CSV dumps.
+"""File formats: INI plan files and the CSV header.
 
-Binary layouts are fixed little-endian structs with an 8-byte magic, so
-files are portable across platforms.  Text formats round-trip exactly:
-floats are written with repr(), which Python guarantees to parse back
-to the same IEEE-754 value.  CSV files open with the comment line
-`# ffast-csv v1` so downstream tooling can detect schema drift.
+A plan file is an INI document with a [plan] section, a [delays]
+section and one [stage i] section per stage.  Floats are written with
+repr(), which Python guarantees to parse back to the same IEEE-754
+value, so a plan round-trips exactly.  CSV output opens with the
+comment line `# ffast-csv v1` so downstream tooling can detect schema
+drift.
 """
 from __future__ import annotations
 
-import csv
-import json
-import struct
-from pathlib import Path
 from configparser import ConfigParser
-from typing import Iterable
+from pathlib import Path
 
-import numpy as np
-
-from .frontend import BinBank
-from .peeling import DecodeResult
 from .planner import FrontendPlan
-from .singleton import BinVerdict
-from .spectral import SparseSpectrum, TimeSignal
 
-SIGNAL_MAGIC = b"FFAST01\x00"
-SPECTRUM_MAGIC = b"FFASTSP0"
 CSV_HEADER = "# ffast-csv v1"
 
 
 class FormatError(ValueError):
-    """File does not match the expected container layout."""
-
-
-def write_signal(path: str | Path, signal: TimeSignal) -> None:
-    samples = np.asarray(signal.samples, dtype=np.complex128)
-    interleaved = np.empty(2 * signal.n, dtype="<f8")
-    interleaved[0::2] = samples.real
-    interleaved[1::2] = samples.imag
-    with open(path, "wb") as fh:
-        fh.write(SIGNAL_MAGIC)
-        fh.write(struct.pack("<Q", signal.n))
-        fh.write(interleaved.tobytes())
-
-
-def read_signal(path: str | Path) -> TimeSignal:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != SIGNAL_MAGIC:
-            raise FormatError(f"bad signal magic {magic!r}")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read()
-    flat = np.frombuffer(raw, dtype="<f8")
-    if flat.size != 2 * n:
-        raise FormatError(f"expected {2 * n} floats, found {flat.size}")
-    return TimeSignal(int(n), flat[0::2] + 1j * flat[1::2])
-
-
-def write_spectrum(path: str | Path, spectrum: SparseSpectrum) -> None:
-    with open(path, "wb") as fh:
-        fh.write(SPECTRUM_MAGIC)
-        fh.write(struct.pack("<QQ", spectrum.n, spectrum.k))
-        for idx, val in zip(spectrum.indices.tolist(), spectrum.values.tolist()):
-            fh.write(struct.pack("<Qdd", idx, val.real, val.imag))
-
-
-def read_spectrum(path: str | Path) -> SparseSpectrum:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != SPECTRUM_MAGIC:
-            raise FormatError(f"bad spectrum magic {magic!r}")
-        n, k = struct.unpack("<QQ", fh.read(16))
-        pairs = []
-        for _ in range(k):
-            record = fh.read(24)
-            if len(record) != 24:
-                raise FormatError("truncated spectrum record")
-            idx, re, im = struct.unpack("<Qdd", record)
-            pairs.append((int(idx), complex(re, im)))
-    return SparseSpectrum.from_pairs(int(n), pairs)
+    """File does not match the expected layout."""
 
 
 def write_plan(path: str | Path, plan: FrontendPlan) -> None:
@@ -121,72 +62,3 @@ def read_plan(path: str | Path) -> FrontendPlan:
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed plan file: {exc}") from exc
-
-
-def write_bank_csv(path: str | Path, bank: BinBank) -> None:
-    """Debug dump of every chain sample, one row per (stage, bin, chain)."""
-    shifts = bank.plan.shifts
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "bin", "chain", "shift", "real", "imag"])
-        for obs in bank.iter_observations():
-            for chain, sample in enumerate(obs.y.tolist()):
-                writer.writerow(
-                    [obs.stage, obs.bin, chain, shifts[chain],
-                     repr(sample.real), repr(sample.imag)]
-                )
-
-
-def write_verdicts_csv(
-    path: str | Path, verdicts: Iterable[tuple[int, int, BinVerdict]]
-) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["stage", "bin", "kind", "support", "value_re", "value_im", "residual"]
-        )
-        for stage, j, verdict in verdicts:
-            value = verdict.value if verdict.value is not None else 0j
-            writer.writerow(
-                [
-                    stage,
-                    j,
-                    verdict.kind.value,
-                    "" if verdict.support is None else verdict.support,
-                    repr(value.real),
-                    repr(value.imag),
-                    repr(verdict.residual_energy),
-                ]
-            )
-
-
-def write_peel_log(path: str | Path, result: DecodeResult) -> None:
-    """JSON-lines trace: one peel event per line, then a closing summary."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in result.events:
-            fh.write(
-                json.dumps(
-                    {
-                        "pass": ev.pass_index,
-                        "stage": ev.stage,
-                        "bin": ev.bin,
-                        "support": ev.support,
-                        "value_re": ev.value.real,
-                        "value_im": ev.value.imag,
-                    }
-                )
-                + "\n"
-            )
-        fh.write(
-            json.dumps(
-                {
-                    "event": "done",
-                    "converged": result.converged,
-                    "passes": result.passes,
-                    "recovered": result.spectrum.k,
-                }
-            )
-            + "\n"
-        )

@@ -48,10 +48,6 @@ class BinBank:
         self.plan = plan
         self.stages = stages
 
-    @property
-    def total_bins(self) -> int:
-        return sum(plan_f for plan_f in self.plan.bin_counts)
-
     def observation(self, stage: int, bin_index: int) -> BinObservation:
         return BinObservation(stage, bin_index, self.stages[stage][bin_index])
 

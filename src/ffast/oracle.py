@@ -13,13 +13,14 @@ from .frontend import BinObservation, steering_vector
 from .planner import FrontendPlan
 from .spectral import SparseSpectrum, TimeSignal
 
-ORACLE_MAX_N = 100_000
 _DROP_TOLERANCE = 1e-9
 
 # Full n-by-n analysis matrices are memoized so repeated checks at the
 # same length pay the O(n^2) construction once.  Budgeted in bytes, not
 # entries: one n=10^4 matrix is 1.6 GB while dozens of small ones are free.
 _MATRIX_BUDGET_BYTES = 800 * 1024 * 1024
+# Largest n whose complex128 analysis matrix fits the budget (7240).
+ORACLE_MAX_N = math.isqrt(_MATRIX_BUDGET_BYTES // 16)
 _matrix_cache: OrderedDict[int, np.ndarray] = OrderedDict()
 
 
@@ -60,8 +61,9 @@ def dense_dft(signal: TimeSignal, drop_tolerance: float = _DROP_TOLERANCE) -> Sp
     """Full analysis DFT by direct O(n^2) summation.
 
     X[l] = (1/n) * sum_p x[p] * exp(-2j*pi*l*p/n); entries with
-    |X[l]| < drop_tolerance are dropped.  Guarded at n <= 100000;
-    clarity over speed, no fast transform involved.
+    |X[l]| < drop_tolerance are dropped.  Guarded at n <= ORACLE_MAX_N,
+    so the n-by-n matrix fits the memory budget; clarity over speed, no
+    fast transform involved.
     """
     n = signal.n
     if n > ORACLE_MAX_N:
@@ -90,6 +92,18 @@ def brute_singleton(obs: BinObservation, plan: FrontendPlan) -> tuple[int, compl
     ell = int(candidates[best])
     value = complex(projections[best] / (math.sqrt(f) * d_chains))
     return ell, value, float(residuals[best])
+
+
+def coherence_profile(plan: FrontendPlan, ells: np.ndarray) -> np.ndarray:
+    """mu(l) for the requested frequencies by direct summation.
+
+    Reference for planner.verify_incoherence, which evaluates the same
+    sums with one FFT.
+    """
+    ells = np.asarray(ells, dtype=np.int64)
+    phases = (ells[:, None] * plan.shift_array[None, :]) % plan.n
+    terms = np.exp(2j * np.pi * phases / plan.n)
+    return np.abs(terms.sum(axis=1)) / plan.chain_count
 
 
 def noiseless_check(spectrum: SparseSpectrum, plan: FrontendPlan) -> bool:

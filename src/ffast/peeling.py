@@ -59,8 +59,6 @@ def decode(
     constellation: Constellation | None = None,
     *,
     max_passes: int = 32,
-    residual_alpha: float | None = None,
-    min_explained_fraction: float | None = None,
 ) -> DecodeResult:
     """Run classify-and-peel passes until the bank is quiet or stalls.
 
@@ -73,12 +71,6 @@ def decode(
     """
     bank = bank.copy()
     plan = bank.plan
-    kwargs: dict[str, float] = {}
-    if residual_alpha is not None:
-        kwargs["residual_alpha"] = residual_alpha
-    if min_explained_fraction is not None:
-        kwargs["min_explained_fraction"] = min_explained_fraction
-
     recovered: dict[int, complex] = {}
     events: list[PeelEvent] = []
     gate = zero_ton_threshold(plan)
@@ -88,7 +80,7 @@ def decode(
         passes += 1
         candidates = []
         for obs in bank.iter_observations():
-            verdict = classify_bin(obs, plan, constellation, **kwargs)
+            verdict = classify_bin(obs, plan, constellation)
             if verdict.kind is VerdictKind.SINGLETON:
                 candidates.append((verdict, obs.stage, obs.bin))
         candidates.sort(key=lambda c: (c[0].residual_energy, c[1], c[2]))
@@ -96,9 +88,7 @@ def decode(
         for verdict, stage, j in candidates:
             if progressed:
                 # an earlier commit may have peeled into this bin; re-read it
-                verdict = classify_bin(
-                    bank.observation(stage, j), plan, constellation, **kwargs
-                )
+                verdict = classify_bin(bank.observation(stage, j), plan, constellation)
                 if verdict.kind is not VerdictKind.SINGLETON:
                     continue
             if verdict.support in recovered:

@@ -36,8 +36,8 @@ class Preset:
     """An admissible length with its coprime factorization.
 
     factors multiply to n and are pairwise coprime.  scale > 1 marks a
-    stretched member of a sweep family: n = scale * prod(factors), and
-    the fixed-period sweep mode multiplies each bin count by scale.
+    stretched member of a sweep family: n = scale * prod(factors) with
+    the base bin counts kept, so the sampling periods grow with n.
     forced_d pins the stage count regardless of sparsity (used by the
     20-point reference preset, which is a 2-stage design).
     """
@@ -94,21 +94,15 @@ def sparsity_index(n: int, k: int) -> float:
     return math.log(k) / math.log(n)
 
 
-def plan_stages(n: int, k: int, sweep_mode: str = "bins") -> tuple[int, tuple[int, ...]]:
+def plan_stages(n: int, k: int) -> tuple[int, tuple[int, ...]]:
     """Choose the stage count d and per-stage bin counts for (n, k).
 
     Regimes split at delta = 1/3 where k = n**delta.  Very sparse keeps
     the d = 3 coprime base factors as bin counts.  Less sparse uses
     d = round(1/(1-delta)) stages whose bin counts are products of d-1
     cyclically consecutive base factors, so every pair of stages shares
-    all but one factor.
-
-    sweep_mode applies to stretched presets (n = scale * base product):
-    "bins" keeps the base bin counts (sampling periods grow with n),
-    "periods" keeps the base sampling periods (bin counts grow with n).
+    all but one factor.  Stretched presets keep the base bin counts.
     """
-    if sweep_mode not in ("bins", "periods"):
-        raise PlanningError(f"sweep_mode must be 'bins' or 'periods', got {sweep_mode!r}")
     if k < 0 or k > n:
         raise PlanningError(f"k must lie in [0, n], got k={k}, n={n}")
     preset = preset_for_length(n)
@@ -116,7 +110,6 @@ def plan_stages(n: int, k: int, sweep_mode: str = "bins") -> tuple[int, tuple[in
     if preset.forced_d is not None:
         return preset.forced_d, tuple(sorted(factors))
 
-    scale = preset.scale if sweep_mode == "periods" else 1
     delta = sparsity_index(n, k)
     if delta <= 1.0 / 3.0:
         if len(factors) != 3:
@@ -124,7 +117,7 @@ def plan_stages(n: int, k: int, sweep_mode: str = "bins") -> tuple[int, tuple[in
                 f"preset {preset.name} offers {len(factors)} coprime factors; "
                 "the very-sparse regime needs exactly 3"
             )
-        return 3, tuple(scale * f for f in sorted(factors))
+        return 3, tuple(sorted(factors))
 
     d = round(1.0 / (1.0 - delta))
     if d < 2:
@@ -135,7 +128,7 @@ def plan_stages(n: int, k: int, sweep_mode: str = "bins") -> tuple[int, tuple[in
             f"offers {len(factors)} coprime factors"
         )
     composite = tuple(
-        scale * math.prod(factors[(i + j) % d] for j in range(d - 1)) for i in range(d)
+        math.prod(factors[(i + j) % d] for j in range(d - 1)) for i in range(d)
     )
     return d, composite
 
@@ -161,12 +154,12 @@ class ClusterParams:
     base: int
 
 
-def choose_cluster_params(n: int, c1: float = 8.0, n_scale: float = 2.0) -> ClusterParams:
+def choose_cluster_params(n: int, c1: float = 8.0) -> ClusterParams:
     """Cluster count, chains per cluster, and shift base for length n.
 
     clusters is the smallest C with base**(C-1) * c1 > n, so the final
     refinement interval 2*pi/(base**(C-1)*c1) is finer than the 2*pi/n
-    frequency grid.  per_cluster follows max(2, round(ln(n)**(1/3) * n_scale)).
+    frequency grid.  per_cluster follows max(2, round(2 * ln(n)**(1/3))).
     """
     if n < 2:
         raise PlanningError(f"n must be at least 2, got {n}")
@@ -179,7 +172,7 @@ def choose_cluster_params(n: int, c1: float = 8.0, n_scale: float = 2.0) -> Clus
         power *= base
         c_minus_1 += 1
     clusters = max(1, c_minus_1 + 1)
-    per_cluster = max(2, round(math.log(n) ** (1.0 / 3.0) * n_scale))
+    per_cluster = max(2, round(2.0 * math.log(n) ** (1.0 / 3.0)))
     return ClusterParams(clusters, per_cluster, base)
 
 
@@ -293,22 +286,6 @@ def verify_incoherence(plan: FrontendPlan) -> IncoherenceReport:
     return IncoherenceReport(mu_max=mu_max, bound=bound, passed=mu_max < bound)
 
 
-def coherence_profile(plan: FrontendPlan, ells: np.ndarray) -> np.ndarray:
-    """mu(l) for the requested frequencies by direct summation (test oracle)."""
-    ells = np.asarray(ells, dtype=np.int64)
-    phases = (ells[:, None] * plan.shift_array[None, :]) % plan.n
-    terms = np.exp(2j * np.pi * phases / plan.n)
-    return np.abs(terms.sum(axis=1)) / plan.chain_count
-
-
-def rip_bound(mu_max: float, sparsity: int) -> tuple[float, float]:
-    """Gershgorin eigenvalue interval for s-column submatrices."""
-    if sparsity < 1:
-        raise ValueError(f"sparsity must be positive, got {sparsity}")
-    slack = mu_max * (sparsity - 1)
-    return (max(0.0, 1.0 - slack), 1.0 + slack)
-
-
 def build_plan(
     preset: str | int | Preset,
     k: int,
@@ -317,15 +294,12 @@ def build_plan(
     per_cluster: int | None = None,
     gamma: float = 0.2,
     c1: float = 8.0,
-    n_scale: float = 2.0,
     seed: int = 0,
-    sweep_mode: str = "bins",
-    max_draws: int = MAX_SHIFT_DRAWS,
 ) -> FrontendPlan:
     """Assemble and screen a complete plan.
 
     Shift patterns are drawn until verify_incoherence passes, up to
-    max_draws attempts.  Explicit clusters/per_cluster override the
+    MAX_SHIFT_DRAWS attempts.  Explicit clusters/per_cluster override the
     defaults from choose_cluster_params.
     """
     if isinstance(preset, Preset):
@@ -335,11 +309,11 @@ def build_plan(
     else:
         entry = preset_for_length(int(preset))
     n = entry.n
-    _, bins = plan_stages(n, k, sweep_mode=sweep_mode)
-    params = choose_cluster_params(n, c1=c1, n_scale=n_scale)
+    _, bins = plan_stages(n, k)
+    params = choose_cluster_params(n, c1=c1)
     C = clusters if clusters is not None else params.clusters
     N = per_cluster if per_cluster is not None else params.per_cluster
-    for draw in range(max_draws):
+    for draw in range(MAX_SHIFT_DRAWS):
         shifts = plan_delays(n, C, N, params.base, seed + draw)
         plan = FrontendPlan(
             n=n,
@@ -354,5 +328,5 @@ def build_plan(
         if verify_incoherence(plan).passed:
             return plan
     raise PlanningError(
-        f"no shift pattern passed incoherence screening in {max_draws} draws at n={n}"
+        f"no shift pattern passed incoherence screening in {MAX_SHIFT_DRAWS} draws at n={n}"
     )

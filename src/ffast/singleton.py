@@ -24,8 +24,8 @@ from .frontend import BinObservation, steering_vector
 from .planner import FrontendPlan
 from .spectral import Constellation
 
-DEFAULT_RESIDUAL_ALPHA = 1e-4
-DEFAULT_MIN_EXPLAINED_FRACTION = 0.5
+RESIDUAL_ALPHA = 1e-4
+MIN_EXPLAINED_FRACTION = 0.5
 
 
 class ClusterEstimateError(ValueError):
@@ -118,22 +118,20 @@ def zero_ton_threshold(plan: FrontendPlan) -> float:
 
 
 @lru_cache(maxsize=256)
-def singleton_residual_threshold(
-    chain_count: int, gamma: float, residual_alpha: float = DEFAULT_RESIDUAL_ALPHA
-) -> float:
+def singleton_residual_threshold(chain_count: int, gamma: float) -> float:
     """Residual energy cap for accepting a singleton.
 
     After projecting out one steering column, a true singleton's
     residual is Gamma(D-1)-distributed (unit-variance complex noise in
     the D-1 orthogonal directions).  The cap is that law's upper
-    residual_alpha quantile, never below the zero-ton threshold, so the
-    rejection rate of genuine singletons is about residual_alpha
+    RESIDUAL_ALPHA quantile, never below the zero-ton threshold, so the
+    rejection rate of genuine singletons is about RESIDUAL_ALPHA
     regardless of D.
     """
     floor = (1.0 + gamma) * chain_count
     if chain_count < 2:
         return floor
-    quantile = float(gammainccinv(chain_count - 1, residual_alpha))
+    quantile = float(gammainccinv(chain_count - 1, RESIDUAL_ALPHA))
     return max(floor, quantile)
 
 
@@ -161,9 +159,6 @@ def classify_bin(
     obs: BinObservation,
     plan: FrontendPlan,
     constellation: Constellation | None = None,
-    *,
-    residual_alpha: float = DEFAULT_RESIDUAL_ALPHA,
-    min_explained_fraction: float = DEFAULT_MIN_EXPLAINED_FRACTION,
 ) -> BinVerdict:
     """Classify one bin observation.
 
@@ -205,8 +200,8 @@ def classify_bin(
         value = constellation.snap(value)
     residual_vec = y - gain * value * column
     residual = float(np.vdot(residual_vec, residual_vec).real)
-    cap = singleton_residual_threshold(d_chains, plan.gamma, residual_alpha)
-    explained_ok = residual <= (1.0 - min_explained_fraction) * energy
+    cap = singleton_residual_threshold(d_chains, plan.gamma)
+    explained_ok = residual <= (1.0 - MIN_EXPLAINED_FRACTION) * energy
     if residual < cap and explained_ok:
         return BinVerdict(VerdictKind.SINGLETON, support, value, residual)
     return BinVerdict(VerdictKind.MULTI_TON, None, None, residual)

@@ -91,6 +91,15 @@ class TestRunCommand:
               "--out", str(from_flags)])
         assert from_cfg.read_bytes() == from_flags.read_bytes()
 
+    def test_unknown_config_key_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nsnr = inf\n", encoding="utf-8")
+        code = main(["run", "--config", str(cfg), "--preset", "paper-20",
+                     "--k", "2", "--seed", "5", "--out", str(tmp_path / "run.csv")])
+        assert code == EXIT_CONFIG
+        assert "unknown key 'snr'" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
         code = main(["run", "--preset", "paper-20", "--k", "2",
                      "--snr-db", "inf", "--trials", "1", "--seed", "5",

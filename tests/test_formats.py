@@ -1,90 +1,38 @@
-"""Container format tests: byte-exact round trips and corruption detection."""
-import csv
-import json
+"""Plan file tests: exact round trips and corruption detection."""
+import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffast.formats import (
-    CSV_HEADER,
-    FormatError,
-    read_plan,
-    read_signal,
-    read_spectrum,
-    write_bank_csv,
-    write_peel_log,
-    write_plan,
-    write_signal,
-    write_spectrum,
-    write_verdicts_csv,
-)
-from ffast.frontend import subsample_and_transform
-from ffast.peeling import decode
-from ffast.singleton import classify_bin
-from ffast.spectral import (
-    Constellation,
-    SparseSpectrum,
-    TimeSignal,
-    add_noise,
-    random_spectrum,
-    synthesize,
-)
+from ffast.formats import FormatError, read_plan, write_plan
+from ffast.planner import PRESETS, build_plan
+
+SMALL_PRESETS = sorted(name for name, p in PRESETS.items() if p.n <= 4845)
 
 
-class TestSignalContainer:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(11)
-        signal = TimeSignal(257, rng.standard_normal(257) + 1j * rng.standard_normal(257))
-        path = tmp_path / "sig.bin"
-        write_signal(path, signal)
-        back = read_signal(path)
-        assert back.n == 257
-        assert np.array_equal(back.samples, signal.samples)
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "bogus.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
-        with pytest.raises(FormatError):
-            read_signal(path)
-
-    def test_truncation_detected(self, tmp_path):
-        signal = TimeSignal(16, np.ones(16, dtype=np.complex128))
-        path = tmp_path / "sig.bin"
-        write_signal(path, signal)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError):
-            read_signal(path)
-
-
-class TestSpectrumContainer:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        spectrum = random_spectrum(990, 9, Constellation(4.0), seed=5)
-        path = tmp_path / "spec.bin"
-        write_spectrum(path, spectrum)
-        back = read_spectrum(path)
-        assert back.n == 990
-        assert np.array_equal(back.indices, spectrum.indices)
-        assert np.array_equal(back.values, spectrum.values)
-
-    def test_empty_spectrum_round_trips(self, tmp_path):
-        path = tmp_path / "spec.bin"
-        write_spectrum(path, SparseSpectrum.empty(42))
-        back = read_spectrum(path)
-        assert back.n == 42 and back.k == 0
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "spec.bin"
-        path.write_bytes(b"FFAST01\x00" + b"\x00" * 16)  # signal magic, not spectrum
-        with pytest.raises(FormatError):
-            read_spectrum(path)
-
-    def test_truncated_record_detected(self, tmp_path):
-        spectrum = SparseSpectrum.from_pairs(20, [(3, 1.0 + 2.0j), (7, -1.0j)])
-        path = tmp_path / "spec.bin"
-        write_spectrum(path, spectrum)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(FormatError):
-            read_spectrum(path)
+@st.composite
+def plans(draw):
+    """Screened plans over the small presets, in both sparsity regimes."""
+    preset = PRESETS[draw(st.sampled_from(SMALL_PRESETS))]
+    n = preset.n
+    if preset.forced_d is not None:
+        k = draw(st.integers(0, n))
+    else:
+        # very sparse (d = 3 base factors) or less sparse (3 composite stages)
+        k = draw(
+            st.one_of(
+                st.integers(1, int(n ** (1.0 / 3.0))),
+                st.integers(math.ceil(n**0.61), int(n**0.7)),
+            )
+        )
+    return build_plan(
+        preset.name,
+        k,
+        gamma=draw(st.floats(0.0, 1.0 / 3.0, exclude_min=True)),
+        c1=draw(st.floats(1e-3, 1e3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 class TestPlanConfig:
@@ -101,6 +49,13 @@ class TestPlanConfig:
         assert back.gamma == plan20.gamma
         assert back.c1 == plan20.c1
 
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(plan=plans())
+    def test_any_screened_plan_round_trips(self, tmp_path_factory, plan):
+        path = tmp_path_factory.mktemp("plans") / "plan.ini"
+        write_plan(path, plan)
+        assert read_plan(path) == plan
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             read_plan(tmp_path / "nope.ini")
@@ -110,61 +65,3 @@ class TestPlanConfig:
         path.write_text("[plan]\nn = twenty\n", encoding="utf-8")
         with pytest.raises(FormatError):
             read_plan(path)
-
-
-class TestCsvDumps:
-    def test_bank_dump_has_one_row_per_chain_sample(self, tmp_path, plan20):
-        spectrum = SparseSpectrum.from_pairs(20, [(10, 1.5 - 0.5j)])
-        bank = subsample_and_transform(synthesize(spectrum), plan20)
-        path = tmp_path / "bank.csv"
-        write_bank_csv(path, bank)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == CSV_HEADER
-        rows = list(csv.reader(lines[1:]))
-        header, body = rows[0], rows[1:]
-        assert header == ["stage", "bin", "chain", "shift", "real", "imag"]
-        expected = sum(plan20.bin_counts) * plan20.chain_count
-        assert len(body) == expected
-        # repr round trip: reading a float cell back gives the same value
-        sample = bank.observation(0, 0).y[0]
-        row0 = body[0]
-        assert float(row0[4]) == sample.real and float(row0[5]) == sample.imag
-
-    def test_verdict_dump(self, tmp_path, plan20):
-        spectrum = SparseSpectrum.from_pairs(20, [(10, 1.5 - 0.5j)])
-        bank = subsample_and_transform(synthesize(spectrum), plan20)
-        triples = [
-            (obs.stage, obs.bin, classify_bin(obs, plan20))
-            for obs in bank.iter_observations()
-        ]
-        path = tmp_path / "verdicts.csv"
-        write_verdicts_csv(path, triples)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == CSV_HEADER
-        rows = list(csv.reader(lines[1:]))
-        body = rows[1:]
-        assert len(body) == sum(plan20.bin_counts)
-        kinds = {row[2] for row in body}
-        assert kinds == {"zero-ton", "singleton"}
-        singles = [row for row in body if row[2] == "singleton"]
-        assert [int(r[3]) for r in singles] == [10, 10]  # one sighting per stage
-
-    def test_peel_log_events_and_summary(self, tmp_path, plan504):
-        truth = random_spectrum(504, 6, Constellation(4.0), seed=9)
-        bank = subsample_and_transform(synthesize(truth), plan504)
-        result = decode(bank)
-        path = tmp_path / "peel.jsonl"
-        write_peel_log(path, result)
-        records = [
-            json.loads(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-        ]
-        assert len(records) == len(result.events) + 1
-        closing = records[-1]
-        assert closing["event"] == "done"
-        assert closing["converged"] == result.converged
-        assert closing["passes"] == result.passes
-        assert closing["recovered"] == result.spectrum.k
-        for record, ev in zip(records[:-1], result.events):
-            assert record["support"] == ev.support
-            assert record["pass"] == ev.pass_index

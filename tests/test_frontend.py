@@ -166,8 +166,8 @@ class TestBinBank:
         assert obs.stage == 1 and obs.bin == 3
         np.testing.assert_array_equal(obs.y, bank.stages[1][3])
 
-    def test_total_bins(self, plan20):
+    def test_iter_observations_visits_every_bin(self, plan20):
         spectrum = SparseSpectrum.empty(20)
         bank = subsample_and_transform(synthesize(spectrum), plan20)
-        assert bank.total_bins == 9
-        assert sum(1 for _ in bank.iter_observations()) == 9
+        visited = [(obs.stage, obs.bin) for obs in bank.iter_observations()]
+        assert visited == [(0, j) for j in range(4)] + [(1, j) for j in range(5)]

@@ -4,6 +4,7 @@ import pytest
 
 from ffast.frontend import subsample_and_transform
 from ffast.oracle import (
+    _MATRIX_BUDGET_BYTES,
     ORACLE_MAX_N,
     OracleSizeError,
     brute_singleton,
@@ -56,6 +57,7 @@ class TestDenseDft:
         assert np.max(np.abs(far.to_dense() - (xa + 2j * xb))) < 1e-9
 
     def test_size_guard(self):
+        assert ORACLE_MAX_N**2 * 16 <= _MATRIX_BUDGET_BYTES
         n = ORACLE_MAX_N + 1
         with pytest.raises(OracleSizeError):
             dense_dft(TimeSignal(n, np.zeros(n, dtype=np.complex128)))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ffast.oracle import coherence_profile
 from ffast.planner import (
     MAX_SHIFT_DRAWS,
     PRESETS,
@@ -12,12 +13,10 @@ from ffast.planner import (
     build_plan,
     choose_cluster_params,
     cluster_shifts,
-    coherence_profile,
     plan_delays,
     plan_stages,
     preset_by_name,
     preset_for_length,
-    rip_bound,
     smallest_coprime_base,
     sparsity_index,
     verify_incoherence,
@@ -177,23 +176,6 @@ class TestIncoherence:
                                 shifts=tuple(int(s) for s in shifts))
             passing += verify_incoherence(plan).passed
         assert passing / 200 >= 0.2
-
-
-class TestRipBound:
-    def test_orthonormal_case(self):
-        assert rip_bound(0.0, 5) == (1.0, 1.0)
-
-    def test_clamped_lower(self):
-        assert rip_bound(1.0, 2) == (0.0, 2.0)
-
-    def test_worked_values(self):
-        lo, hi = rip_bound(0.1, 3)
-        assert lo == pytest.approx(0.8)
-        assert hi == pytest.approx(1.2)
-
-    def test_invalid_sparsity(self):
-        with pytest.raises(ValueError):
-            rip_bound(0.1, 0)
 
 
 class TestBuildPlan:
