@@ -153,6 +153,12 @@ class SweepPoint:
     mean_l1: float
 
 
+# auto_sweep's cluster-count ramp: the first point starts at
+# SWEEP_CLUSTERS_START, and no point goes past SWEEP_CLUSTERS_MAX.
+SWEEP_CLUSTERS_START = 9
+SWEEP_CLUSTERS_MAX = 16
+
+
 def _preset_name(scale: int) -> str:
     return "paper-124950" if scale == 1 else f"paper-124950x{scale}"
 
@@ -166,8 +172,6 @@ def auto_sweep(
     seed: int = 0,
     target_success: float = 0.97,
     per_cluster: int = 3,
-    clusters_start: int = 9,
-    clusters_max: int = 16,
     gamma: float = 0.2,
     c1: float = 8.0,
 ) -> list[SweepPoint]:
@@ -184,11 +188,11 @@ def auto_sweep(
         raise PlanningError("sweep needs at least one scale point")
     needed = math.ceil(target_success * trials - 1e-9)
     points: list[SweepPoint] = []
-    c_floor = clusters_start
+    c_floor = SWEEP_CLUSTERS_START
     for scale in scales:
         name = _preset_name(scale)
         accepted = None
-        for clusters in range(c_floor, clusters_max + 1):
+        for clusters in range(c_floor, SWEEP_CLUSTERS_MAX + 1):
             config = ExperimentConfig(
                 preset=name,
                 k=k,
@@ -206,7 +210,7 @@ def auto_sweep(
                 break
         if accepted is None:
             raise PlanningError(
-                f"no cluster count up to {clusters_max} reached "
+                f"no cluster count up to {SWEEP_CLUSTERS_MAX} reached "
                 f"{target_success:.0%} success at {name}"
             )
         clusters, result = accepted

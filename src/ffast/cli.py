@@ -32,10 +32,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
-_BOOL_KEYS = {"random_phases", "snap", "stable_output"}
-_INT_KEYS = {"k", "clusters", "per_cluster", "trials", "seed"}
-_FLOAT_KEYS = {"gamma", "c1"}
-_NOT_CONFIG_KEYS = {"command", "handler", "config"}
+_NOT_CONFIG_KEYS = {"command", "handler", "parser", "config"}
 
 
 def _parse_snr(text: str) -> float | None:
@@ -55,30 +52,29 @@ def _apply_config_file(args: argparse.Namespace, path: str) -> None:
     """INI [experiment] keys override parsed flags of the same name.
 
     Only the subcommand's own flags may be set; any other key (a typo
-    such as `snr` for `snr_db`) is a configuration error.
+    such as `snr` for `snr_db`) is a configuration error.  Each value is
+    converted the way its flag is: by the flag's type, or as a boolean
+    for an on/off flag.
     """
     cfg = ConfigParser()
     if not cfg.read(path, encoding="utf-8"):
         raise FormatError(f"unreadable config file {path}")
     if not cfg.has_section("experiment"):
         raise PlanningError(f"config file {path} lacks an [experiment] section")
+    section = cfg["experiment"]
     known = set(vars(args)) - _NOT_CONFIG_KEYS
-    for key, raw in cfg["experiment"].items():
-        key = key.replace("-", "_")
-        if key not in known:
+    actions = {a.dest: a for a in args.parser._actions if a.dest in known}
+    for name, raw in section.items():
+        key = name.replace("-", "_")
+        action = actions.get(key)
+        if action is None:
             raise PlanningError(
                 f"config file {path}: unknown key {key!r} for '{args.command}'"
             )
-        if key in _BOOL_KEYS:
-            value: object = cfg["experiment"].getboolean(key)
-        elif key in _INT_KEYS:
-            value = int(raw)
-        elif key in _FLOAT_KEYS:
-            value = float(raw)
-        elif key == "snr_db":
-            value = _parse_snr(raw)
-        elif key == "scales":
-            value = _parse_scales(raw)
+        if action.nargs == 0:  # store_true / store_false: the key names the value
+            value: object = section.getboolean(name)
+        elif action.type is not None:
+            value = action.type(raw)
         else:
             value = raw
         setattr(args, key, value)
@@ -244,6 +240,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     rho_b = f_min * rho
     d_chains = plan.chain_count
     n_samples = plan.per_cluster
+    m2 = Constellation(rho).m2
     cluster_value, cluster_ok = metrics.prop1_bound(
         rho_b, n_samples, plan.c1, plan.n
     )
@@ -256,8 +253,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
          repr(metrics.kay_variance(rho_b, n_samples))],
         ["cluster_miss", f"rho_b={rho_b} N={n_samples} c1={plan.c1} n={plan.n} "
          f"below_1_over_n3={cluster_ok}", repr(cluster_value)],
-        ["value_error", f"rho_b={rho_b} D={d_chains} m2=8",
-         repr(metrics.value_error_bound(rho_b, d_chains, 8))],
+        ["value_error", f"rho_b={rho_b} D={d_chains} m2={m2}",
+         repr(metrics.value_error_bound(rho_b, d_chains, m2))],
         ["multiton", f"rho_b={rho_b} D={d_chains} gamma={plan.gamma} n={plan.n} L=2",
          repr(metrics.multiton_bound(rho_b, d_chains, plan.gamma, plan.n, 2))],
     ]
@@ -326,6 +323,7 @@ def _add_common(sub: argparse.ArgumentParser, *, seed_required: bool) -> None:
     sub.add_argument("--out", default=None, help="output path ('-' for stdout)")
     sub.add_argument("--config", default=None,
                      help="INI file whose [experiment] section overrides flags")
+    sub.set_defaults(parser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from .singleton import VerdictKind, classify_bin, zero_ton_threshold
 from .spectral import Constellation, SparseSpectrum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeelEvent:
     """One singleton found and removed: which bin produced it, and when."""
 

@@ -2,13 +2,15 @@
 
 A singleton bin y = sqrt(f) * X[l] * s_l + w is identified in three
 steps.  First an energy gate: ||y||^2 < (1+gamma)*D means noise only.
-Next the frequency: each shift cluster c gives a weighted
-phase-difference estimate of (base**c * omega) mod 2*pi where
-omega = 2*pi*l/n, and successive refinement lifts these onto ever finer
-grids until omega is pinned to better than half a grid cell of 2*pi/n.
-Last the value: least squares against the steering column of the
-rounded support, accepted as a singleton only if the residual looks
-like pure noise and the column explains most of the bin energy.
+Next the frequency: one array expression over the (C, N) view of the
+chain outputs gives each shift cluster c's weighted phase-difference
+estimate of (base**c * omega) mod 2*pi, omega = 2*pi*l/n (a zero sample
+leaves it undefined, so such a bin is a multi-ton), and successive
+refinement lifts these onto ever finer grids until omega is pinned to
+better than half a grid cell of 2*pi/n.  Last the value: least squares
+against the steering column of the rounded support, accepted as a
+singleton only if the residual looks like pure noise and the column
+explains most of the bin energy.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from .frontend import BinObservation, steering_vector
 from .planner import FrontendPlan
@@ -28,58 +29,40 @@ RESIDUAL_ALPHA = 1e-4
 MIN_EXPLAINED_FRACTION = 0.5
 
 
-class ClusterEstimateError(ValueError):
-    """A zero-magnitude sample made a phase difference undefined."""
-
-
-@dataclass(frozen=True)
-class KayWeights:
-    """Parabolic weights for weighted phase-difference frequency estimation."""
-
-    n_samples: int
-    beta: np.ndarray
-
-
 @lru_cache(maxsize=64)
-def _cached_weights(n_samples: int) -> KayWeights:
+def kay_weights(n_samples: int) -> np.ndarray:
+    """beta(t) = 6(t+1)(N-1-t) / (N(N^2-1)) for t = 0..N-2; sums to 1.
+
+    The returned array is cached and read-only.
+    """
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples per cluster, got {n_samples}")
     t = np.arange(n_samples - 1, dtype=np.float64)
     beta = 6.0 * (t + 1.0) * (n_samples - 1.0 - t) / (n_samples * (n_samples**2 - 1.0))
     beta.flags.writeable = False
-    return KayWeights(n_samples, beta)
+    return beta
 
 
-def kay_weights(n_samples: int) -> KayWeights:
-    """beta(t) = 6(t+1)(N-1-t) / (N(N^2-1)) for t = 0..N-2; sums to 1."""
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples per cluster, got {n_samples}")
-    return _cached_weights(n_samples)
+def cluster_estimate(samples: np.ndarray, spacing: int | np.ndarray) -> np.ndarray:
+    """Frequency estimate per cluster, modulo 2*pi/spacing.
 
-
-def cluster_estimate(samples: np.ndarray, weights: KayWeights, spacing: int) -> float:
-    """Frequency estimate from one cluster, modulo 2*pi/spacing.
-
-    samples are N consecutive chain outputs whose shifts differ by
-    `spacing`; the angles of consecutive products advance by
-    spacing*omega.  Angles are measured relative to the energy-weighted
-    mean direction so that a true phase near +/-pi does not wrap
-    individual terms.  Returns the weighted estimate divided by spacing,
-    reduced to [0, 2*pi/spacing).
+    Each row samples[..., :] holds the N consecutive chain outputs of one
+    cluster, whose shifts differ by `spacing` (broadcast over the leading
+    axes); the angles of consecutive products advance by spacing*omega.
+    Angles are measured relative to the energy-weighted mean direction
+    so that a true phase near +/-pi does not wrap individual terms.
+    Returns the weighted estimate divided by spacing, reduced to
+    [0, 2*pi/spacing).
     """
     samples = np.asarray(samples)
-    if samples.size != weights.n_samples:
-        raise ValueError(f"expected {weights.n_samples} samples, got {samples.size}")
-    if np.any(samples == 0):
-        raise ClusterEstimateError("zero-magnitude sample in cluster")
-    products = samples[1:] * np.conj(samples[:-1])
-    total = products.sum()
-    reference = float(np.angle(total)) if total != 0 else 0.0
-    deviations = np.angle(products * np.exp(-1j * reference))
-    theta = reference + float(weights.beta @ deviations)
-    period = 2.0 * np.pi / spacing
-    return float(np.mod(theta / spacing, period))
+    products = samples[..., 1:] * np.conj(samples[..., :-1])
+    reference = np.angle(products.sum(axis=-1))
+    deviations = np.angle(products * np.exp(-1j * reference)[..., None])
+    theta = reference + deviations @ kay_weights(samples.shape[-1])
+    return np.mod(theta / spacing, 2.0 * np.pi / spacing)
 
 
-def refine(estimates: list[float], base: int) -> float:
+def refine(estimates: list[float] | np.ndarray, base: int) -> float:
     """Fuse per-cluster estimates into one frequency in [0, 2*pi).
 
     estimates[i] is omega modulo 2*pi/base**i.  Each step lifts the next
@@ -89,13 +72,13 @@ def refine(estimates: list[float], base: int) -> float:
     via rounding).  The final interval width is 2*pi/base**(C-1) times
     the last cluster's accuracy.
     """
-    if not estimates:
+    values = [float(e) for e in estimates]
+    if not values:
         raise ValueError("need at least one cluster estimate")
-    prev = float(estimates[0]) % (2.0 * np.pi)
-    for i in range(1, len(estimates)):
+    prev = values[0] % (2.0 * np.pi)
+    for i, est in enumerate(values[1:], start=1):
         grid = 2.0 * np.pi / base**i
-        lifts = round((prev - float(estimates[i])) / grid)
-        prev = float(estimates[i]) + lifts * grid
+        prev = est + round((prev - est) / grid) * grid
     return prev % (2.0 * np.pi)
 
 
@@ -117,6 +100,33 @@ def zero_ton_threshold(plan: FrontendPlan) -> float:
     return (1.0 + plan.gamma) * plan.chain_count
 
 
+def _gamma_upper_quantile(shape: int, alpha: float) -> float:
+    """x with P(Gamma(shape, 1) > x) = alpha, for an integer shape >= 1.
+
+    For an integer shape the survival function is the Poisson sum
+    exp(-x) * sum_{k<shape} x**k / k!, strictly falling in x, so
+    bisection halves the bracket until it stops shrinking.  Done here
+    rather than with scipy.special, whose import alone adds about 25 MB
+    to a process, so that the package needs only numpy.
+    """
+
+    def survival(x: float) -> float:
+        log_x = math.log(x)
+        return math.fsum(math.exp(k * log_x - x - math.lgamma(k + 1)) for k in range(shape))
+
+    lo, hi = 0.0, float(shape)
+    while survival(hi) > alpha:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if survival(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+
+
 @lru_cache(maxsize=256)
 def singleton_residual_threshold(chain_count: int, gamma: float) -> float:
     """Residual energy cap for accepting a singleton.
@@ -131,7 +141,7 @@ def singleton_residual_threshold(chain_count: int, gamma: float) -> float:
     floor = (1.0 + gamma) * chain_count
     if chain_count < 2:
         return floor
-    quantile = float(gammainccinv(chain_count - 1, RESIDUAL_ALPHA))
+    quantile = _gamma_upper_quantile(chain_count - 1, RESIDUAL_ALPHA)
     return max(floor, quantile)
 
 
@@ -179,15 +189,11 @@ def classify_bin(
         return BinVerdict(VerdictKind.ZERO_TON, None, None, energy)
     if not plan.clustered:
         raise ValueError("classification needs a clustered shift pattern")
-    weights = kay_weights(plan.per_cluster)
-    n_per = plan.per_cluster
-    try:
-        estimates = [
-            cluster_estimate(y[c * n_per : (c + 1) * n_per], weights, plan.base**c)
-            for c in range(plan.clusters)
-        ]
-    except ClusterEstimateError:
+    if not np.all(y):
+        # a zero sample leaves a phase difference undefined
         return BinVerdict(VerdictKind.MULTI_TON, None, None, energy)
+    spacing = plan.base ** np.arange(plan.clusters)
+    estimates = cluster_estimate(y.reshape(plan.clusters, plan.per_cluster), spacing)
     omega = refine(estimates, plan.base)
     target = omega * plan.n / (2.0 * np.pi)
     support = _project_to_residue_class(target, obs.bin, f, plan.n)

@@ -26,10 +26,6 @@ _STREAM_NOISE = 0xA3
 _STREAM_PHASES = 0xA4
 
 
-def snr_db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
-
-
 @dataclass(frozen=True)
 class Constellation:
     """Finite amplitude/phase grid for nonzero DFT coefficients.
@@ -55,10 +51,6 @@ class Constellation:
         if self.m2 < 1:
             raise ValueError(f"m2 must be a positive integer, got {self.m2}")
 
-    @classmethod
-    def from_snr_db(cls, snr_db: float, m1: int = 1, m2: int = 8) -> "Constellation":
-        return cls(rho=snr_db_to_linear(snr_db), m1=m1, m2=m2)
-
     def magnitudes(self) -> np.ndarray:
         a = math.sqrt(self.rho)
         return a / 2.0 + np.arange(self.m1 + 1) * (a / self.m1)
@@ -74,9 +66,6 @@ class Constellation:
     @property
     def size(self) -> int:
         return (self.m1 + 1) * self.m2
-
-    def mean_energy(self) -> float:
-        return float(np.mean(np.abs(self.points()) ** 2))
 
     def snap(self, value: complex) -> complex:
         """Nearest grid point to value (Euclidean distance in C)."""

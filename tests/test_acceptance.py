@@ -22,7 +22,7 @@ from ffast.planner import (
     plan_delays,
     verify_incoherence,
 )
-from ffast.singleton import VerdictKind, classify_bin, kay_weights, cluster_estimate
+from ffast.singleton import VerdictKind, classify_bin, cluster_estimate
 from ffast.spectral import Constellation, SparseSpectrum, random_spectrum, synthesize
 
 
@@ -168,7 +168,6 @@ def test_05_frequency_estimator_variance():
     rho_b = 10.0
     ratios = {}
     for n_samples in (3, 5, 8):
-        weights = kay_weights(n_samples)
         errs = np.empty(10_000)
         tt = np.arange(n_samples)
         for trial in range(10_000):
@@ -176,7 +175,7 @@ def test_05_frequency_estimator_variance():
             y = np.sqrt(rho_b) * np.exp(1j * (phase0 + 1.0 * tt)) + (
                 rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
             ) / np.sqrt(2)
-            est = cluster_estimate(y, weights, 1)
+            est = cluster_estimate(y, 1)
             errs[trial] = (est - 1.0 + np.pi) % (2 * np.pi) - np.pi
         ratios[n_samples] = float(np.mean(errs**2)) / kay_variance(rho_b, n_samples)
     elapsed = time.perf_counter() - t0

@@ -122,6 +122,24 @@ class TestSweepCommand:
         assert int(body[1][4]) >= int(body[0][4])
         assert "swept 2 lengths" in capsys.readouterr().out
 
+    def test_config_file_supplies_target_success(self, tmp_path, capsys):
+        """An INI value is converted by its flag's type, so target_success
+        arrives as a float, the same as --target-success."""
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[experiment]\n"
+            "scales = 1\n"
+            "target_success = 0.5\n"
+            "stable_output = true\n",
+            encoding="utf-8",
+        )
+        common = ["sweep", "--k", "8", "--trials", "2", "--seed", "1"]
+        from_cfg, from_flags = tmp_path / "cfg.csv", tmp_path / "flags.csv"
+        assert main(common + ["--config", str(cfg), "--out", str(from_cfg)]) == EXIT_OK
+        assert main(common + ["--scales", "1", "--target-success", "0.5",
+                              "--stable-output", "--out", str(from_flags)]) == EXIT_OK
+        assert from_cfg.read_bytes() == from_flags.read_bytes()
+
     def test_empty_scales_rejected(self, capsys):
         code = main(["sweep", "--scales", "", "--seed", "1"])
         assert code == EXIT_CONFIG

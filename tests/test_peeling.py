@@ -3,11 +3,73 @@ import numpy as np
 import pytest
 
 from ffast import oracle
+from ffast.bench import ExperimentConfig, plan_for_config
 from ffast.frontend import subsample_and_transform
 from ffast.peeling import decode, peel
 from ffast.planner import FrontendPlan, build_plan, cluster_shifts
 from ffast.singleton import zero_ton_threshold
-from ffast.spectral import Constellation, SparseSpectrum, random_spectrum, synthesize
+from ffast.spectral import (
+    Constellation,
+    SparseSpectrum,
+    add_noise,
+    random_spectrum,
+    synthesize,
+)
+
+# (pass, stage, bin, support, index into Constellation.points()) of every
+# peel event of three sparse-5db decodes (paper-124950, k=40, 5 dB, C=12,
+# N=3, plan seed 20260817), keyed by trial seed.  A refactor of the
+# classifier or the decoder must leave these unchanged.
+FROZEN_SPARSE_5DB_EVENTS = {
+    1: [
+        (1, 0, 0, 30233, 13), (1, 0, 46, 68597, 0), (1, 0, 45, 48212, 10),
+        (1, 2, 0, 99603, 1), (1, 0, 43, 52375, 15), (1, 0, 48, 80604, 4),
+        (1, 2, 13, 16078, 9), (1, 2, 29, 41900, 7), (1, 1, 13, 36863, 4),
+        (1, 1, 19, 3119, 1), (1, 0, 34, 10275, 8), (1, 2, 18, 39594, 1),
+        (1, 2, 15, 106452, 2), (1, 1, 15, 1465, 5), (1, 1, 38, 28138, 1),
+        (1, 2, 50, 107252, 5), (1, 1, 18, 72518, 10), (1, 2, 38, 752, 0),
+        (1, 0, 8, 77281, 14), (1, 0, 23, 88027, 5), (1, 1, 17, 46467, 10),
+        (1, 2, 3, 83031, 5), (1, 2, 33, 107439, 10), (1, 1, 45, 12795, 10),
+        (1, 2, 19, 33577, 9), (1, 0, 22, 50002, 13), (1, 0, 9, 114620, 10),
+        (1, 0, 3, 118583, 10), (1, 2, 35, 83522, 6), (1, 1, 11, 103911, 1),
+        (1, 2, 4, 74974, 8), (1, 2, 48, 83841, 6), (1, 1, 40, 69790, 14),
+        (1, 1, 46, 85696, 12), (2, 2, 41, 56600, 3), (2, 2, 47, 121172, 8),
+        (2, 0, 12, 82920, 14), (2, 0, 14, 60970, 5), (2, 0, 26, 95772, 11),
+        (2, 0, 4, 120691, 12),
+    ],
+    2: [
+        (1, 1, 29, 96779, 13), (1, 0, 38, 27135, 0), (1, 1, 6, 51956, 5),
+        (1, 0, 28, 35259, 0), (1, 1, 44, 91444, 10), (1, 1, 5, 53955, 14),
+        (1, 2, 0, 11169, 11), (1, 0, 44, 67468, 13), (1, 0, 23, 115320, 15),
+        (1, 2, 30, 121563, 3), (1, 2, 39, 99489, 15), (1, 1, 31, 48381, 6),
+        (1, 2, 37, 48589, 11), (1, 0, 42, 28511, 0), (1, 1, 28, 119228, 7),
+        (1, 0, 15, 3543, 4), (1, 2, 23, 112223, 2), (1, 1, 1, 11451, 2),
+        (1, 0, 47, 48557, 9), (1, 2, 45, 34776, 0), (1, 2, 50, 61403, 8),
+        (1, 1, 22, 92872, 11), (1, 2, 40, 96889, 14), (1, 0, 33, 76620, 11),
+        (1, 0, 0, 33859, 13), (1, 1, 0, 58050, 13), (1, 2, 25, 43375, 1),
+        (1, 1, 10, 73360, 9), (1, 2, 47, 67775, 3), (1, 1, 4, 101204, 3),
+        (1, 1, 14, 105064, 12), (1, 2, 16, 44743, 14), (1, 0, 48, 47823, 3),
+        (1, 0, 29, 56085, 5), (1, 1, 15, 24615, 1), (1, 0, 22, 20063, 12),
+        (1, 0, 40, 72119, 0), (2, 0, 34, 20075, 13), (2, 0, 30, 18209, 2),
+        (2, 1, 26, 119826, 4),
+    ],
+    3: [
+        (1, 1, 26, 44426, 10), (1, 1, 35, 33935, 14), (1, 1, 29, 13429, 11),
+        (1, 1, 39, 70889, 2), (1, 2, 26, 118040, 11), (1, 1, 44, 91094, 2),
+        (1, 2, 11, 69014, 15), (1, 2, 15, 57033, 11), (1, 2, 24, 43374, 9),
+        (1, 2, 1, 60895, 15), (1, 0, 44, 31208, 1), (1, 2, 49, 4741, 9),
+        (1, 0, 47, 14502, 4), (1, 0, 7, 124810, 1), (1, 2, 39, 64758, 5),
+        (1, 0, 13, 55187, 11), (1, 0, 28, 64610, 8), (1, 1, 36, 90386, 11),
+        (1, 1, 5, 36605, 2), (1, 2, 22, 87538, 4), (1, 0, 31, 82743, 14),
+        (1, 2, 35, 82910, 7), (1, 2, 7, 31627, 9), (1, 2, 30, 32364, 1),
+        (1, 2, 45, 84807, 11), (1, 0, 33, 35999, 3), (1, 0, 42, 119259, 11),
+        (1, 2, 37, 49099, 12), (1, 2, 48, 51966, 6), (1, 2, 46, 3259, 12),
+        (1, 1, 12, 162, 12), (2, 2, 18, 86208, 13), (2, 0, 15, 92233, 3),
+        (2, 0, 25, 100916, 4), (2, 2, 8, 10616, 11), (2, 0, 3, 55961, 12),
+        (2, 1, 27, 13327, 3), (2, 0, 26, 47752, 0), (2, 0, 1, 11908, 14),
+        (2, 2, 9, 5211, 8),
+    ],
+}
 
 
 def _bank_for(spectrum, plan):
@@ -157,3 +219,22 @@ class TestDecodeStructure:
         truth = random_spectrum(504, 7, Constellation(4.0), seed=2)
         result = decode(_bank_for(truth, plan504), max_passes=1)
         assert result.passes <= 1
+
+
+class TestDecodeFrozen:
+    def test_sparse_5db_events_are_frozen(self):
+        """Fixed-seed noisy decodes peel the same (pass, stage, bin,
+        support) sequence as before, and every value is bit-for-bit a
+        constellation point."""
+        kw = dict(preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3)
+        plan = plan_for_config(ExperimentConfig(**kw, seed=20260817))
+        con = Constellation(ExperimentConfig(**kw).rho)
+        points = con.points()
+        for seed, expected in FROZEN_SPARSE_5DB_EVENTS.items():
+            truth = random_spectrum(plan.n, 40, con, seed)
+            signal = add_noise(synthesize(truth), 1.0, seed)
+            result = decode(subsample_and_transform(signal, plan), con)
+            events = [(e.pass_index, e.stage, e.bin, e.support) for e in result.events]
+            assert events == [event[:4] for event in expected]
+            values = [e.value for e in result.events]
+            assert values == [points[event[4]] for event in expected]

@@ -3,14 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammainccinv
 
 from conftest import make_singleton_obs
 from ffast import oracle
 from ffast.frontend import BinObservation, steering_vector, subsample_and_transform
 from ffast.planner import build_plan
 from ffast.singleton import (
-    ClusterEstimateError,
     VerdictKind,
     classify_bin,
     cluster_estimate,
@@ -24,24 +23,30 @@ from ffast.spectral import Constellation, SparseSpectrum, synthesize
 
 class TestKayWeights:
     def test_two_samples(self):
-        np.testing.assert_allclose(kay_weights(2).beta, [1.0])
+        np.testing.assert_allclose(kay_weights(2), [1.0])
 
     def test_three_samples(self):
-        np.testing.assert_allclose(kay_weights(3).beta, [0.5, 0.5])
+        np.testing.assert_allclose(kay_weights(3), [0.5, 0.5])
 
     @pytest.mark.parametrize("n", range(2, 65))
     def test_weights_sum_to_one(self, n):
-        w = kay_weights(n)
-        assert w.beta.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(w.beta >= 0)
+        beta = kay_weights(n)
+        assert beta.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(beta >= 0)
 
     def test_parabolic_symmetry(self):
-        beta = kay_weights(9).beta
+        beta = kay_weights(9)
         np.testing.assert_allclose(beta, beta[::-1])
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             kay_weights(1)
+
+    def test_cached_and_read_only(self):
+        beta = kay_weights(4)
+        assert kay_weights(4) is beta
+        with pytest.raises(ValueError):
+            beta[0] = 0.0
 
 
 class TestClusterEstimate:
@@ -49,24 +54,33 @@ class TestClusterEstimate:
         omega = 2 * np.pi * 7 / 20
         shifts = np.array([3, 4, 5])  # head 3, spacing 1
         samples = np.exp(1j * omega * shifts)
-        est = cluster_estimate(samples, kay_weights(3), 1)
+        est = cluster_estimate(samples, 1)
         assert est == pytest.approx(omega % (2 * np.pi), abs=1e-12)
 
     def test_noiseless_exact_spacing_two(self):
         omega = 2 * np.pi * 7 / 20
         shifts = np.array([3, 5, 7])
         samples = np.exp(1j * omega * shifts)
-        est = cluster_estimate(samples, kay_weights(3), 2)
+        est = cluster_estimate(samples, 2)
         assert est == pytest.approx(omega % np.pi, abs=1e-12)
 
-    def test_zero_sample_raises(self):
-        samples = np.array([1.0 + 0j, 0j, 1.0 + 0j])
-        with pytest.raises(ClusterEstimateError):
-            cluster_estimate(samples, kay_weights(3), 1)
-
-    def test_sample_count_mismatch(self):
-        with pytest.raises(ValueError):
-            cluster_estimate(np.ones(4, complex), kay_weights(3), 1)
+    def test_cluster_array_matches_row_by_row(self, plan990):
+        """A (C, N) noiseless tone gives, in one call, the row-by-row
+        estimates, and row c is omega mod 2*pi/base**c.  The weighted sum
+        over a row may run in another order in the two forms, so they
+        agree to a few ulp rather than bit for bit."""
+        ell = 377
+        omega = 2 * np.pi * ell / plan990.n
+        C, N = plan990.clusters, plan990.per_cluster
+        rows = steering_vector(ell, plan990).reshape(C, N)
+        spacing = plan990.base ** np.arange(C)
+        together = cluster_estimate(rows, spacing)
+        assert together.shape == (C,)
+        for c in range(C):
+            alone = cluster_estimate(rows[c], int(spacing[c]))
+            assert together[c] == pytest.approx(alone, rel=0, abs=16 * np.finfo(float).eps)
+            period = 2 * np.pi / spacing[c]
+            assert together[c] == pytest.approx(omega % period, abs=1e-9)
 
     def test_variance_tracks_closed_form(self):
         """Monte-Carlo variance within 20% of 6/(rho_b N(N^2-1)) at rho_b=10."""
@@ -80,7 +94,7 @@ class TestClusterEstimate:
             clean = amp * np.exp(1j * (omega * np.arange(n_samp) + phase))
             noise = (rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp))
             y = clean + noise / math.sqrt(2)
-            est = cluster_estimate(y, kay_weights(n_samp), 1)
+            est = cluster_estimate(y, 1)
             diff = (est - omega + np.pi) % (2 * np.pi) - np.pi
             errors[t] = diff
         predicted = 6.0 / (rho_b * n_samp * (n_samp**2 - 1))
@@ -98,7 +112,7 @@ class TestClusterEstimate:
             clean = amp * np.exp(1j * (omega * np.arange(n_samp) + phase))
             noise = (rng.standard_normal(n_samp) + 1j * rng.standard_normal(n_samp))
             y = clean + noise / math.sqrt(2)
-            ests[t] = cluster_estimate(y, kay_weights(n_samp), 1)
+            ests[t] = cluster_estimate(y, 1)
         variance = 6.0 / (rho_b * n_samp * (n_samp**2 - 1))
         standard_error = math.sqrt(variance / trials)
         assert abs(float(np.mean(ests)) - omega) < 3 * standard_error
@@ -132,9 +146,16 @@ class TestRefine:
             diff = min(diff, 2 * np.pi - diff)
             assert diff <= 2 * np.pi / (base ** (depth - 1) * c1)
 
+    def test_array_input_matches_list(self):
+        omega = 2 * np.pi * 13 / 20
+        ests = [omega % (2 * np.pi / 2**i) for i in range(3)]
+        assert refine(np.array(ests), 2) == refine(ests, 2)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             refine([], 2)
+        with pytest.raises(ValueError):
+            refine(np.empty(0), 2)
 
 
 class TestThresholds:
@@ -148,6 +169,12 @@ class TestThresholds:
         assert cap > (1.2) * 16  # quantile branch wins at D=16
         # independent check: the survival function at the cap equals alpha
         assert float(gammaincc(15, cap)) == pytest.approx(1e-4, rel=1e-6)
+
+    def test_residual_cap_matches_scipy_quantile(self):
+        for d_chains in range(2, 97):
+            expected = max(1.2 * d_chains, float(gammainccinv(d_chains - 1, 1e-4)))
+            cap = singleton_residual_threshold(d_chains, 0.2)
+            assert cap == pytest.approx(expected, rel=1e-13), d_chains
 
     def test_residual_cap_floor(self):
         # with one chain there is no residual dof; the gate is the floor
@@ -181,6 +208,20 @@ class TestClassifyBin:
         assert v.value == value  # snapping returns the grid point bit-exactly
         unsnapped = classify_bin(obs, plan20)
         assert unsnapped.value != value  # noise keeps the raw fit off-grid
+
+    def test_zero_chain_sample_is_multi_ton(self, plan20):
+        """A bin that clears the energy gate but holds one exactly-zero
+        chain sample has an undefined phase difference: multi-ton.  At
+        support 0 every cluster's phase is 0 anyway, and the least-squares
+        fit leaves a residual under the cap, so only the zero-sample check
+        keeps this bin from being a singleton."""
+        obs = make_singleton_obs(plan20, 0, 1.5)
+        y = obs.y.copy()
+        y[1] = 0
+        assert np.vdot(y, y).real >= zero_ton_threshold(plan20)
+        v = classify_bin(BinObservation(obs.stage, obs.bin, y), plan20)
+        assert v.kind is VerdictKind.MULTI_TON
+        assert v.support is None and v.value is None
 
     def test_two_tone_bin_is_multi_ton(self, plan20):
         # supports 1 and 5 share bin 1 of stage 0

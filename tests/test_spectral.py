@@ -11,7 +11,6 @@ from ffast.spectral import (
     add_noise,
     random_phase_spectrum,
     random_spectrum,
-    snr_db_to_linear,
     synthesize,
 )
 
@@ -41,7 +40,7 @@ class TestConstellation:
     def test_mean_energy(self):
         # magnitudes sqrt(rho)/2 and 3*sqrt(rho)/2: mean square is 1.25*rho
         con = Constellation(2.0)
-        assert con.mean_energy() == pytest.approx(2.5)
+        assert np.mean(np.abs(con.points()) ** 2) == pytest.approx(2.5)
 
     def test_snap_is_identity_on_grid_points(self):
         con = Constellation(3.0)
@@ -52,10 +51,6 @@ class TestConstellation:
         con = Constellation(4.0)
         pt = con.points()[5]
         assert con.snap(pt + 0.05 - 0.03j) == complex(pt)
-
-    def test_from_snr_db(self):
-        con = Constellation.from_snr_db(10.0)
-        assert con.rho == pytest.approx(10.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rho_must_be_positive(self, bad):
@@ -120,7 +115,7 @@ class TestRandomSpectrum:
         assert list(s.indices) == list(range(20))
 
     def test_values_live_on_the_grid(self):
-        con = Constellation.from_snr_db(5.0)
+        con = Constellation(10 ** 0.5)
         s = random_spectrum(124950, 40, con, seed=1)
         assert s.k == 40
         pts = con.points()
@@ -195,20 +190,14 @@ class TestAddNoise:
             add_noise(x, -0.5, seed=0)
 
 
-def test_snr_db_to_linear():
-    assert snr_db_to_linear(0.0) == pytest.approx(1.0)
-    assert snr_db_to_linear(10.0) == pytest.approx(10.0)
-    assert snr_db_to_linear(5.0) == pytest.approx(10 ** 0.5)
-
-
 def test_empirical_snr_tracks_grid_mean_energy():
     """Synthesized spectra against unit noise realize the grid's mean energy.
 
     The magnitude grid's mean square is 1.25x its design rho (two rings at
     sqrt(rho)/2 and 3 sqrt(rho)/2), so the realized SNR is measured against
-    mean_energy(), not rho itself.
+    the mean square of the grid points, not rho itself.
     """
-    con = Constellation.from_snr_db(5.0)
+    con = Constellation(10 ** 0.5)
     ratios = []
     for trial in range(100):
         s = random_spectrum(4845, 40, con, seed=5000 + trial)
@@ -216,4 +205,5 @@ def test_empirical_snr_tracks_grid_mean_energy():
         signal_energy = float(np.mean(np.abs(s.values) ** 2))
         noise_energy = float(np.sum(np.abs(z.samples) ** 2) / 4845)
         ratios.append(signal_energy / noise_energy)
-    assert np.mean(ratios) == pytest.approx(con.mean_energy(), rel=0.05)
+    grid_energy = float(np.mean(np.abs(con.points()) ** 2))
+    assert np.mean(ratios) == pytest.approx(grid_energy, rel=0.05)
