@@ -45,6 +45,8 @@ class ExperimentConfig:
         preset_by_name(self.preset)
         if self.trials < 1:
             raise PlanningError(f"trials must be at least 1, got {self.trials}")
+        if not 0.0 < self.rho < math.inf:
+            raise PlanningError(f"snr_db must give a positive finite SNR, got {self.snr_db}")
 
     @property
     def rho(self) -> float:
@@ -167,7 +169,7 @@ def auto_sweep(
     scales: list[int],
     *,
     k: int = 40,
-    snr_db: float = 5.0,
+    snr_db: float | None = 5.0,
     trials: int = 16,
     seed: int = 0,
     target_success: float = 0.97,
@@ -186,6 +188,8 @@ def auto_sweep(
     """
     if not scales:
         raise PlanningError("sweep needs at least one scale point")
+    if not 0.0 <= target_success <= 1.0:
+        raise PlanningError(f"target_success must lie in [0, 1], got {target_success}")
     needed = math.ceil(target_success * trials - 1e-9)
     points: list[SweepPoint] = []
     c_floor = SWEEP_CLUSTERS_START

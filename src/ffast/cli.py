@@ -54,7 +54,8 @@ def _apply_config_file(args: argparse.Namespace, path: str) -> None:
     Only the subcommand's own flags may be set; any other key (a typo
     such as `snr` for `snr_db`) is a configuration error.  Each value is
     converted the way its flag is: by the flag's type, or as a boolean
-    for an on/off flag.
+    for an on/off flag; a value that does not convert is a configuration
+    error.
     """
     cfg = ConfigParser()
     if not cfg.read(path, encoding="utf-8"):
@@ -71,12 +72,15 @@ def _apply_config_file(args: argparse.Namespace, path: str) -> None:
             raise PlanningError(
                 f"config file {path}: unknown key {key!r} for '{args.command}'"
             )
-        if action.nargs == 0:  # store_true / store_false: the key names the value
-            value: object = section.getboolean(name)
-        elif action.type is not None:
-            value = action.type(raw)
-        else:
-            value = raw
+        try:
+            if action.nargs == 0:  # store_true / store_false: the key names the value
+                value: object = section.getboolean(name)
+            elif action.type is not None:
+                value = action.type(raw)
+            else:
+                value = raw
+        except ValueError as exc:
+            raise PlanningError(f"config file {path}: bad value for {key!r}: {exc}") from None
         setattr(args, key, value)
 
 
@@ -192,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     points = bench.auto_sweep(
         args.scales,
         k=args.k,
-        snr_db=args.snr_db if args.snr_db is not None else 5.0,
+        snr_db=args.snr_db,
         trials=args.trials,
         seed=args.seed,
         target_success=args.target_success,
@@ -238,6 +242,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     rho = config.rho
     f_min = min(plan.bin_counts)
     rho_b = f_min * rho
+    if not plan.gamma < rho_b:
+        raise PlanningError(
+            f"bounds need gamma < per-bin SNR rho_b; got gamma={plan.gamma}, rho_b={rho_b:.6g}"
+        )
     d_chains = plan.chain_count
     n_samples = plan.per_cluster
     m2 = Constellation(rho).m2
@@ -370,13 +378,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("run", "sweep") and args.seed is None:
             raise PlanningError(f"{args.command} requires --seed")
         return args.handler(args)
-    except (PlanningError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+    except PlanningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

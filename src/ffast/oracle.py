@@ -98,7 +98,7 @@ def coherence_profile(plan: FrontendPlan, ells: np.ndarray) -> np.ndarray:
     """mu(l) for the requested frequencies by direct summation.
 
     Reference for planner.verify_incoherence, which evaluates the same
-    sums with one FFT.
+    sums with spectral.exp_sums.
     """
     ells = np.asarray(ells, dtype=np.int64)
     phases = (ells[:, None] * plan.shift_array[None, :]) % plan.n

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .randomness import generator
+from .spectral import exp_sums
 
 _STREAM_DELAYS = 0xB1
 
@@ -224,10 +225,11 @@ class FrontendPlan:
             raise ValueError("clusters * per_cluster must equal the shift count")
         object.__setattr__(self, "bin_counts", tuple(int(f) for f in self.bin_counts))
         object.__setattr__(self, "shifts", tuple(int(r) % self.n for r in self.shifts))
+        # gamma and c1 come straight from flags; the other fields are derived
         if not 0.0 < self.gamma <= 1.0 / 3.0:
-            raise ValueError(f"gamma must lie in (0, 1/3], got {self.gamma}")
+            raise PlanningError(f"gamma must lie in (0, 1/3], got {self.gamma}")
         if self.c1 <= 0:
-            raise ValueError(f"c1 must be positive, got {self.c1}")
+            raise PlanningError(f"c1 must be positive, got {self.c1}")
 
     @property
     def d(self) -> int:
@@ -271,17 +273,17 @@ def verify_incoherence(plan: FrontendPlan) -> IncoherenceReport:
     """Worst pairwise column coherence of the shift pattern.
 
     mu(l) = |sum_s exp(2j*pi*l*r_s/n)| / D for l = 1..n-1; the report
-    compares max_l mu(l) against 2*sqrt(ln(5n)/D).  The scan is done as
-    one length-n FFT of the shift multiset histogram, which evaluates
-    exactly the same sums.  Shifts are first translated so the first one
-    is zero; mu is invariant under translation.
+    compares max_l mu(l) against 2*sqrt(ln(5n)/D).  The sums come from
+    one spectral.exp_sums call with unit weights on the shifts: a blocked
+    O(n*D) product, or the rfft of the shift histogram when D is large
+    next to sqrt(n).  Shifts are first translated so the first one is
+    zero; mu is invariant under translation.  With unit weights
+    mu(n - l) = mu(l), so the scan stops at l = n // 2.
     """
     shifts = plan.shift_array
     d_chains = plan.chain_count
-    translated = (shifts - shifts[0]) % plan.n
-    hist = np.bincount(translated, minlength=plan.n).astype(np.float64)
-    mags = np.abs(np.fft.rfft(hist))
-    mu_max = float(mags[1:].max() / d_chains)
+    sums = exp_sums(plan.n, shifts - shifts[0], np.ones(d_chains))
+    mu_max = float(np.abs(sums[1 : plan.n // 2 + 1]).max() / d_chains)
     bound = 2.0 * math.sqrt(math.log(5.0 * plan.n) / d_chains)
     return IncoherenceReport(mu_max=mu_max, bound=bound, passed=mu_max < bound)
 

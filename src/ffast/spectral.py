@@ -2,7 +2,10 @@
 
 Conventions used throughout the package:
 
-* synthesis:  x[p] = sum_q X[l_q] * exp(+2j*pi*l_q*p/n), no 1/n factor;
+* synthesis:  x[p] = sum_q X[l_q] * exp(+2j*pi*l_q*p/n), no 1/n factor,
+  evaluated by exp_sums: a blocked O(n*k) product for sparse spectra,
+  n * ifft of the dense spectrum when k is large enough that the FFT
+  is cheaper;
 * analysis:   X[l] = (1/n) * sum_p x[p] * exp(-2j*pi*l*p/n);
 * noise:      y = x + z with z circular complex Gaussian, so a noise
   variance of 1.0 means unit variance per complex sample (0.5 per
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +28,8 @@ _STREAM_SUPPORT = 0xA1
 _STREAM_VALUES = 0xA2
 _STREAM_NOISE = 0xA3
 _STREAM_PHASES = 0xA4
+# Noise samples drawn per generator call (512 KiB of float64).
+_NOISE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,9 +73,13 @@ class Constellation:
     def size(self) -> int:
         return (self.m1 + 1) * self.m2
 
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        return self.points()
+
     def snap(self, value: complex) -> complex:
         """Nearest grid point to value (Euclidean distance in C)."""
-        pts = self.points()
+        pts = self._grid
         return complex(pts[np.argmin(np.abs(pts - value))])
 
 
@@ -193,13 +203,46 @@ def random_phase_spectrum(n: int, k: int, amplitude: float, seed: int) -> Sparse
     return SparseSpectrum(n, support, values)
 
 
+def exp_sums(n: int, freqs, weights) -> np.ndarray:
+    """x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p = 0..n-1.
+
+    Frequencies are integers, taken mod n; repeats add.  With p = b*W + r
+    and W = ceil(sqrt(n)), x is the row-major (rows x W) product of a
+    (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W) table
+    exp(2j*pi*f_q*r/n): O(n*k) multiply-adds and O(k*sqrt(n)) exps.
+    The phase products are reduced mod n in exact integer arithmetic, as
+    steering_vector does.  When 9*k**2 > n the length-n FFT is cheaper,
+    and x is n * ifft of the dense spectrum instead; for real weights,
+    x = conj(fft(dense)) is assembled from the half-length rfft.
+    """
+    f = np.asarray(freqs, dtype=np.int64) % n
+    w = np.asarray(weights)
+    if 9 * f.size**2 > n:
+        if np.iscomplexobj(w):
+            dense = np.zeros(n, dtype=np.complex128)
+            np.add.at(dense, f, w)
+            return np.fft.ifft(dense) * n
+        half = np.fft.rfft(np.bincount(f, weights=w, minlength=n))
+        x = np.empty(n, dtype=np.complex128)
+        np.conjugate(half, out=x[: half.size])
+        x[half.size :] = half[n - half.size : 0 : -1]
+        return x
+    width = math.isqrt(n - 1) + 1
+    rows = -(-n // width)
+    outer = (np.arange(rows, dtype=np.int64)[:, None] * (f * width % n)) % n
+    inner = (f[:, None] * np.arange(width, dtype=np.int64)) % n
+    table_b = w * np.exp(2j * np.pi * outer / n)
+    table_r = np.exp(2j * np.pi * inner / n)
+    return (table_b @ table_r).reshape(-1)[:n]
+
+
 def synthesize(spectrum: SparseSpectrum) -> TimeSignal:
     """Evaluate x[p] = sum_q X[l_q] exp(+2j*pi*l_q*p/n) for p = 0..n-1.
 
-    Computed as n * ifft(dense spectrum), which is this sum exactly.
+    Computed by exp_sums: the blocked product for sparse spectra, and
+    n * ifft(dense spectrum), this sum exactly, for dense ones.
     """
-    dense = spectrum.to_dense()
-    return TimeSignal(spectrum.n, np.fft.ifft(dense) * spectrum.n)
+    return TimeSignal(spectrum.n, exp_sums(spectrum.n, spectrum.indices, spectrum.values))
 
 
 def add_noise(signal: TimeSignal, noise_variance: float, seed: int) -> TimeSignal:
@@ -208,7 +251,21 @@ def add_noise(signal: TimeSignal, noise_variance: float, seed: int) -> TimeSigna
         raise ValueError(f"noise_variance must be nonnegative, got {noise_variance}")
     if noise_variance == 0:
         return TimeSignal(signal.n, signal.samples.copy())
+    # The real parts take the first standard_normal(n) draw and the
+    # imaginary parts the second, so the sum is bit-identical to
+    # samples + scale * (z1 + 1j * z2) without its length-n temporaries.
+    # The generator continues its stream across calls, so drawing in
+    # cache-sized chunks gives the same values as one length-n draw.
     rng = generator(seed, _STREAM_NOISE)
     scale = math.sqrt(noise_variance / 2.0)
-    z = rng.standard_normal(signal.n) + 1j * rng.standard_normal(signal.n)
-    return TimeSignal(signal.n, signal.samples + scale * z)
+    x = signal.samples
+    out = np.empty_like(x)
+    buf = np.empty(min(signal.n, _NOISE_CHUNK))
+    for src, dst in ((x.real, out.real), (x.imag, out.imag)):
+        for start in range(0, signal.n, _NOISE_CHUNK):
+            stop = min(start + _NOISE_CHUNK, signal.n)
+            draw = buf[: stop - start]
+            rng.standard_normal(out=draw)
+            draw *= scale
+            np.add(src[start:stop], draw, out=dst[start:stop])
+    return TimeSignal(signal.n, out)

@@ -3,7 +3,7 @@ import csv
 
 import pytest
 
-from ffast import bench, metrics
+from ffast import bench, cli, metrics
 from ffast.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from ffast.formats import CSV_HEADER, read_plan
 from ffast.planner import build_plan
@@ -140,10 +140,62 @@ class TestSweepCommand:
                               "--stable-output", "--out", str(from_flags)]) == EXIT_OK
         assert from_cfg.read_bytes() == from_flags.read_bytes()
 
+    def test_snr_db_inf_sweeps_noiseless(self, tmp_path, capsys, monkeypatch):
+        """--snr-db inf reaches every trial as noiseless, not as 5 dB.
+
+        With snapping both sweeps recover all trials exactly (l1 = 0) at
+        the first cluster count, so their CSVs agree; the difference is
+        in what the trials ran.
+        """
+        ran = []
+        run_experiment = bench.run_experiment
+
+        def spy(config, plan=None):
+            ran.append(config.snr_db)
+            return run_experiment(config, plan)
+
+        monkeypatch.setattr(bench, "run_experiment", spy)
+        common = ["sweep", "--scales", "1", "--k", "8", "--trials", "2", "--seed", "1",
+                  "--stable-output"]
+        noiseless, noisy = tmp_path / "inf.csv", tmp_path / "5.csv"
+        assert main(common + ["--snr-db", "inf", "--out", str(noiseless)]) == EXIT_OK
+        assert ran == [None]
+        assert main(common + ["--snr-db", "5", "--out", str(noisy)]) == EXIT_OK
+        assert ran == [None, 5.0]
+        _, body = _read_rows(noiseless)
+        assert body[0][5:7] == ["2", "2"] and float(body[0][8]) == 0.0
+
     def test_empty_scales_rejected(self, capsys):
         code = main(["sweep", "--scales", "", "--seed", "1"])
         assert code == EXIT_CONFIG
         assert "nonempty scale list" in capsys.readouterr().err
+
+
+class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--preset", "paper-20", "--k", "2", "--gamma", "0.5"],
+        ["bounds", "--preset", "paper-20", "--k", "2", "--snr-db", "-20"],
+        ["run", "--preset", "paper-20", "--k", "2", "--seed", "1", "--snr-db", "nan"],
+        ["sweep", "--scales", "1", "--seed", "1", "--target-success", "nan"],
+    ])
+    def test_bad_flag_values_are_config_errors(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["k = abc", "snr_db = loud", "random_phases = maybe"])
+    def test_unconvertible_config_value_is_a_config_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\n{line}\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--seed", "1"]) == EXIT_CONFIG
+        assert "bad value for" in capsys.readouterr().err
+
+    def test_unexpected_value_error_propagates(self, monkeypatch):
+        def broken(args):
+            raise ValueError("a bug, not a configuration error")
+
+        monkeypatch.setattr(cli, "cmd_plan", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["plan", "--preset", "paper-20", "--k", "2"])
 
 
 class TestBoundsCommand:

@@ -141,6 +141,13 @@ class TestFrontendPlan:
         assert not plan.clustered
 
 
+def _rfft_mu_max(shifts, n):
+    """max_l mu(l) as one rfft of the translated shift histogram."""
+    shifts = np.asarray(shifts, dtype=np.int64)
+    hist = np.bincount((shifts - shifts[0]) % n, minlength=n).astype(np.float64)
+    return float(np.abs(np.fft.rfft(hist))[1:].max() / shifts.size)
+
+
 class TestIncoherence:
     def test_all_equal_shifts_gives_mu_one(self):
         plan = FrontendPlan(n=20, bin_counts=(4, 5), clusters=2, per_cluster=2,
@@ -159,6 +166,15 @@ class TestIncoherence:
         direct = coherence_profile(plan504, ells)
         rep = verify_incoherence(plan504)
         assert rep.mu_max == pytest.approx(float(direct.max()), abs=1e-12)
+
+    @pytest.mark.parametrize("preset,k,seed", [
+        ("paper-20", 2, 3), ("n504", 7, 17), ("n990", 90, 5), ("paper-1430", 2, 0),
+        ("n2730", 170, 1), ("n4845", 170, 2), ("paper-124950", 40, 1),
+    ])
+    def test_mu_max_matches_the_histogram_rfft(self, preset, k, seed):
+        plan = build_plan(preset, k, seed=seed)
+        rep = verify_incoherence(plan)
+        assert rep.mu_max == pytest.approx(_rfft_mu_max(plan.shifts, plan.n), abs=1e-12)
 
     def test_bound_formula(self):
         plan = FrontendPlan(n=1430, bin_counts=(10, 11, 13), clusters=6,
@@ -210,6 +226,20 @@ class TestBuildPlan:
         for scale in (2, 7, 12):
             preset = PRESETS[f"paper-124950x{scale}"]
             assert preset.n == scale * 124950
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_shifts_match_rfft_screening(self, name):
+        """build_plan keeps the first draw that an rfft scan passes."""
+        n = PRESETS[name].n
+        params = choose_cluster_params(n)
+        d_chains = params.clusters * params.per_cluster
+        bound = 2.0 * math.sqrt(math.log(5.0 * n) / d_chains)
+        seed = 20260817
+        for draw in range(MAX_SHIFT_DRAWS):
+            shifts = plan_delays(n, params.clusters, params.per_cluster, params.base, seed + draw)
+            if _rfft_mu_max(shifts, n) < bound:
+                break
+        assert build_plan(name, 2, seed=seed).shifts == tuple(int(r) for r in shifts)
 
     def test_retry_cap_constant(self):
         assert MAX_SHIFT_DRAWS == 200

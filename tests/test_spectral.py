@@ -3,16 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ffast.planner import PRESETS
+from ffast.randomness import generator
 from ffast.spectral import (
+    _STREAM_NOISE,
     Constellation,
     SparseSpectrum,
     TimeSignal,
     add_noise,
+    exp_sums,
     random_phase_spectrum,
     random_spectrum,
     synthesize,
 )
+
+SMALL_LENGTHS = sorted({p.n for p in PRESETS.values() if p.n <= 4845})
 
 
 class TestConstellation:
@@ -51,6 +59,15 @@ class TestConstellation:
         con = Constellation(4.0)
         pt = con.points()[5]
         assert con.snap(pt + 0.05 - 0.03j) == complex(pt)
+
+    @pytest.mark.parametrize("rho,m1,m2", [(4.0, 1, 8), (10 ** 0.5, 3, 4), (0.7, 2, 5)])
+    def test_snap_matches_nearest_point_formula(self, rho, m1, m2):
+        con = Constellation(rho, m1=m1, m2=m2)
+        reach = 2.0 * math.sqrt(rho)
+        axis = np.linspace(-reach, reach, 41)
+        for value in (axis[:, None] + 1j * axis[None, :]).ravel():
+            pts = con.points()
+            assert con.snap(value) == complex(pts[np.argmin(np.abs(pts - value))])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rho_must_be_positive(self, bad):
@@ -167,7 +184,66 @@ class TestSynthesize:
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
+def _ifft_sums(n, freqs, weights):
+    """The sums as n * ifft of the dense spectrum, repeated frequencies added."""
+    dense = np.zeros(n, dtype=np.complex128)
+    np.add.at(dense, np.asarray(freqs, dtype=np.int64) % n, weights)
+    return np.fft.ifft(dense) * n
+
+
+@st.composite
+def exp_sum_cases(draw):
+    """Lengths of the small presets, k on both sides of the 9*k**2 > n rule."""
+    n = draw(st.sampled_from(SMALL_LENGTHS))
+    k_switch = math.isqrt(n // 9)  # the largest k on the blocked side
+    if draw(st.booleans()):
+        k = draw(st.integers(0, k_switch))
+    else:
+        k = draw(st.integers(k_switch + 1, 2 * k_switch + 2))
+    # frequencies fall outside [0, n) too, and may repeat
+    freqs = draw(
+        st.lists(st.integers(-2 * n, 2 * n), min_size=k, max_size=k, unique=True)
+    )
+    if k > 1 and draw(st.booleans()):
+        freqs[-1] = freqs[0]
+    parts = st.floats(-4.0, 4.0)
+    if draw(st.booleans()):
+        weights = np.array([draw(parts) for _ in range(k)], dtype=np.float64)
+    else:
+        weights = np.array([complex(draw(parts), draw(parts)) for _ in range(k)])
+    return n, np.array(freqs, dtype=np.int64), weights
+
+
+class TestExpSums:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(case=exp_sum_cases())
+    def test_matches_inverse_fft(self, case):
+        n, freqs, weights = case
+        got = exp_sums(n, freqs, weights)
+        assert got.shape == (n,)
+        tol = 1e-9 * max(float(np.abs(weights).sum()), 1.0)
+        assert np.max(np.abs(got - _ifft_sums(n, freqs, weights))) <= tol
+
+    def test_dense_spectrum_synthesis_is_the_fft_bit_for_bit(self):
+        s = random_spectrum(4845, 170, Constellation(4.0), seed=3)
+        assert 9 * s.k**2 > s.n
+        np.testing.assert_array_equal(
+            synthesize(s).samples, np.fft.ifft(s.to_dense()) * s.n
+        )
+
+
 class TestAddNoise:
+    @pytest.mark.parametrize("n,variance", [(4845, 1.0), (4845, 2.5), (150_001, 1.0)])
+    def test_matches_the_two_draw_formula_bit_for_bit(self, n, variance):
+        # 150_001 samples span several draw chunks and end on a partial one
+        x = synthesize(random_spectrum(n, 12, Constellation(3.0), seed=4))
+        rng = generator(9, _STREAM_NOISE)
+        scale = math.sqrt(variance / 2.0)
+        expected = x.samples + scale * (
+            rng.standard_normal(x.n) + 1j * rng.standard_normal(x.n)
+        )
+        np.testing.assert_array_equal(add_noise(x, variance, seed=9).samples, expected)
+
     def test_zero_variance_is_identity(self):
         x = synthesize(random_spectrum(100, 3, Constellation(1.0), seed=0))
         y = add_noise(x, 0.0, seed=5)
