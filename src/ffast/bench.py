@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .frontend import subsample_and_transform
 from .metrics import TrialStats, support_recovery
@@ -159,6 +159,8 @@ class SweepPoint:
 # SWEEP_CLUSTERS_START, and no point goes past SWEEP_CLUSTERS_MAX.
 SWEEP_CLUSTERS_START = 9
 SWEEP_CLUSTERS_MAX = 16
+# Chains per cluster at every sweep point unless the config sets them.
+SWEEP_PER_CLUSTER = 3
 
 
 def _preset_name(scale: int) -> str:
@@ -166,18 +168,15 @@ def _preset_name(scale: int) -> str:
 
 
 def auto_sweep(
-    scales: list[int],
-    *,
-    k: int = 40,
-    snr_db: float | None = 5.0,
-    trials: int = 16,
-    seed: int = 0,
-    target_success: float = 0.97,
-    per_cluster: int = 3,
-    gamma: float = 0.2,
-    c1: float = 8.0,
+    scales: list[int], config: ExperimentConfig, *, target_success: float = 0.97
 ) -> list[SweepPoint]:
     """Scaling study over the stretched-length preset family.
+
+    Every sweep point runs `config` with four fields replaced: the preset
+    (paper-124950 stretched by the point's scale), the cluster count, the
+    seed (config.seed ^ scale << 20) and per_cluster (SWEEP_PER_CLUSTER
+    unless the config sets it).  k, snr_db, gamma, c1, trials,
+    random_phases and snap reach every trial as given.
 
     At each length the cluster count ramps up from the previous point's
     choice until the observed success rate reaches the target, so the
@@ -187,28 +186,25 @@ def auto_sweep(
     actually buys decoding margin.
     """
     if not scales:
-        raise PlanningError("sweep needs at least one scale point")
+        raise PlanningError("sweep needs a nonempty scale list")
     if not 0.0 <= target_success <= 1.0:
         raise PlanningError(f"target_success must lie in [0, 1], got {target_success}")
-    needed = math.ceil(target_success * trials - 1e-9)
+    needed = math.ceil(target_success * config.trials - 1e-9)
+    per_cluster = SWEEP_PER_CLUSTER if config.per_cluster is None else config.per_cluster
     points: list[SweepPoint] = []
     c_floor = SWEEP_CLUSTERS_START
     for scale in scales:
         name = _preset_name(scale)
         accepted = None
         for clusters in range(c_floor, SWEEP_CLUSTERS_MAX + 1):
-            config = ExperimentConfig(
+            point_config = replace(
+                config,
                 preset=name,
-                k=k,
-                snr_db=snr_db,
                 clusters=clusters,
                 per_cluster=per_cluster,
-                gamma=gamma,
-                c1=c1,
-                trials=trials,
-                seed=seed ^ (scale << 20),
+                seed=config.seed ^ (scale << 20),
             )
-            result = run_experiment(config)
+            result = run_experiment(point_config)
             if result.stats.support_success >= needed:
                 accepted = (clusters, result)
                 break
@@ -230,7 +226,7 @@ def auto_sweep(
                 clusters=clusters,
                 per_cluster=per_cluster,
                 samples_used=result.plan.sample_count,
-                trials=trials,
+                trials=config.trials,
                 support_success=result.stats.support_success,
                 mean_seconds=mean_seconds,
                 mean_l1=result.stats.l1_error_mean,

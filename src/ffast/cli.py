@@ -8,9 +8,15 @@ Subcommands:
 * bounds  tabulate the closed-form error-event bounds for a configuration
 * verify  decode noiseless instances and compare against the direct DFT
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 verification
-failure.  A config file (INI, [experiment] section) overrides flags, so a
-saved experiment beats whatever is on the command line.
+Each subcommand registers only the flags its handler reads.  The flags
+that name bench.ExperimentConfig fields build the one config a handler
+passes on; fields without a flag keep their defaults.  A config file
+(INI, [experiment] section) may set the same keys as the subcommand's
+flags and overrides them, so a saved experiment beats whatever is on the
+command line; any other key is a configuration error.
+
+Exit codes: 0 success, 2 configuration error (an unknown flag too, from
+argparse), 3 I/O error, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -19,12 +25,13 @@ import csv
 import sys
 import time
 from configparser import ConfigParser
+from dataclasses import fields, replace
 
 from . import bench, metrics, oracle
 from .formats import CSV_HEADER, FormatError, write_plan
 from .frontend import subsample_and_transform
 from .peeling import decode
-from .planner import PRESETS, PlanningError, build_plan, verify_incoherence
+from .planner import PRESETS, PlanningError, verify_incoherence
 from .spectral import Constellation, random_spectrum, synthesize
 
 EXIT_OK = 0
@@ -84,19 +91,13 @@ def _apply_config_file(args: argparse.Namespace, path: str) -> None:
         setattr(args, key, value)
 
 
+_CONFIG_FIELDS = frozenset(f.name for f in fields(bench.ExperimentConfig))
+
+
 def _experiment_config(args: argparse.Namespace) -> bench.ExperimentConfig:
+    """The config named by the subcommand's flags; other fields keep their defaults."""
     return bench.ExperimentConfig(
-        preset=args.preset,
-        k=args.k,
-        snr_db=args.snr_db,
-        clusters=args.clusters,
-        per_cluster=args.per_cluster,
-        gamma=args.gamma,
-        c1=args.c1,
-        trials=args.trials,
-        seed=args.seed,
-        random_phases=args.random_phases,
-        snap=args.snap,
+        **{key: value for key, value in vars(args).items() if key in _CONFIG_FIELDS}
     )
 
 
@@ -123,15 +124,7 @@ def _write_csv(
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    plan = build_plan(
-        args.preset,
-        args.k,
-        clusters=args.clusters,
-        per_cluster=args.per_cluster,
-        gamma=args.gamma,
-        c1=args.c1,
-        seed=args.seed,
-    )
+    plan = bench.plan_for_config(_experiment_config(args))
     report = verify_incoherence(plan)
     if args.out:
         write_plan(args.out, plan)
@@ -191,18 +184,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not args.scales:
-        raise PlanningError("sweep needs a nonempty scale list")
     points = bench.auto_sweep(
-        args.scales,
-        k=args.k,
-        snr_db=args.snr_db,
-        trials=args.trials,
-        seed=args.seed,
-        target_success=args.target_success,
-        per_cluster=args.per_cluster if args.per_cluster else 3,
-        gamma=args.gamma,
-        c1=args.c1,
+        args.scales, _experiment_config(args), target_success=args.target_success
     )
     stable = args.stable_output
     rows = [
@@ -273,21 +256,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Noiseless decode against the direct DFT oracle on every small preset."""
+    config = _experiment_config(args)
     names = sorted(
         name for name, p in PRESETS.items() if p.n <= oracle.ORACLE_MAX_N and p.scale == 1
     )
-    # Scale 4 keeps the weakest grid magnitude above the unit-noise
-    # energy gate in every stage; scale 1 would hide half the grid.
-    constellation = Constellation(4.0)
+    constellation = Constellation(replace(config, snr_db=None).rho)
     failures = 0
     checked = 0
     instance = 0
     for name in names:
         preset = PRESETS[name]
-        k = max(1, min(args.k, int(preset.n ** (1.0 / 3.0))))
-        plan = build_plan(name, k, seed=args.seed, gamma=args.gamma, c1=args.c1)
-        for _ in range(args.trials):
-            seed = args.seed ^ instance
+        k = max(1, min(config.k, int(preset.n ** (1.0 / 3.0))))
+        plan = bench.plan_for_config(replace(config, preset=name, k=k))
+        for _ in range(config.trials):
+            seed = config.seed ^ instance
             instance += 1
             truth = random_spectrum(plan.n, k, constellation, seed)
             if not oracle.noiseless_check(truth, plan):
@@ -305,33 +287,52 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _add_common(sub: argparse.ArgumentParser, *, seed_required: bool) -> None:
-    sub.add_argument("--preset", default="paper-124950",
-                     help="admissible length preset (see planner.PRESETS)")
-    sub.add_argument("--k", type=int, default=40, help="number of nonzero coefficients")
-    sub.add_argument("--snr-db", type=_parse_snr, default=5.0, dest="snr_db",
-                     metavar="DB", help="SNR in dB, or 'inf' for noiseless")
-    sub.add_argument("--clusters", type=int, default=None,
-                     help="shift clusters C (default: planner's choice)")
-    sub.add_argument("--per-cluster", type=int, default=None,
-                     help="chains per cluster N (default: planner's choice)")
-    sub.add_argument("--gamma", type=float, default=0.2,
-                     help="energy-gate slack in (0, 1/3]")
-    sub.add_argument("--c1", type=float, default=8.0,
-                     help="refinement lock-in interval divisor")
-    sub.add_argument("--trials", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=None if seed_required else 0,
-                     help="base RNG seed" + (" (required)" if seed_required else ""))
-    sub.add_argument("--random-phases", action="store_true", dest="random_phases",
-                     help="draw coefficient phases uniformly instead of from the grid")
-    sub.add_argument("--no-snap", action="store_false", dest="snap",
-                     help="skip snapping fitted values to the constellation")
-    sub.add_argument("--stable-output", action="store_true", dest="stable_output",
-                     help="zero timing columns so output is byte-reproducible")
-    sub.add_argument("--out", default=None, help="output path ('-' for stdout)")
+# Every flag, keyed by its dest.  A subcommand registers those its
+# handler reads, so a flag it would ignore is an argparse error instead.
+_FLAGS: dict[str, tuple[str, dict]] = {
+    "preset": ("--preset", dict(default="paper-124950",
+                                help="admissible length preset (see planner.PRESETS)")),
+    "k": ("--k", dict(type=int, default=40, help="number of nonzero coefficients")),
+    "snr_db": ("--snr-db", dict(type=_parse_snr, default=5.0, metavar="DB",
+                                help="SNR in dB, or 'inf' for noiseless")),
+    "clusters": ("--clusters", dict(type=int, default=None,
+                                    help="shift clusters C (default: planner's choice)")),
+    "per_cluster": ("--per-cluster", dict(
+        type=int, default=None, help="chains per cluster N (default: planner's choice)")),
+    "gamma": ("--gamma", dict(type=float, default=0.2, help="energy-gate slack in (0, 1/3]")),
+    "c1": ("--c1", dict(type=float, default=8.0, help="refinement lock-in interval divisor")),
+    "trials": ("--trials", dict(type=int, default=1)),
+    "seed": ("--seed", dict(type=int, default=0, help="base RNG seed")),
+    "random_phases": ("--random-phases", dict(
+        action="store_true",
+        help="draw coefficient phases uniformly instead of from the grid")),
+    "snap": ("--no-snap", dict(action="store_false",
+                               help="skip snapping fitted values to the constellation")),
+    "stable_output": ("--stable-output", dict(
+        action="store_true", help="zero timing columns so output is byte-reproducible")),
+    "out": ("--out", dict(default=None, help="output path ('-' for stdout)")),
+    "scales": ("--scales", dict(type=_parse_scales, default=list(range(1, 13)),
+                                help="comma-separated length multipliers (default 1..12)")),
+    "target_success": ("--target-success", dict(type=float, default=0.97)),
+}
+
+
+def _add_command(
+    commands, name: str, handler, summary: str, flags: tuple[str, ...], *,
+    seed_required: bool = False,
+) -> None:
+    sub = commands.add_parser(name, help=summary)
+    for dest in flags:
+        flag, options = _FLAGS[dest]
+        if dest == "seed" and seed_required:
+            options = dict(options, default=None, help="base RNG seed (required)")
+        sub.add_argument(flag, dest=dest, **options)
     sub.add_argument("--config", default=None,
                      help="INI file whose [experiment] section overrides flags")
-    sub.set_defaults(parser=sub)
+    sub.set_defaults(handler=handler, parser=sub)
+
+
+_PLAN_FLAGS = ("preset", "k", "clusters", "per_cluster", "gamma", "c1", "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,32 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse DFT from subsampled, noise-corrupted time samples.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    plan_p = commands.add_parser("plan", help="build and screen a subsampling plan")
-    _add_common(plan_p, seed_required=False)
-    plan_p.set_defaults(handler=cmd_plan)
-
-    run_p = commands.add_parser("run", help="run seeded decode trials")
-    _add_common(run_p, seed_required=True)
-    run_p.set_defaults(handler=cmd_run)
-
-    sweep_p = commands.add_parser("sweep", help="scaling study over stretched lengths")
-    _add_common(sweep_p, seed_required=True)
-    sweep_p.add_argument("--scales", type=_parse_scales,
-                         default=list(range(1, 13)),
-                         help="comma-separated length multipliers (default 1..12)")
-    sweep_p.add_argument("--target-success", type=float, default=0.97,
-                         dest="target_success")
-    sweep_p.set_defaults(handler=cmd_sweep)
-
-    bounds_p = commands.add_parser("bounds", help="tabulate error-event bounds")
-    _add_common(bounds_p, seed_required=False)
-    bounds_p.set_defaults(handler=cmd_bounds)
-
-    verify_p = commands.add_parser("verify", help="check decodes against the DFT oracle")
-    _add_common(verify_p, seed_required=False)
-    verify_p.set_defaults(handler=cmd_verify)
-
+    _add_command(commands, "plan", cmd_plan, "build and screen a subsampling plan",
+                 (*_PLAN_FLAGS, "out"))
+    _add_command(commands, "run", cmd_run, "run seeded decode trials",
+                 (*_PLAN_FLAGS, "snr_db", "trials", "random_phases", "snap",
+                  "stable_output", "out"),
+                 seed_required=True)
+    _add_command(commands, "sweep", cmd_sweep, "scaling study over stretched lengths",
+                 ("k", "snr_db", "per_cluster", "gamma", "c1", "trials", "seed",
+                  "random_phases", "snap", "stable_output", "out", "scales",
+                  "target_success"),
+                 seed_required=True)
+    _add_command(commands, "bounds", cmd_bounds, "tabulate error-event bounds",
+                 (*_PLAN_FLAGS, "snr_db", "stable_output", "out"))
+    _add_command(commands, "verify", cmd_verify, "check decodes against the DFT oracle",
+                 ("k", "gamma", "c1", "trials", "seed"))
     return parser
 
 
@@ -375,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             _apply_config_file(args, args.config)
-        if args.command in ("run", "sweep") and args.seed is None:
+        if args.seed is None:
             raise PlanningError(f"{args.command} requires --seed")
         return args.handler(args)
     except PlanningError as exc:

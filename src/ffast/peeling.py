@@ -40,10 +40,6 @@ class DecodeResult:
     events: list[PeelEvent] = field(default_factory=list)
     multi_ton_bins: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def peel_count(self) -> int:
-        return len(self.events)
-
 
 def peel(bank: BinBank, support: int, value: complex) -> None:
     """Subtract coefficient `value` at `support` from every stage in place."""

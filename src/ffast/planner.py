@@ -66,7 +66,6 @@ def _build_presets() -> dict[str, Preset]:
 
 
 PRESETS: dict[str, Preset] = _build_presets()
-_PRESETS_BY_N: dict[int, Preset] = {p.n: p for p in PRESETS.values()}
 
 
 def preset_by_name(name: str) -> Preset:
@@ -78,16 +77,6 @@ def preset_by_name(name: str) -> Preset:
         ) from None
 
 
-def preset_for_length(n: int) -> Preset:
-    try:
-        return _PRESETS_BY_N[n]
-    except KeyError:
-        closest = min(_PRESETS_BY_N, key=lambda m: abs(math.log(m / n)))
-        raise PlanningError(
-            f"n={n} has no preset factorization; closest admissible n is {closest}"
-        ) from None
-
-
 def sparsity_index(n: int, k: int) -> float:
     """delta such that k = n**delta (0 for k <= 1)."""
     if k <= 1:
@@ -95,8 +84,8 @@ def sparsity_index(n: int, k: int) -> float:
     return math.log(k) / math.log(n)
 
 
-def plan_stages(n: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """Choose the stage count d and per-stage bin counts for (n, k).
+def plan_stages(preset: Preset, k: int) -> tuple[int, ...]:
+    """Choose the per-stage bin counts for (preset.n, k); d is their count.
 
     Regimes split at delta = 1/3 where k = n**delta.  Very sparse keeps
     the d = 3 coprime base factors as bin counts.  Less sparse uses
@@ -104,12 +93,12 @@ def plan_stages(n: int, k: int) -> tuple[int, tuple[int, ...]]:
     cyclically consecutive base factors, so every pair of stages shares
     all but one factor.  Stretched presets keep the base bin counts.
     """
+    n = preset.n
     if k < 0 or k > n:
         raise PlanningError(f"k must lie in [0, n], got k={k}, n={n}")
-    preset = preset_for_length(n)
     factors = preset.factors
     if preset.forced_d is not None:
-        return preset.forced_d, tuple(sorted(factors))
+        return tuple(sorted(factors))
 
     delta = sparsity_index(n, k)
     if delta <= 1.0 / 3.0:
@@ -118,7 +107,7 @@ def plan_stages(n: int, k: int) -> tuple[int, tuple[int, ...]]:
                 f"preset {preset.name} offers {len(factors)} coprime factors; "
                 "the very-sparse regime needs exactly 3"
             )
-        return 3, tuple(sorted(factors))
+        return tuple(sorted(factors))
 
     d = round(1.0 / (1.0 - delta))
     if d < 2:
@@ -128,10 +117,7 @@ def plan_stages(n: int, k: int) -> tuple[int, tuple[int, ...]]:
             f"k={k} at n={n} asks for d={d} stages but preset {preset.name} "
             f"offers {len(factors)} coprime factors"
         )
-    composite = tuple(
-        math.prod(factors[(i + j) % d] for j in range(d - 1)) for i in range(d)
-    )
-    return d, composite
+    return tuple(math.prod(factors[(i + j) % d] for j in range(d - 1)) for i in range(d))
 
 
 def _is_prime(q: int) -> bool:
@@ -289,7 +275,7 @@ def verify_incoherence(plan: FrontendPlan) -> IncoherenceReport:
 
 
 def build_plan(
-    preset: str | int | Preset,
+    preset: str,
     k: int,
     *,
     clusters: int | None = None,
@@ -304,14 +290,9 @@ def build_plan(
     MAX_SHIFT_DRAWS attempts.  Explicit clusters/per_cluster override the
     defaults from choose_cluster_params.
     """
-    if isinstance(preset, Preset):
-        entry = preset
-    elif isinstance(preset, str):
-        entry = preset_by_name(preset)
-    else:
-        entry = preset_for_length(int(preset))
+    entry = preset_by_name(preset)
     n = entry.n
-    _, bins = plan_stages(n, k)
+    bins = plan_stages(entry, k)
     params = choose_cluster_params(n, c1=c1)
     C = clusters if clusters is not None else params.clusters
     N = per_cluster if per_cluster is not None else params.per_cluster

@@ -69,10 +69,6 @@ class Constellation:
         phasors = np.exp(1j * self.phases())
         return (mags[:, None] * phasors[None, :]).ravel()
 
-    @property
-    def size(self) -> int:
-        return (self.m1 + 1) * self.m2
-
     @cached_property
     def _grid(self) -> np.ndarray:
         return self.points()

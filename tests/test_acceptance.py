@@ -146,7 +146,9 @@ def test_04_sublinear_scaling():
     """Stretching the length 12x at fixed k=40 may cost at most 1.6x the
     per-trial wall time and 2x the sample budget, with every sweep point
     still at >= 97% support recovery."""
-    points = auto_sweep(list(range(1, 13)), k=40, snr_db=5.0, trials=16, seed=42)
+    points = auto_sweep(
+        list(range(1, 13)), ExperimentConfig(k=40, snr_db=5.0, trials=16, seed=42)
+    )
     needed = math.ceil(0.97 * 16 - 1e-9)
     all_hit = all(p.support_success >= needed for p in points)
     time_ratio = points[-1].mean_seconds / points[0].mean_seconds

@@ -1,4 +1,5 @@
 """Command-line harness tests, run in-process through cli.main()."""
+import argparse
 import csv
 
 import pytest
@@ -91,15 +92,6 @@ class TestRunCommand:
               "--out", str(from_flags)])
         assert from_cfg.read_bytes() == from_flags.read_bytes()
 
-    def test_unknown_config_key_is_a_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.ini"
-        cfg.write_text("[experiment]\nsnr = inf\n", encoding="utf-8")
-        code = main(["run", "--config", str(cfg), "--preset", "paper-20",
-                     "--k", "2", "--seed", "5", "--out", str(tmp_path / "run.csv")])
-        assert code == EXIT_CONFIG
-        assert "unknown key 'snr'" in capsys.readouterr().err
-        assert not (tmp_path / "run.csv").exists()
-
     def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
         code = main(["run", "--preset", "paper-20", "--k", "2",
                      "--snr-db", "inf", "--trials", "1", "--seed", "5",
@@ -141,7 +133,8 @@ class TestSweepCommand:
         assert from_cfg.read_bytes() == from_flags.read_bytes()
 
     def test_snr_db_inf_sweeps_noiseless(self, tmp_path, capsys, monkeypatch):
-        """--snr-db inf reaches every trial as noiseless, not as 5 dB.
+        """--snr-db inf reaches every trial as noiseless, not as 5 dB, and
+        --no-snap and --random-phases reach every trial too.
 
         With snapping both sweeps recover all trials exactly (l1 = 0) at
         the first cluster count, so their CSVs agree; the difference is
@@ -151,7 +144,7 @@ class TestSweepCommand:
         run_experiment = bench.run_experiment
 
         def spy(config, plan=None):
-            ran.append(config.snr_db)
+            ran.append((config.snr_db, config.snap, config.random_phases))
             return run_experiment(config, plan)
 
         monkeypatch.setattr(bench, "run_experiment", spy)
@@ -159,9 +152,12 @@ class TestSweepCommand:
                   "--stable-output"]
         noiseless, noisy = tmp_path / "inf.csv", tmp_path / "5.csv"
         assert main(common + ["--snr-db", "inf", "--out", str(noiseless)]) == EXIT_OK
-        assert ran == [None]
+        assert ran == [(None, True, False)]
         assert main(common + ["--snr-db", "5", "--out", str(noisy)]) == EXIT_OK
-        assert ran == [None, 5.0]
+        assert ran[1:] == [(5.0, True, False)]
+        assert main(common + ["--snr-db", "5", "--no-snap", "--random-phases",
+                              "--out", str(tmp_path / "raw.csv")]) == EXIT_OK
+        assert set(ran[2:]) == {(5.0, False, True)}
         _, body = _read_rows(noiseless)
         assert body[0][5:7] == ["2", "2"] and float(body[0][8]) == 0.0
 
@@ -171,7 +167,60 @@ class TestSweepCommand:
         assert "nonempty scale list" in capsys.readouterr().err
 
 
+# Each subcommand's flag dests, pinned so that a flag its handler does
+# not read cannot be registered unnoticed.
+FLAG_DESTS = {
+    "bounds": ["c1", "clusters", "config", "gamma", "k", "out", "per_cluster",
+               "preset", "seed", "snr_db", "stable_output"],
+    "plan": ["c1", "clusters", "config", "gamma", "k", "out", "per_cluster",
+             "preset", "seed"],
+    "run": ["c1", "clusters", "config", "gamma", "k", "out", "per_cluster", "preset",
+            "random_phases", "seed", "snap", "snr_db", "stable_output", "trials"],
+    "sweep": ["c1", "config", "gamma", "k", "out", "per_cluster", "random_phases",
+              "scales", "seed", "snap", "snr_db", "stable_output", "target_success",
+              "trials"],
+    "verify": ["c1", "config", "gamma", "k", "seed", "trials"],
+}
+
+
+def test_each_subcommand_registers_only_the_flags_it_reads():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        name: sorted(a.dest for a in sub._actions if a.dest != "help")
+        for name, sub in commands.choices.items()
+    }
+    assert registered == FLAG_DESTS
+
+
 class TestErrors:
+    @pytest.mark.parametrize("command, key", [
+        ("run", "snr"), ("plan", "trials"), ("sweep", "clusters"),
+        ("bounds", "snap"), ("verify", "preset"),
+    ])
+    def test_unknown_config_key_is_a_config_error(self, command, key, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\n{key} = inf\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(cfg), "--seed", "5"]
+        if "out" in FLAG_DESTS[command]:
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--trials", "3"],
+        ["sweep", "--seed", "1", "--clusters", "12"],
+        ["bounds", "--no-snap"],
+        ["verify", "--preset", "n504"],
+    ])
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["plan", "--preset", "paper-20", "--k", "2", "--gamma", "0.5"],
         ["bounds", "--preset", "paper-20", "--k", "2", "--snr-db", "-20"],

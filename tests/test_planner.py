@@ -16,7 +16,6 @@ from ffast.planner import (
     plan_delays,
     plan_stages,
     preset_by_name,
-    preset_for_length,
     smallest_coprime_base,
     sparsity_index,
     verify_incoherence,
@@ -25,30 +24,26 @@ from ffast.planner import (
 
 class TestPlanStages:
     def test_forced_two_stage_fixture(self):
-        d, bins = plan_stages(20, 5)
-        assert (d, bins) == (2, (4, 5))
+        assert plan_stages(PRESETS["paper-20"], 5) == (4, 5)
 
     def test_three_coprime_stages(self):
-        d, bins = plan_stages(124950, 40)
-        assert d == 3
+        bins = plan_stages(PRESETS["paper-124950"], 40)
         assert bins == (49, 50, 51)
         assert tuple(124950 // f for f in bins) == (2550, 2499, 2450)
 
     def test_less_sparse_regime_products(self):
         # sparsity index ~2/3 pushes into the product-factor regime
         assert sparsity_index(1430, 127) == pytest.approx(2 / 3, abs=1e-3)
-        d, bins = plan_stages(1430, 127)
-        assert d == 3
-        assert bins == (110, 143, 130)
+        assert plan_stages(PRESETS["paper-1430"], 127) == (110, 143, 130)
 
     def test_pairwise_coprime_in_very_sparse_regime(self):
-        _, bins = plan_stages(2730, 13)
+        bins = plan_stages(PRESETS["n2730"], 13)
         for i in range(len(bins)):
             for j in range(i + 1, len(bins)):
                 assert math.gcd(bins[i], bins[j]) == 1
 
     def test_crt_uniqueness_of_residues(self):
-        _, bins = plan_stages(504, 7)
+        bins = plan_stages(PRESETS["n504"], 7)
         seen = set()
         for ell in range(504):
             key = tuple(ell % f for f in bins)
@@ -216,11 +211,6 @@ class TestBuildPlan:
             preset_by_name("no-such-preset")
         with pytest.raises(PlanningError):
             build_plan("no-such-preset", 4, seed=0)
-
-    def test_preset_lookup_by_length(self):
-        assert preset_for_length(124950).name == "paper-124950"
-        with pytest.raises(PlanningError):
-            preset_for_length(123)
 
     def test_sweep_presets_scale_n(self):
         for scale in (2, 7, 12):

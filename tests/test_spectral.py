@@ -42,8 +42,8 @@ class TestConstellation:
         assert len(np.unique(phases)) == 8
 
     def test_grid_size(self):
-        assert Constellation(1.0).size == 16
-        assert Constellation(1.0, m1=3, m2=4).size == 16
+        assert Constellation(1.0).points().size == 16
+        assert Constellation(1.0, m1=3, m2=4).points().size == 16
 
     def test_mean_energy(self):
         # magnitudes sqrt(rho)/2 and 3*sqrt(rho)/2: mean square is 1.25*rho
