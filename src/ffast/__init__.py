@@ -6,8 +6,9 @@ short DFTs of the shifted subsampled streams, aliasing the k nonzero
 spectrum coefficients into bins; a frequency estimator classifies each
 bin and locates the coefficient a singleton bin carries; a peeling
 decoder subtracts recovered coefficients until the alias graph empties.
-Everything downstream of signal generation touches only
-O(k * polylog n) samples.
+A trial evaluates only the O(k * polylog n) samples the front end
+reads: a synthesized, noised signal is a spectrum plus noise seeds,
+evaluated at the indices asked for.
 """
 from .bench import ExperimentConfig, auto_sweep, run_experiment
 from .frontend import BinBank, subsample_and_transform

@@ -1,10 +1,13 @@
 """Experiment harness: seeded trials, Monte-Carlo runs, scaling sweeps.
 
-A trial is generate -> corrupt -> subsample -> decode -> score.  Only
-the subsampling front end and the decoder are timed; synthesizing the
-dense signal and its noise is test scaffolding, not part of the
-algorithm under measurement.  Per-trial seeds are seed XOR trial_index,
-so a run can be sharded across workers without changing any result.
+A trial is generate -> corrupt -> subsample -> decode -> score.
+synthesize and add_noise only describe the signal: they keep the
+spectrum and the noise seed and evaluate no sample.  The subsampling
+front end evaluates the m samples it reads, so the timed span (front
+end plus decoder) covers everything that grows with the samples read,
+and nothing that grows with n.  Per-trial seeds are seed XOR
+trial_index, so a run can be sharded across workers without changing
+any result.
 """
 from __future__ import annotations
 
@@ -167,16 +170,31 @@ def _preset_name(scale: int) -> str:
     return "paper-124950" if scale == 1 else f"paper-124950x{scale}"
 
 
+def sweep_config(config: ExperimentConfig, scale: int, clusters: int) -> ExperimentConfig:
+    """What auto_sweep runs at one scale and cluster count.
+
+    `config` with four fields replaced: the preset (paper-124950
+    stretched by `scale`), the cluster count, the seed
+    (config.seed ^ scale << 20) and per_cluster (SWEEP_PER_CLUSTER
+    unless the config sets it).
+    """
+    return replace(
+        config,
+        preset=_preset_name(scale),
+        clusters=clusters,
+        per_cluster=SWEEP_PER_CLUSTER if config.per_cluster is None else config.per_cluster,
+        seed=config.seed ^ (scale << 20),
+    )
+
+
 def auto_sweep(
     scales: list[int], config: ExperimentConfig, *, target_success: float = 0.97
 ) -> list[SweepPoint]:
     """Scaling study over the stretched-length preset family.
 
-    Every sweep point runs `config` with four fields replaced: the preset
-    (paper-124950 stretched by the point's scale), the cluster count, the
-    seed (config.seed ^ scale << 20) and per_cluster (SWEEP_PER_CLUSTER
-    unless the config sets it).  k, snr_db, gamma, c1, trials,
-    random_phases and snap reach every trial as given.
+    Every sweep point runs sweep_config(config, scale, clusters), so k,
+    snr_db, gamma, c1, trials, random_phases and snap reach every trial
+    as given.
 
     At each length the cluster count ramps up from the previous point's
     choice until the observed success rate reaches the target, so the
@@ -190,21 +208,13 @@ def auto_sweep(
     if not 0.0 <= target_success <= 1.0:
         raise PlanningError(f"target_success must lie in [0, 1], got {target_success}")
     needed = math.ceil(target_success * config.trials - 1e-9)
-    per_cluster = SWEEP_PER_CLUSTER if config.per_cluster is None else config.per_cluster
     points: list[SweepPoint] = []
     c_floor = SWEEP_CLUSTERS_START
     for scale in scales:
         name = _preset_name(scale)
         accepted = None
         for clusters in range(c_floor, SWEEP_CLUSTERS_MAX + 1):
-            point_config = replace(
-                config,
-                preset=name,
-                clusters=clusters,
-                per_cluster=per_cluster,
-                seed=config.seed ^ (scale << 20),
-            )
-            result = run_experiment(point_config)
+            result = run_experiment(sweep_config(config, scale, clusters))
             if result.stats.support_success >= needed:
                 accepted = (clusters, result)
                 break
@@ -224,7 +234,7 @@ def auto_sweep(
                 scale=scale,
                 n=result.plan.n,
                 clusters=clusters,
-                per_cluster=per_cluster,
+                per_cluster=result.config.per_cluster,
                 samples_used=result.plan.sample_count,
                 trials=config.trials,
                 support_success=result.stats.support_success,

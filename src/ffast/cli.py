@@ -211,11 +211,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     base = points[0]
     last = points[-1]
-    print(
+    summary = (
         f"swept {len(points)} lengths: m {base.samples_used} -> {last.samples_used} "
-        f"(x{last.samples_used / base.samples_used:.2f}), "
-        f"time x{last.mean_seconds / base.mean_seconds:.2f}"
+        f"(x{last.samples_used / base.samples_used:.2f})"
     )
+    if not stable:
+        summary += f", time x{last.mean_seconds / base.mean_seconds:.2f}"
+    print(summary)
     return EXIT_OK
 
 
@@ -309,7 +311,8 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "snap": ("--no-snap", dict(action="store_false",
                                help="skip snapping fitted values to the constellation")),
     "stable_output": ("--stable-output", dict(
-        action="store_true", help="zero timing columns so output is byte-reproducible")),
+        action="store_true",
+        help="zero timing columns and print no timing figure, so output is byte-reproducible")),
     "out": ("--out", dict(default=None, help="output path ('-' for stdout)")),
     "scales": ("--scales", dict(type=_parse_scales, default=list(range(1, 13)),
                                 help="comma-separated length multipliers (default 1..12)")),

@@ -14,7 +14,6 @@ SNR.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +79,14 @@ def steering_vector(ell: int, plan: FrontendPlan) -> np.ndarray:
 
 
 def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
-    """Run the delay-chain subsampling front end over all stages."""
+    """Run the delay-chain subsampling front end over all stages.
+
+    Asks the signal for the plan.sample_count samples it reads
+    (TimeSignal.chains); a spectrum-backed signal evaluates only those,
+    unless gathering them from all n is the cheaper way.
+    """
     if signal.n != plan.n:
         raise ValueError(f"signal length {signal.n} does not match plan n={plan.n}")
-    shifts = plan.shift_array
-    stages = []
-    for f in plan.bin_counts:
-        period = plan.n // f
-        rows = (np.arange(f, dtype=np.int64)[:, None] * period + shifts[None, :]) % plan.n
-        chains = signal.samples[rows]  # (f, D): column t is delay chain t
-        stages.append(np.fft.fft(chains, axis=0) / math.sqrt(f))
-    return BinBank(plan, stages)
+    # (f, D) per stage: column t is delay chain t; norm="ortho" scales by 1/sqrt(f)
+    chains = signal.chains(plan.bin_counts, plan.shifts)
+    return BinBank(plan, [np.fft.fft(c, axis=0, norm="ortho") for c in chains])

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .spectral import SparseSpectrum
 
 
@@ -46,16 +48,10 @@ def support_recovery(est: SparseSpectrum, truth: SparseSpectrum) -> tuple[bool, 
     """
     if est.n != truth.n:
         raise ValueError(f"length mismatch: {est.n} vs {truth.n}")
-    est_support = set(est.indices.tolist())
-    truth_support = set(truth.indices.tolist())
-    success = est_support == truth_support
-    denom = float(sum(abs(v) for v in truth.values))
-    numer = float(
-        sum(
-            abs(est.value_at(idx) - truth.value_at(idx))
-            for idx in est_support | truth_support
-        )
-    )
+    success = bool(np.array_equal(est.indices, truth.indices))
+    union = np.union1d(est.indices, truth.indices)
+    denom = float(np.abs(truth.values).sum())
+    numer = float(np.abs(est.values_at(union) - truth.values_at(union)).sum())
     if denom == 0.0:
         return success, 0.0 if numer == 0.0 else math.inf
     return success, numer / denom

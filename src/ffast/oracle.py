@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import BinObservation, steering_vector
+from .frontend import BinObservation
 from .planner import FrontendPlan
 from .spectral import SparseSpectrum, TimeSignal
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,13 +33,23 @@ class PeelEvent:
     value: complex
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeResult:
     spectrum: SparseSpectrum
     converged: bool
     passes: int
     events: list[PeelEvent] = field(default_factory=list)
     multi_ton_bins: list[tuple[int, int]] = field(default_factory=list)
+
+
+@lru_cache(maxsize=16)
+def _bin_keys(bin_counts: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every (stage, bin) pair of a geometry, made once.
+
+    A noisy decode lists a dozen or more bins left above the gate; as
+    shared tuples they cost a result that is kept no memory of its own.
+    """
+    return tuple(tuple((stage, j) for j in range(f)) for stage, f in enumerate(bin_counts))
 
 
 def peel(bank: BinBank, support: int, value: complex) -> None:
@@ -96,8 +107,9 @@ def decode(
         if not progressed:
             break
 
+    keys = _bin_keys(plan.bin_counts)
     leftover = [
-        (stage, int(j))
+        keys[stage][j]
         for stage in range(plan.d)
         for j in np.flatnonzero(bank.energies(stage) >= gate)
     ]

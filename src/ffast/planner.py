@@ -39,20 +39,19 @@ class Preset:
     factors multiply to n and are pairwise coprime.  scale > 1 marks a
     stretched member of a sweep family: n = scale * prod(factors) with
     the base bin counts kept, so the sampling periods grow with n.
-    forced_d pins the stage count regardless of sparsity (used by the
-    20-point reference preset, which is a 2-stage design).
+    Two factors admit one design, the factors as two stages, which
+    plan_stages uses at every sparsity (the 20-point reference preset).
     """
 
     name: str
     n: int
     factors: tuple[int, ...]
-    forced_d: int | None = None
     scale: int = 1
 
 
 def _build_presets() -> dict[str, Preset]:
     entries = [
-        Preset("paper-20", 20, (4, 5), forced_d=2),
+        Preset("paper-20", 20, (4, 5)),
         Preset("n504", 504, (7, 8, 9)),
         Preset("n990", 990, (9, 10, 11)),
         Preset("paper-1430", 1430, (10, 11, 13)),
@@ -87,7 +86,8 @@ def sparsity_index(n: int, k: int) -> float:
 def plan_stages(preset: Preset, k: int) -> tuple[int, ...]:
     """Choose the per-stage bin counts for (preset.n, k); d is their count.
 
-    Regimes split at delta = 1/3 where k = n**delta.  Very sparse keeps
+    A two-factor preset always uses its factors as two stages.  Otherwise
+    regimes split at delta = 1/3 where k = n**delta.  Very sparse keeps
     the d = 3 coprime base factors as bin counts.  Less sparse uses
     d = round(1/(1-delta)) stages whose bin counts are products of d-1
     cyclically consecutive base factors, so every pair of stages shares
@@ -97,7 +97,7 @@ def plan_stages(preset: Preset, k: int) -> tuple[int, ...]:
     if k < 0 or k > n:
         raise PlanningError(f"k must lie in [0, n], got k={k}, n={n}")
     factors = preset.factors
-    if preset.forced_d is not None:
+    if len(factors) == 2:
         return tuple(sorted(factors))
 
     delta = sparsity_index(n, k)
@@ -264,12 +264,12 @@ def verify_incoherence(plan: FrontendPlan) -> IncoherenceReport:
     O(n*D) product, or the rfft of the shift histogram when D is large
     next to sqrt(n).  Shifts are first translated so the first one is
     zero; mu is invariant under translation.  With unit weights
-    mu(n - l) = mu(l), so the scan stops at l = n // 2.
+    mu(n - l) = mu(l), so only l <= n // 2 is evaluated.
     """
     shifts = plan.shift_array
     d_chains = plan.chain_count
-    sums = exp_sums(plan.n, shifts - shifts[0], np.ones(d_chains))
-    mu_max = float(np.abs(sums[1 : plan.n // 2 + 1]).max() / d_chains)
+    sums = exp_sums(plan.n, shifts - shifts[0], np.ones(d_chains), stop=plan.n // 2 + 1)
+    mu_max = float(np.abs(sums[1:]).max() / d_chains)
     bound = 2.0 * math.sqrt(math.log(5.0 * plan.n) / d_chains)
     return IncoherenceReport(mu_max=mu_max, bound=bound, passed=mu_max < bound)
 

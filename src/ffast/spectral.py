@@ -2,14 +2,17 @@
 
 Conventions used throughout the package:
 
-* synthesis:  x[p] = sum_q X[l_q] * exp(+2j*pi*l_q*p/n), no 1/n factor,
-  evaluated by exp_sums: a blocked O(n*k) product for sparse spectra,
-  n * ifft of the dense spectrum when k is large enough that the FFT
-  is cheaper;
+* synthesis:  x[p] = sum_q X[l_q] * exp(+2j*pi*l_q*p/n), no 1/n factor.
+  synthesize keeps the spectrum and evaluates nothing; TimeSignal.chains
+  evaluates only the samples a front end reads, and the dense view of
+  all n samples comes from exp_sums: a blocked O(n*k) product for sparse
+  spectra, n * ifft of the dense spectrum when k is large enough that
+  the FFT is cheaper;
 * analysis:   X[l] = (1/n) * sum_p x[p] * exp(-2j*pi*l*p/n);
 * noise:      y = x + z with z circular complex Gaussian, so a noise
   variance of 1.0 means unit variance per complex sample (0.5 per
-  real/imaginary part).
+  real/imaginary part).  z[p] is a function of (seed, p) alone
+  (randomness.complex_normal), so it too is drawn only where read.
 
 SNR is expressed as rho = (mean nonzero |X[l]|^2) / (||z||^2 / n); with
 unit noise the signal amplitude alone sets the operating point.
@@ -18,18 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .randomness import generator
+from .randomness import complex_normal, generator
 
 _STREAM_SUPPORT = 0xA1
 _STREAM_VALUES = 0xA2
 _STREAM_NOISE = 0xA3
 _STREAM_PHASES = 0xA4
-# Noise samples drawn per generator call (512 KiB of float64).
-_NOISE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,27 @@ class Constellation:
         return (mags[:, None] * phasors[None, :]).ravel()
 
     @cached_property
-    def _grid(self) -> np.ndarray:
-        return self.points()
+    def _grid(self) -> tuple[np.ndarray, tuple[complex, ...]]:
+        return _grid_points(self)
 
     def snap(self, value: complex) -> complex:
-        """Nearest grid point to value (Euclidean distance in C)."""
-        pts = self._grid
-        return complex(pts[np.argmin(np.abs(pts - value))])
+        """Nearest grid point to value (Euclidean distance in C).
+
+        Returns one of the grid's own complex objects, which every equal
+        Constellation shares, so decoded values held over many trials
+        take no memory of their own.
+        """
+        pts, values = self._grid
+        return values[int(np.argmin(np.abs(pts - value)))]
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=16)
+def _grid_points(constellation: Constellation) -> tuple[np.ndarray, tuple[complex, ...]]:
+    pts = constellation.points()
+    return pts, tuple(complex(p) for p in pts)
+
+
+@dataclass(frozen=True, slots=True)
 class SparseSpectrum:
     """k nonzero DFT coefficients of an n-point signal.
 
@@ -134,11 +146,15 @@ class SparseSpectrum:
         dense[self.indices] = self.values
         return dense
 
-    def value_at(self, index: int) -> complex:
-        pos = np.searchsorted(self.indices, index)
-        if pos < self.k and self.indices[pos] == index:
-            return complex(self.values[pos])
-        return 0j
+    def values_at(self, indices) -> np.ndarray:
+        """X[l] at each requested index l: the stored value, or 0."""
+        indices = np.asarray(indices, dtype=np.int64)
+        out = np.zeros(indices.shape, dtype=np.complex128)
+        if self.k:
+            pos = np.minimum(np.searchsorted(self.indices, indices), self.k - 1)
+            hit = self.indices[pos] == indices
+            out[hit] = self.values[pos[hit]]
+        return out
 
     def max_abs_difference(self, other: "SparseSpectrum") -> float:
         """Largest per-coefficient |difference| over the union of supports."""
@@ -147,23 +163,137 @@ class SparseSpectrum:
         union = np.union1d(self.indices, other.indices)
         if union.size == 0:
             return 0.0
-        a = np.array([self.value_at(int(i)) for i in union])
-        b = np.array([other.value_at(int(i)) for i in union])
-        return float(np.max(np.abs(a - b)))
+        return float(np.max(np.abs(self.values_at(union) - other.values_at(union))))
+
+
+class TimeSignal:
+    """An n-point complex time signal: explicit samples or a sparse spectrum, plus noise.
+
+    TimeSignal(n, samples) holds n explicit samples.  The spectrum-backed
+    form, TimeSignal(n, spectrum=s) as synthesize returns it, holds the k
+    coefficients and evaluates samples only where they are read.  Either
+    form carries a tuple of (variance, seed) noise terms; add_noise
+    appends one.  The noise at sample p is randomness.complex_normal at
+    index p, so it is the same value however many samples are read and
+    in what order.
+
+    samples is the dense view, all n samples, computed on first use.
+    chains evaluates only the samples a front end reads.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        samples=None,
+        *,
+        spectrum: SparseSpectrum | None = None,
+        noise: tuple[tuple[float, int], ...] = (),
+    ):
+        if (samples is None) == (spectrum is None):
+            raise ValueError("give either samples or a spectrum")
+        if spectrum is None:
+            s = np.asarray(samples, dtype=np.complex128)
+            if s.ndim != 1 or s.size != n:
+                raise ValueError(f"expected {n} samples, got shape {s.shape}")
+            self._clean = s
+        elif spectrum.n != n:
+            raise ValueError(f"spectrum length {spectrum.n} does not match n={n}")
+        self.n = n
+        self.spectrum = spectrum
+        self.noise = tuple(noise)
+
+    @cached_property
+    def _clean(self) -> np.ndarray:
+        """The noiseless samples, all n of them."""
+        return exp_sums(self.n, self.spectrum.indices, self.spectrum.values)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        if not self.noise:
+            return self._clean
+        return self._add_noise_at(self._clean.copy(), np.arange(self.n))
+
+    def _add_noise_at(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
+        for variance, seed in self.noise:
+            x += complex_normal(seed, _STREAM_NOISE, index, variance)
+        return x
+
+    def chains(self, bin_counts: tuple[int, ...], shifts: tuple[int, ...]) -> list[np.ndarray]:
+        """x[(a*n/f + r_t) mod n] for a < f as an (f, D) array, one per f.
+
+        A spectrum-backed signal evaluates them in factored form when
+        that is the cheaper way (see factored_is_cheaper):
+
+            x[a*n/f + r] = sum_q e^{2j*pi*(a*l_q mod f)/f} * X_q e^{2j*pi*l_q*r/n},
+
+        a (sum f x k) table looked up among the f-th roots of unity, times
+        one (k x D) table whose phase products are reduced mod n in exact
+        integer arithmetic, as steering_vector does.  Otherwise they are
+        gathered from the noiseless samples.  The noise is then added at
+        the indices read.
+        """
+        n = self.n
+        grid = _read_grid(n, tuple(bin_counts), tuple(shifts))
+        spec = self.spectrum
+        if spec is None or not factored_is_cheaper(n, spec.k, grid.index.size):
+            x = self._clean[grid.index]
+        else:
+            ells = spec.indices
+            phases = (ells[:, None] * grid.shifts) % n
+            steer = spec.values[:, None] * np.exp(2j * np.pi * phases / n)
+            x = grid.roots[(grid.rows * ells) % grid.periods + grid.root_offsets] @ steer
+        return np.split(self._add_noise_at(x, grid.index), grid.splits)
 
 
 @dataclass(frozen=True)
-class TimeSignal:
-    """n complex time-domain samples."""
+class _ReadGrid:
+    """What TimeSignal.chains needs of a front end's sample pattern.
 
-    n: int
-    samples: np.ndarray
+    index is the (sum f, D) array of sample indices, stages stacked;
+    rows holds each row's a, periods its stage's f and root_offsets
+    where that stage's f roots of unity start in roots.
+    """
 
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=np.complex128)
-        if s.ndim != 1 or s.size != self.n:
-            raise ValueError(f"expected {self.n} samples, got shape {s.shape}")
-        object.__setattr__(self, "samples", s)
+    index: np.ndarray
+    shifts: np.ndarray
+    rows: np.ndarray
+    periods: np.ndarray
+    root_offsets: np.ndarray
+    roots: np.ndarray
+    splits: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _read_grid(n: int, bin_counts: tuple[int, ...], shifts: tuple[int, ...]) -> _ReadGrid:
+    counts = np.array(bin_counts, dtype=np.int64)
+    rows = np.concatenate([np.arange(f, dtype=np.int64) for f in bin_counts])[:, None]
+    periods = np.repeat(counts, counts)[:, None]
+    shift_array = np.array(shifts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    grid = _ReadGrid(
+        index=(rows * (n // periods) + shift_array) % n,
+        shifts=shift_array,
+        rows=rows,
+        periods=periods,
+        root_offsets=np.repeat(ends - counts, counts)[:, None],
+        roots=np.exp(2j * np.pi * rows[:, 0] / periods[:, 0]),
+        splits=ends[:-1],
+    )
+    for array in vars(grid).values():
+        array.flags.writeable = False
+    return grid
+
+
+def factored_is_cheaper(n: int, k: int, m: int) -> bool:
+    """Whether m samples of a k-sparse n-point signal are cheaper factored.
+
+    The factored form costs about m*k multiply-adds.  Evaluating all n
+    samples costs about n*k (exp_sums' blocked product) or n*log2(n)
+    (its FFT), after which reading m of them is a gather.  A dense
+    spectrum read at more than n samples, such as k=170 at n=4845 with
+    m=37,972, therefore stays on the gather.
+    """
+    return m * k <= n * min(k, math.log2(n))
 
 
 def random_spectrum(n: int, k: int, constellation: Constellation, seed: int) -> SparseSpectrum:
@@ -199,13 +329,14 @@ def random_phase_spectrum(n: int, k: int, amplitude: float, seed: int) -> Sparse
     return SparseSpectrum(n, support, values)
 
 
-def exp_sums(n: int, freqs, weights) -> np.ndarray:
-    """x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p = 0..n-1.
+def exp_sums(n: int, freqs, weights, *, stop: int | None = None) -> np.ndarray:
+    """x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p = 0..stop-1 (stop = n by default).
 
     Frequencies are integers, taken mod n; repeats add.  With p = b*W + r
     and W = ceil(sqrt(n)), x is the row-major (rows x W) product of a
     (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W) table
-    exp(2j*pi*f_q*r/n): O(n*k) multiply-adds and O(k*sqrt(n)) exps.
+    exp(2j*pi*f_q*r/n): O(stop*k) multiply-adds and O(k*sqrt(n)) exps,
+    for the ceil(stop/W) rows that hold p < stop.
     The phase products are reduced mod n in exact integer arithmetic, as
     steering_vector does.  When 9*k**2 > n the length-n FFT is cheaper,
     and x is n * ifft of the dense spectrum instead; for real weights,
@@ -213,55 +344,51 @@ def exp_sums(n: int, freqs, weights) -> np.ndarray:
     """
     f = np.asarray(freqs, dtype=np.int64) % n
     w = np.asarray(weights)
+    stop = n if stop is None else stop
     if 9 * f.size**2 > n:
         if np.iscomplexobj(w):
             dense = np.zeros(n, dtype=np.complex128)
             np.add.at(dense, f, w)
-            return np.fft.ifft(dense) * n
+            return (np.fft.ifft(dense) * n)[:stop]
         half = np.fft.rfft(np.bincount(f, weights=w, minlength=n))
         x = np.empty(n, dtype=np.complex128)
         np.conjugate(half, out=x[: half.size])
         x[half.size :] = half[n - half.size : 0 : -1]
-        return x
+        return x[:stop]
     width = math.isqrt(n - 1) + 1
-    rows = -(-n // width)
+    rows = -(-stop // width)
     outer = (np.arange(rows, dtype=np.int64)[:, None] * (f * width % n)) % n
     inner = (f[:, None] * np.arange(width, dtype=np.int64)) % n
     table_b = w * np.exp(2j * np.pi * outer / n)
     table_r = np.exp(2j * np.pi * inner / n)
-    return (table_b @ table_r).reshape(-1)[:n]
+    return (table_b @ table_r).reshape(-1)[:stop]
 
 
 def synthesize(spectrum: SparseSpectrum) -> TimeSignal:
-    """Evaluate x[p] = sum_q X[l_q] exp(+2j*pi*l_q*p/n) for p = 0..n-1.
+    """The signal x[p] = sum_q X[l_q] exp(+2j*pi*l_q*p/n), p = 0..n-1.
 
-    Computed by exp_sums: the blocked product for sparse spectra, and
-    n * ifft(dense spectrum), this sum exactly, for dense ones.
+    Returns the spectrum-backed form and evaluates nothing: a front end
+    computes only the samples it reads, and the dense view computes all
+    n by exp_sums on first use.
     """
-    return TimeSignal(spectrum.n, exp_sums(spectrum.n, spectrum.indices, spectrum.values))
+    return TimeSignal(spectrum.n, spectrum=spectrum)
 
 
 def add_noise(signal: TimeSignal, noise_variance: float, seed: int) -> TimeSignal:
-    """Add circular complex Gaussian noise of the given per-sample variance."""
+    """Add circular complex Gaussian noise of the given per-sample variance.
+
+    Appends the (variance, seed) term and draws nothing: the noise at
+    sample p is randomness.complex_normal(seed, _STREAM_NOISE, p,
+    variance), evaluated wherever p is read.
+    """
     if noise_variance < 0:
         raise ValueError(f"noise_variance must be nonnegative, got {noise_variance}")
     if noise_variance == 0:
-        return TimeSignal(signal.n, signal.samples.copy())
-    # The real parts take the first standard_normal(n) draw and the
-    # imaginary parts the second, so the sum is bit-identical to
-    # samples + scale * (z1 + 1j * z2) without its length-n temporaries.
-    # The generator continues its stream across calls, so drawing in
-    # cache-sized chunks gives the same values as one length-n draw.
-    rng = generator(seed, _STREAM_NOISE)
-    scale = math.sqrt(noise_variance / 2.0)
-    x = signal.samples
-    out = np.empty_like(x)
-    buf = np.empty(min(signal.n, _NOISE_CHUNK))
-    for src, dst in ((x.real, out.real), (x.imag, out.imag)):
-        for start in range(0, signal.n, _NOISE_CHUNK):
-            stop = min(start + _NOISE_CHUNK, signal.n)
-            draw = buf[: stop - start]
-            rng.standard_normal(out=draw)
-            draw *= scale
-            np.add(src[start:stop], draw, out=dst[start:stop])
-    return TimeSignal(signal.n, out)
+        return signal
+    spectrum = signal.spectrum
+    return TimeSignal(
+        signal.n,
+        None if spectrum is not None else signal._clean,
+        spectrum=spectrum,
+        noise=signal.noise + ((float(noise_variance), seed),),
+    )

@@ -5,13 +5,21 @@ prints a single PASS/FAIL line (run pytest -s to watch them stream).
 All seeds are frozen, so every number here is reproducible.
 """
 import math
+import statistics
 import time
 
 import numpy as np
 import pytest
 
 from ffast import oracle
-from ffast.bench import ExperimentConfig, auto_sweep, run_experiment
+from ffast.bench import (
+    ExperimentConfig,
+    auto_sweep,
+    plan_for_config,
+    run_experiment,
+    run_trial,
+    sweep_config,
+)
 from ffast.frontend import subsample_and_transform
 from ffast.metrics import energy_tail_bound, kay_variance, zeroton_bound
 from ffast.peeling import decode
@@ -145,13 +153,24 @@ def test_03_noisy_support_recovery_rate():
 def test_04_sublinear_scaling():
     """Stretching the length 12x at fixed k=40 may cost at most 1.6x the
     per-trial wall time and 2x the sample budget, with every sweep point
-    still at >= 97% support recovery."""
-    points = auto_sweep(
-        list(range(1, 13)), ExperimentConfig(k=40, snr_db=5.0, trials=16, seed=42)
-    )
+    still at >= 97% support recovery.
+
+    The sweep picks and scores every point.  Its two end points are then
+    timed again, trial by trial in alternation, so a change of machine
+    speed during the test falls on both alike; the time ratio is that of
+    their median per-trial times."""
+    config = ExperimentConfig(k=40, snr_db=5.0, trials=16, seed=42)
+    points = auto_sweep(list(range(1, 13)), config)
     needed = math.ceil(0.97 * 16 - 1e-9)
     all_hit = all(p.support_success >= needed for p in points)
-    time_ratio = points[-1].mean_seconds / points[0].mean_seconds
+    ends = [sweep_config(config, p.scale, p.clusters) for p in (points[0], points[-1])]
+    plans = [plan_for_config(c) for c in ends]
+    micros = ([], [])
+    for trial in range(config.trials):
+        for side in (0, 1):
+            row = run_trial(plans[side], ends[side], trial)
+            micros[side].append(row.micros_frontend + row.micros_decode)
+    time_ratio = statistics.median(micros[1]) / statistics.median(micros[0])
     m_ratio = points[-1].samples_used / points[0].samples_used
     ok = all_hit and time_ratio <= 1.6 and m_ratio <= 2.0
     _report(

@@ -114,6 +114,18 @@ class TestSweepCommand:
         assert int(body[1][4]) >= int(body[0][4])
         assert "swept 2 lengths" in capsys.readouterr().out
 
+    def test_stable_output_stdout_is_byte_identical(self, capsys):
+        """With the CSV on stdout, two runs print the same bytes: no
+        wall-clock figure reaches stdout under --stable-output."""
+        argv = ["sweep", "--scales", "1,2", "--k", "8", "--trials", "2", "--seed", "1",
+                "--stable-output"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out.encode())
+        assert outputs[0] == outputs[1]
+        assert b"swept 2 lengths" in outputs[0] and b"time x" not in outputs[0]
+
     def test_config_file_supplies_target_success(self, tmp_path, capsys):
         """An INI value is converted by its flag's type, so target_success
         arrives as a float, the same as --target-success."""

@@ -16,7 +16,7 @@ def plans(draw):
     """Screened plans over the small presets, in both sparsity regimes."""
     preset = PRESETS[draw(st.sampled_from(SMALL_PRESETS))]
     n = preset.n
-    if preset.forced_d is not None:
+    if len(preset.factors) == 2:
         k = draw(st.integers(0, n))
     else:
         # very sparse (d = 3 base factors) or less sparse (3 composite stages)

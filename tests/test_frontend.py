@@ -3,18 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from ffast.bench import ExperimentConfig, plan_for_config
 from ffast.frontend import BinBank, bin_index, steering_vector, subsample_and_transform
-from ffast.planner import FrontendPlan
+from ffast.planner import PRESETS, FrontendPlan, build_plan
 from ffast.spectral import (
     Constellation,
     SparseSpectrum,
     TimeSignal,
     add_noise,
+    exp_sums,
+    factored_is_cheaper,
+    random_phase_spectrum,
     random_spectrum,
     synthesize,
 )
+
+SMALL_PRESETS = sorted(name for name, p in PRESETS.items() if p.n <= 4845)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +117,76 @@ class TestSubsample:
 
     def test_sample_count_accounting(self, plan_big):
         assert plan_big.sample_count == plan_big.chain_count * sum(plan_big.bin_counts)
+
+
+@st.composite
+def source_cases(draw):
+    """A small preset's plan and a spectrum, in both sparsity regimes.
+
+    Very sparse plans read fewer samples than the factored form's break
+    even and less sparse ones more, so both sides of factored_is_cheaper
+    are drawn.
+    """
+    preset = PRESETS[draw(st.sampled_from(SMALL_PRESETS))]
+    n = preset.n
+    if len(preset.factors) == 2 or draw(st.booleans()):
+        k = draw(st.integers(0, max(1, int(n ** (1.0 / 3.0)))))
+    else:
+        k = draw(st.integers(math.ceil(n**0.61), int(n**0.7)))
+    plan = build_plan(preset.name, k, seed=draw(st.integers(0, 2**16)))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        spectrum = random_spectrum(n, k, Constellation(4.0), seed)
+    else:
+        spectrum = random_phase_spectrum(n, k, draw(st.floats(0.1, 10.0)), seed)
+    noise = draw(st.sampled_from([None, 0.5, 1.0]))
+    return plan, spectrum, noise, seed
+
+
+class TestSampleSource:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=source_cases())
+    def test_bank_equals_the_bank_of_the_dense_samples(self, case):
+        plan, spectrum, noise, seed = case
+        signal = synthesize(spectrum)
+        if noise is not None:
+            signal = add_noise(signal, noise, seed)
+        bank = subsample_and_transform(signal, plan)
+        reference = subsample_and_transform(TimeSignal(plan.n, signal.samples), plan)
+        factored = factored_is_cheaper(plan.n, spectrum.k, plan.sample_count)
+        tol = 1e-9 * max(float(np.abs(spectrum.values).sum()), 1.0)
+        for ours, theirs in zip(bank.stages, reference.stages):
+            if factored:
+                assert np.max(np.abs(ours - theirs)) <= tol
+            else:
+                np.testing.assert_array_equal(ours, theirs)
+
+    @pytest.mark.parametrize(
+        "preset,k,factored",
+        [("n504", 7, True), ("n504", 50, False), ("paper-20", 5, False),
+         ("paper-124950", 40, True), ("n4845", 170, False)],
+    )
+    def test_path_selection(self, preset, k, factored):
+        plan = plan_for_config(ExperimentConfig(preset=preset, k=k, seed=3))
+        assert factored_is_cheaper(plan.n, k, plan.sample_count) is factored
+
+    def test_dense_noiseless_reads_the_samples_it_always_did(self):
+        """On the gather side the bank is bit-identical to gathering
+        from the synthesized samples, as the front end did before it
+        asked the signal for its chains."""
+        plan = plan_for_config(ExperimentConfig(preset="n4845", k=170, snr_db=None, seed=3))
+        truth = random_spectrum(plan.n, 170, Constellation(4.0), seed=11)
+        samples = exp_sums(plan.n, truth.indices, truth.values)
+        bank = subsample_and_transform(synthesize(truth), plan)
+        for f, stage in zip(plan.bin_counts, bank.stages):
+            rows = (np.arange(f)[:, None] * (plan.n // f) + plan.shift_array) % plan.n
+            np.testing.assert_array_equal(stage, np.fft.fft(samples[rows], axis=0) / math.sqrt(f))
+
+    def test_spectrum_backed_signal_keeps_its_samples_unevaluated(self, plan_big):
+        truth = random_spectrum(plan_big.n, 40, Constellation(4.0), seed=2)
+        signal = add_noise(synthesize(truth), 1.0, seed=2)
+        subsample_and_transform(signal, plan_big)
+        assert "samples" not in vars(signal) and "_clean" not in vars(signal)
 
 
 class TestNoiseStatistics:

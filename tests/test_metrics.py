@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from ffast.metrics import (
@@ -39,6 +41,33 @@ class TestTrialStats:
     def test_negative_l1_rejected(self):
         with pytest.raises(ValueError):
             TrialStats(5, 5, -0.1, 0, 0.0)
+
+
+def _union_values(est, truth):
+    """(est[l], truth[l]) over the union of supports, one coefficient at a time."""
+    a, b = dict(zip(est.indices.tolist(), est.values)), dict(zip(truth.indices.tolist(), truth.values))
+    return [(a.get(i, 0j), b.get(i, 0j)) for i in sorted(set(a) | set(b))]
+
+
+def _loop_support_recovery(est, truth):
+    """The per-coefficient loop support_recovery replaced, as the reference."""
+    success = set(est.indices.tolist()) == set(truth.indices.tolist())
+    denom = float(sum(abs(v) for v in truth.values))
+    numer = float(sum(abs(e - t) for e, t in _union_values(est, truth)))
+    if denom == 0.0:
+        return success, 0.0 if numer == 0.0 else math.inf
+    return success, numer / denom
+
+
+@st.composite
+def spectrum_pairs(draw):
+    """Two spectra on a shared length whose supports overlap in part."""
+    n = draw(st.integers(1, 60))
+    values = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    truth = draw(st.dictionaries(st.integers(0, n - 1), values, max_size=12))
+    est = {i: v for i, v in truth.items() if draw(st.booleans())}
+    est.update(draw(st.dictionaries(st.integers(0, n - 1), values, max_size=4)))
+    return SparseSpectrum.from_pairs(n, est), SparseSpectrum.from_pairs(n, truth)
 
 
 class TestSupportRecovery:
@@ -74,6 +103,20 @@ class TestSupportRecovery:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             support_recovery(SparseSpectrum.empty(10), SparseSpectrum.empty(12))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(pair=spectrum_pairs())
+    def test_matches_the_per_coefficient_loop(self, pair):
+        est, truth = pair
+        success, l1 = support_recovery(est, truth)
+        ref_success, ref_l1 = _loop_support_recovery(est, truth)
+        assert success == ref_success
+        # summation order differs, so l1 may move in the last ulps
+        assert l1 == pytest.approx(ref_l1, rel=64 * np.finfo(float).eps, abs=0.0)
+        pairs = np.array(_union_values(est, truth), dtype=complex).reshape(-1, 2)
+        ref_max = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]), initial=0.0))
+        assert est.max_abs_difference(truth) == ref_max
+
 
 
 class TestZerotonBound:

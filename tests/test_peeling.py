@@ -1,4 +1,6 @@
 """Peeling decoder tests: peel arithmetic, convergence, graph decodability."""
+import math
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,12 @@ from ffast.bench import ExperimentConfig, plan_for_config
 from ffast.frontend import subsample_and_transform
 from ffast.peeling import decode, peel
 from ffast.planner import FrontendPlan, build_plan, cluster_shifts
+from ffast.randomness import generator
 from ffast.singleton import zero_ton_threshold
 from ffast.spectral import (
     Constellation,
     SparseSpectrum,
-    add_noise,
+    TimeSignal,
     random_spectrum,
     synthesize,
 )
@@ -221,6 +224,20 @@ class TestDecodeStructure:
         assert result.passes <= 1
 
 
+def _philox_noisy_signal(truth, seed):
+    """The noisy signal the frozen events were recorded on.
+
+    Unit-variance noise from two standard_normal(n) draws of the Philox
+    generator keyed by (seed, 0xA3), real parts first, as add_noise drew
+    it before noise became a per-index function.  Building the input
+    here keeps the frozen events a check on the decoder alone.
+    """
+    rng = generator(seed, 0xA3)
+    scale = math.sqrt(0.5)
+    noise = scale * (rng.standard_normal(truth.n) + 1j * rng.standard_normal(truth.n))
+    return TimeSignal(truth.n, synthesize(truth).samples + noise)
+
+
 class TestDecodeFrozen:
     def test_sparse_5db_events_are_frozen(self):
         """Fixed-seed noisy decodes peel the same (pass, stage, bin,
@@ -232,7 +249,7 @@ class TestDecodeFrozen:
         points = con.points()
         for seed, expected in FROZEN_SPARSE_5DB_EVENTS.items():
             truth = random_spectrum(plan.n, 40, con, seed)
-            signal = add_noise(synthesize(truth), 1.0, seed)
+            signal = _philox_noisy_signal(truth, seed)
             result = decode(subsample_and_transform(signal, plan), con)
             events = [(e.pass_index, e.stage, e.bin, e.support) for e in result.events]
             assert events == [event[:4] for event in expected]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffast.planner import PRESETS
-from ffast.randomness import generator
+from ffast.randomness import complex_normal
 from ffast.spectral import (
     _STREAM_NOISE,
     Constellation,
@@ -55,6 +55,12 @@ class TestConstellation:
         for pt in con.points():
             assert con.snap(complex(pt)) == complex(pt)
 
+    def test_snap_returns_shared_grid_values(self):
+        # equal constellations hand out the same objects, so kept decode
+        # results do not each hold their own copy of a grid value
+        a = Constellation(4.0).snap(1.1 + 0.1j)
+        assert a == 1.0 and a is Constellation(4.0).snap(0.9 - 0.05j)
+
     def test_snap_recovers_perturbed_point(self):
         con = Constellation(4.0)
         pt = con.points()[5]
@@ -100,9 +106,9 @@ class TestSparseSpectrum:
         assert np.count_nonzero(dense) == 2
 
     def test_value_at(self):
-        s = SparseSpectrum.from_pairs(10, [(4, 3.0)])
-        assert s.value_at(4) == 3.0
-        assert s.value_at(5) == 0.0
+        s = SparseSpectrum.from_pairs(10, [(4, 3.0), (7, -1j)])
+        np.testing.assert_array_equal(s.values_at([4, 5, 7, 0, 9]), [3.0, 0, -1j, 0, 0])
+        np.testing.assert_array_equal(SparseSpectrum.empty(10).values_at([4, 5]), [0, 0])
 
     def test_empty(self):
         s = SparseSpectrum.empty(7)
@@ -224,6 +230,16 @@ class TestExpSums:
         tol = 1e-9 * max(float(np.abs(weights).sum()), 1.0)
         assert np.max(np.abs(got - _ifft_sums(n, freqs, weights))) <= tol
 
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=exp_sum_cases(), data=st.data())
+    def test_stop_gives_the_leading_samples(self, case, data):
+        n, freqs, weights = case
+        stop = data.draw(st.integers(1, n))
+        got = exp_sums(n, freqs, weights, stop=stop)
+        assert got.shape == (stop,)
+        tol = 1e-9 * max(float(np.abs(weights).sum()), 1.0)
+        assert np.max(np.abs(got - _ifft_sums(n, freqs, weights)[:stop])) <= tol
+
     def test_dense_spectrum_synthesis_is_the_fft_bit_for_bit(self):
         s = random_spectrum(4845, 170, Constellation(4.0), seed=3)
         assert 9 * s.k**2 > s.n
@@ -235,14 +251,24 @@ class TestExpSums:
 class TestAddNoise:
     @pytest.mark.parametrize("n,variance", [(4845, 1.0), (4845, 2.5), (150_001, 1.0)])
     def test_matches_the_two_draw_formula_bit_for_bit(self, n, variance):
-        # 150_001 samples span several draw chunks and end on a partial one
+        # sample p gets the Gaussian that complex_normal makes from the two
+        # splitmix64 draws of index p (test_randomness pins that formula)
         x = synthesize(random_spectrum(n, 12, Constellation(3.0), seed=4))
-        rng = generator(9, _STREAM_NOISE)
-        scale = math.sqrt(variance / 2.0)
-        expected = x.samples + scale * (
-            rng.standard_normal(x.n) + 1j * rng.standard_normal(x.n)
-        )
+        expected = x.samples + complex_normal(9, _STREAM_NOISE, np.arange(n), variance)
         np.testing.assert_array_equal(add_noise(x, variance, seed=9).samples, expected)
+
+    def test_draws_nothing_until_read(self):
+        truth = random_spectrum(1_499_400, 40, Constellation(3.0), seed=4)
+        y = add_noise(add_noise(synthesize(truth), 1.0, seed=9), 0.5, seed=10)
+        assert y.spectrum is truth
+        assert y.noise == ((1.0, 9), (0.5, 10))
+        assert "samples" not in vars(y) and "_clean" not in vars(y)
+
+    def test_noise_terms_add(self):
+        zero = TimeSignal(64, np.zeros(64, dtype=np.complex128))
+        both = add_noise(add_noise(zero, 1.0, seed=1), 2.0, seed=2).samples
+        parts = add_noise(zero, 1.0, seed=1).samples + add_noise(zero, 2.0, seed=2).samples
+        np.testing.assert_array_equal(both, parts)
 
     def test_zero_variance_is_identity(self):
         x = synthesize(random_spectrum(100, 3, Constellation(1.0), seed=0))
