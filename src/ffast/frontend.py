@@ -14,53 +14,41 @@ SNR.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .planner import FrontendPlan
 from .spectral import TimeSignal
 
 
-@dataclass(frozen=True)
-class BinObservation:
-    """One bin's D-vector of delay-chain DFT samples."""
-
-    stage: int
-    bin: int
-    y: np.ndarray
-
-
 class BinBank:
-    """All bin observations for a plan, stage-major.
+    """All bin observations for a plan, stage-major in one array.
 
-    stages[i] is an (f_i, D) complex array; row j is bin j.  The bank a
-    decoder mutates should be a copy(); readers treat banks as frozen.
+    rows is a (sum f_i, D) complex array: row plan.row_offsets[i] + j is
+    bin j of stage i, and stages[i] is the (f_i, D) view of stage i's
+    rows.  The bank a decoder mutates should be a copy(); readers treat
+    banks as frozen.
     """
 
-    def __init__(self, plan: FrontendPlan, stages: list[np.ndarray]):
-        if len(stages) != plan.d:
-            raise ValueError("stage count mismatch")
-        for f, arr in zip(plan.bin_counts, stages):
-            if arr.shape != (f, plan.chain_count):
-                raise ValueError(f"stage array shape {arr.shape} != ({f}, {plan.chain_count})")
+    def __init__(self, plan: FrontendPlan, rows: np.ndarray):
+        rows = np.asarray(rows)
+        if rows.shape != (sum(plan.bin_counts), plan.chain_count):
+            raise ValueError(
+                f"bank shape {rows.shape} != ({sum(plan.bin_counts)}, {plan.chain_count})"
+            )
         self.plan = plan
-        self.stages = stages
-
-    def observation(self, stage: int, bin_index: int) -> BinObservation:
-        return BinObservation(stage, bin_index, self.stages[stage][bin_index])
+        self.rows = rows
+        self.stages = [rows[o : o + f] for o, f in zip(plan.row_offsets, plan.bin_counts)]
 
     def energies(self, stage: int) -> np.ndarray:
-        arr = self.stages[stage]
-        return np.einsum("ij,ij->i", arr.conj(), arr).real
+        return row_energies(self.stages[stage])
 
     def copy(self) -> "BinBank":
-        return BinBank(self.plan, [arr.copy() for arr in self.stages])
+        return BinBank(self.plan, self.rows.copy())
 
-    def iter_observations(self):
-        for i in range(self.plan.d):
-            for j in range(self.plan.bin_counts[i]):
-                yield self.observation(i, j)
+
+def row_energies(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a (B, D) array."""
+    return np.einsum("ij,ij->i", rows.conj(), rows).real
 
 
 def bin_index(ell: int, stage: int, plan: FrontendPlan) -> int:
@@ -68,13 +56,15 @@ def bin_index(ell: int, stage: int, plan: FrontendPlan) -> int:
     return int(ell % plan.bin_counts[stage])
 
 
-def steering_vector(ell: int, plan: FrontendPlan) -> np.ndarray:
+def steering_vector(ell, plan: FrontendPlan) -> np.ndarray:
     """exp(+2j*pi*ell*r/n) over the plan's shifts; squared norm is D.
 
-    The phase products are reduced mod n in exact integer arithmetic
-    before the float conversion, so large ell stays accurate.
+    ell may be an integer array, which gives one vector per entry along
+    a new last axis.  The phase products are reduced mod n in exact
+    integer arithmetic before the float conversion, so large ell stays
+    accurate.
     """
-    phases = (int(ell) * plan.shift_array) % plan.n
+    phases = (np.asarray(ell, dtype=np.int64)[..., None] * plan.shift_array) % plan.n
     return np.exp(2j * np.pi * phases / plan.n)
 
 
@@ -89,4 +79,4 @@ def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
         raise ValueError(f"signal length {signal.n} does not match plan n={plan.n}")
     # (f, D) per stage: column t is delay chain t; norm="ortho" scales by 1/sqrt(f)
     chains = signal.chains(plan.bin_counts, plan.shifts)
-    return BinBank(plan, [np.fft.fft(c, axis=0, norm="ortho") for c in chains])
+    return BinBank(plan, np.concatenate([np.fft.fft(c, axis=0, norm="ortho") for c in chains]))

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import BinObservation
 from .planner import FrontendPlan
 from .spectral import SparseSpectrum, TimeSignal
 
@@ -73,20 +72,22 @@ def dense_dft(signal: TimeSignal, drop_tolerance: float = _DROP_TOLERANCE) -> Sp
     return SparseSpectrum(n, np.nonzero(keep)[0], out[keep])
 
 
-def brute_singleton(obs: BinObservation, plan: FrontendPlan) -> tuple[int, complex, float]:
-    """Best single-frequency explanation of a bin by exhaustive scan.
+def brute_singleton(
+    y: np.ndarray, stage: int, bin: int, plan: FrontendPlan
+) -> tuple[int, complex, float]:
+    """Best single-frequency explanation of bin `bin` of `stage` by exhaustive scan.
 
-    Scans every l in the bin's residue class, least-squares fits the
-    value v = s_l^H y / (sqrt(f) * D), and returns the (l, v, residual)
-    with the smallest residual energy.
+    y is the bin's D-vector.  Scans every l in the bin's residue class,
+    least-squares fits the value v = s_l^H y / (sqrt(f) * D), and
+    returns the (l, v, residual) with the smallest residual energy.
     """
-    f = plan.bin_counts[obs.stage]
+    f = plan.bin_counts[stage]
     d_chains = plan.chain_count
-    candidates = np.arange(obs.bin, plan.n, f, dtype=np.int64)
+    candidates = np.arange(bin, plan.n, f, dtype=np.int64)
     phases = (candidates[:, None] * plan.shift_array[None, :]) % plan.n
     columns = np.exp(2j * np.pi * phases / plan.n)  # (n/f, D)
-    projections = columns.conj() @ obs.y  # s_l^H y per candidate
-    energy = float(np.vdot(obs.y, obs.y).real)
+    projections = columns.conj() @ y  # s_l^H y per candidate
+    energy = float(np.vdot(y, y).real)
     residuals = energy - (np.abs(projections) ** 2) / d_chains
     best = int(np.argmin(residuals))
     ell = int(candidates[best])

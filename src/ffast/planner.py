@@ -184,6 +184,11 @@ def plan_delays(n: int, clusters: int, per_cluster: int, base: int, seed: int) -
     return cluster_shifts(heads, per_cluster, base, n)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class FrontendPlan:
     """Subsampling geometry shared by the front end and the decoder."""
@@ -234,9 +239,25 @@ class FrontendPlan:
         """Time-domain samples read: chain_count per bin, every bin."""
         return self.chain_count * sum(self.bin_counts)
 
-    @property
+    @cached_property
     def shift_array(self) -> np.ndarray:
-        return np.array(self.shifts, dtype=np.int64)
+        """The shifts as a read-only int64 array, made on first use."""
+        return _read_only(np.array(self.shifts, dtype=np.int64))
+
+    @cached_property
+    def row_offsets(self) -> tuple[int, ...]:
+        """First row of each stage in the stage-major bank of all sum(f_i) bins."""
+        return tuple(int(o) for o in np.cumsum((0,) + self.bin_counts[:-1]))
+
+    @cached_property
+    def row_stage(self) -> np.ndarray:
+        """Stage of each bank row (read-only)."""
+        return _read_only(np.repeat(np.arange(self.d), self.bin_counts))
+
+    @cached_property
+    def row_bin(self) -> np.ndarray:
+        """Bin index within its stage of each bank row (read-only)."""
+        return _read_only(np.concatenate([np.arange(f) for f in self.bin_counts]))
 
     @cached_property
     def clustered(self) -> bool:

@@ -2,8 +2,8 @@
 
 A singleton bin y = sqrt(f) * X[l] * s_l + w is identified in three
 steps.  First an energy gate: ||y||^2 < (1+gamma)*D means noise only.
-Next the frequency: one array expression over the (C, N) view of the
-chain outputs gives each shift cluster c's weighted phase-difference
+Next the frequency: one array expression over the (B, C, N) view of a
+stack of bins gives each shift cluster c's weighted phase-difference
 estimate of (base**c * omega) mod 2*pi, omega = 2*pi*l/n (a zero sample
 leaves it undefined, so such a bin is a multi-ton), and successive
 refinement lifts these onto ever finer grids until omega is pinned to
@@ -11,6 +11,11 @@ better than half a grid cell of 2*pi/n.  Last the value: least squares
 against the steering column of the rounded support, accepted as a
 singleton only if the residual looks like pure noise and the column
 explains most of the bin energy.
+
+bin_statistics runs these steps for a whole stack of bins at once, each
+step only on the rows that passed the one before, and classify_bin
+reads one row's verdict out of the result: every classification, of a
+full bank or of one re-read bin, goes through these two functions.
 """
 from __future__ import annotations
 
@@ -18,10 +23,11 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .frontend import BinObservation, steering_vector
+from .frontend import row_energies, steering_vector
 from .planner import FrontendPlan
 from .spectral import Constellation
 
@@ -62,23 +68,24 @@ def cluster_estimate(samples: np.ndarray, spacing: int | np.ndarray) -> np.ndarr
     return np.mod(theta / spacing, 2.0 * np.pi / spacing)
 
 
-def refine(estimates: list[float] | np.ndarray, base: int) -> float:
+def refine(estimates, base: int):
     """Fuse per-cluster estimates into one frequency in [0, 2*pi).
 
-    estimates[i] is omega modulo 2*pi/base**i.  Each step lifts the next
-    estimate onto its grid of period 2*pi/base**i at the lift nearest
-    the running estimate (for base 2 this is the usual pick between the
-    flooring and ceiling lifts; larger bases compare all lifts at once
-    via rounding).  The final interval width is 2*pi/base**(C-1) times
-    the last cluster's accuracy.
+    estimates[..., i] is omega modulo 2*pi/base**i; leading axes are
+    independent bins, and the result has their shape.  Each step lifts
+    the next estimate onto its grid of period 2*pi/base**i at the lift
+    nearest the running estimate (for base 2 this is the usual pick
+    between the flooring and ceiling lifts; larger bases compare all
+    lifts at once via rounding).  The final interval width is
+    2*pi/base**(C-1) times the last cluster's accuracy.
     """
-    values = [float(e) for e in estimates]
-    if not values:
+    est = np.asarray(estimates, dtype=np.float64)
+    if est.ndim == 0 or est.shape[-1] == 0:
         raise ValueError("need at least one cluster estimate")
-    prev = values[0] % (2.0 * np.pi)
-    for i, est in enumerate(values[1:], start=1):
+    prev = est[..., 0] % (2.0 * np.pi)
+    for i in range(1, est.shape[-1]):
         grid = 2.0 * np.pi / base**i
-        prev = est + round((prev - est) / grid) * grid
+        prev = est[..., i] + np.rint((prev - est[..., i]) / grid) * grid
     return prev % (2.0 * np.pi)
 
 
@@ -88,12 +95,52 @@ class VerdictKind(str, enum.Enum):
     MULTI_TON = "multi-ton"
 
 
-@dataclass(frozen=True)
-class BinVerdict:
+class VerdictReason(enum.IntEnum):
+    """Why a bin got its verdict: the first test it failed, or SINGLETON.
+
+    The tests run in this order.  ENERGY_GATE gives a zero-ton; the next
+    four give a multi-ton.
+    """
+
+    ENERGY_GATE = 0  # energy under the zero-ton gate
+    ZERO_SAMPLE = 1  # a chain sample is exactly zero: a phase is undefined
+    OFF_RESIDUE_CLASS = 2  # the estimate does not round into the bin's class
+    RESIDUAL_CAP = 3  # the fit's residual reaches the noise-level cap
+    EXPLAINED_FRACTION = 4  # the fit explains under MIN_EXPLAINED_FRACTION
+    SINGLETON = 5
+
+
+_REASONS = tuple(VerdictReason)
+_KINDS = (VerdictKind.ZERO_TON,) + (VerdictKind.MULTI_TON,) * 4 + (VerdictKind.SINGLETON,)
+
+
+class BinVerdict(NamedTuple):
+    """One bin's verdict; support and value are None unless it is a singleton."""
+
     kind: VerdictKind
     support: int | None
     value: complex | None
     residual_energy: float
+    reason: VerdictReason
+
+
+@dataclass(frozen=True, slots=True)
+class BinStatistics:
+    """Classification figures of a stack of bins, one entry per row.
+
+    reason holds VerdictReason codes.  support is the residue-class
+    candidate of every row that reached the class test (-1 elsewhere),
+    value the fitted (and snapped) value of every row that reached the
+    fit (0 elsewhere), and residual the fit's residual energy, or the
+    row's energy where no fit was made.  The fields are Python lists,
+    because classify_bin reads them one row at a time.
+    """
+
+    energy: list[float]
+    reason: list[int]
+    support: list[int]
+    value: list[complex]
+    residual: list[float]
 
 
 def zero_ton_threshold(plan: FrontendPlan) -> float:
@@ -145,14 +192,16 @@ def singleton_residual_threshold(chain_count: int, gamma: float) -> float:
     return max(floor, quantile)
 
 
-def _project_to_residue_class(target: float, bin_idx: int, f: int, n: int) -> int:
-    """Nearest integer to target that is congruent to bin_idx mod f (circularly)."""
-    step = round((target - bin_idx) / f) % (n // f)
-    return int((bin_idx + f * step) % n)
+def _project_to_residue_class(
+    target: np.ndarray, bins: np.ndarray, f: np.ndarray, n: int
+) -> np.ndarray:
+    """Nearest integer to each target that is congruent to its bin mod f (circularly)."""
+    step = np.rint((target - bins) / f).astype(np.int64) % (n // f)
+    return (bins + f * step) % n
 
 
-def _consistent_with_bin(target: float, q: int, n: int) -> bool:
-    """Does the raw frequency estimate actually round to the projected index?
+def _consistent_with_bin(target: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """Does each raw frequency estimate actually round to its projected index?
 
     A genuine singleton's refined estimate lands within a small fraction
     of one index of an integer in the bin's residue class, so projecting
@@ -161,53 +210,80 @@ def _consistent_with_bin(target: float, q: int, n: int) -> bool:
     class with high probability; treating that as a contradiction
     rejects most such bins before the residual test.
     """
-    distance = abs(target - q) % n
-    return min(distance, n - distance) < 0.5
+    distance = np.abs(target - q) % n
+    return np.minimum(distance, n - distance) < 0.5
 
 
-def classify_bin(
-    obs: BinObservation,
+def bin_statistics(
+    rows: np.ndarray,
+    stages,
+    bins,
     plan: FrontendPlan,
     constellation: Constellation | None = None,
-) -> BinVerdict:
-    """Classify one bin observation.
+) -> BinStatistics:
+    """Run the classification tests over a (B, D) stack of bin rows.
 
-    The candidate support from refinement is projected onto the bin's
-    residue class (a singleton in bin j of stage i must satisfy
-    l = j mod f_i).  When a constellation is supplied the fitted value
-    snaps to the nearest grid point before the residual test.  A
-    singleton verdict requires the residual to pass both the noise-level
-    quantile cap and the explained-energy fraction; everything else that
-    clears the energy gate is a multi-ton.
+    Row r is bin bins[r] of stage stages[r].  Energy covers every row,
+    the zero-sample test only the rows above the energy gate, the
+    frequency estimate only those with no zero sample, and the fit only
+    the rows whose estimate lands in the bin's residue class (a singleton in bin j of stage i must
+    satisfy l = j mod f_i).  When a constellation is supplied the fitted
+    value snaps to the nearest grid point before the residual test.  A
+    singleton needs the residual to pass both the noise-level quantile
+    cap and the explained-energy fraction.
     """
-    y = obs.y
-    d_chains = plan.chain_count
-    f = plan.bin_counts[obs.stage]
-    energy = float(np.vdot(y, y).real)
-    gate = zero_ton_threshold(plan)
-    if energy < gate:
-        return BinVerdict(VerdictKind.ZERO_TON, None, None, energy)
-    if not plan.clustered:
+    rows = np.asarray(rows)
+    n, d_chains = plan.n, plan.chain_count
+    energy = row_energies(rows)
+    reason = np.zeros(len(rows), dtype=np.int8)  # VerdictReason.ENERGY_GATE
+    support = np.full(len(rows), -1, dtype=np.int64)
+    value = np.zeros(len(rows), dtype=np.complex128)
+    residual = energy.copy()
+    live = (~(energy < zero_ton_threshold(plan))).nonzero()[0]
+    if live.size and not plan.clustered:
         raise ValueError("classification needs a clustered shift pattern")
-    if not np.all(y):
-        # a zero sample leaves a phase difference undefined
-        return BinVerdict(VerdictKind.MULTI_TON, None, None, energy)
-    spacing = plan.base ** np.arange(plan.clusters)
-    estimates = cluster_estimate(y.reshape(plan.clusters, plan.per_cluster), spacing)
-    omega = refine(estimates, plan.base)
-    target = omega * plan.n / (2.0 * np.pi)
-    support = _project_to_residue_class(target, obs.bin, f, plan.n)
-    if not _consistent_with_bin(target, support, plan.n):
-        return BinVerdict(VerdictKind.MULTI_TON, None, None, energy)
-    column = steering_vector(support, plan)
-    gain = math.sqrt(f)
-    value = complex(np.vdot(column, y) / (gain * d_chains))
-    if constellation is not None:
-        value = constellation.snap(value)
-    residual_vec = y - gain * value * column
-    residual = float(np.vdot(residual_vec, residual_vec).real)
-    cap = singleton_residual_threshold(d_chains, plan.gamma)
-    explained_ok = residual <= (1.0 - MIN_EXPLAINED_FRACTION) * energy
-    if residual < cap and explained_ok:
-        return BinVerdict(VerdictKind.SINGLETON, support, value, residual)
-    return BinVerdict(VerdictKind.MULTI_TON, None, None, residual)
+    # a zero sample leaves a phase difference undefined
+    zero = ~rows[live].all(axis=1)
+    reason[live[zero]] = VerdictReason.ZERO_SAMPLE
+    est = live[~zero]
+    if est.size:
+        y = rows[est]
+        f = np.asarray(plan.bin_counts)[np.asarray(stages)[est]]
+        spacing = plan.base ** np.arange(plan.clusters)
+        estimates = cluster_estimate(y.reshape(-1, plan.clusters, plan.per_cluster), spacing)
+        target = refine(estimates, plan.base) * n / (2.0 * np.pi)
+        q = _project_to_residue_class(target, np.asarray(bins)[est], f, n)
+        support[est] = q
+        in_class = _consistent_with_bin(target, q, n)
+        reason[est[~in_class]] = VerdictReason.OFF_RESIDUE_CLASS
+        fit = est[in_class]
+        if fit.size:
+            y, q = y[in_class], q[in_class]
+            columns = steering_vector(q, plan)
+            gain = np.sqrt(f[in_class])
+            fitted = np.einsum("ij,ij->i", columns.conj(), y) / (gain * d_chains)
+            if constellation is not None:
+                fitted = constellation.snap(fitted)
+            left = row_energies(y - (gain * fitted)[:, None] * columns)
+            cap = singleton_residual_threshold(d_chains, plan.gamma)
+            explained = left <= (1.0 - MIN_EXPLAINED_FRACTION) * energy[fit]
+            reason[fit] = np.where(
+                ~(left < cap),
+                VerdictReason.RESIDUAL_CAP,
+                np.where(explained, VerdictReason.SINGLETON, VerdictReason.EXPLAINED_FRACTION),
+            )
+            value[fit] = fitted
+            residual[fit] = left
+    return BinStatistics(
+        energy.tolist(), reason.tolist(), support.tolist(), value.tolist(), residual.tolist()
+    )
+
+
+def classify_bin(stats: BinStatistics, i: int) -> BinVerdict:
+    """The verdict on row i of a bin_statistics result."""
+    reason = _REASONS[stats.reason[i]]
+    if reason is VerdictReason.SINGLETON:
+        return BinVerdict(
+            VerdictKind.SINGLETON, stats.support[i], stats.value[i], stats.residual[i], reason
+        )
+    return BinVerdict(_KINDS[reason], None, None, stats.residual[i], reason)

@@ -74,15 +74,18 @@ class Constellation:
     def _grid(self) -> tuple[np.ndarray, tuple[complex, ...]]:
         return _grid_points(self)
 
-    def snap(self, value: complex) -> complex:
+    def snap(self, value):
         """Nearest grid point to value (Euclidean distance in C).
 
-        Returns one of the grid's own complex objects, which every equal
-        Constellation shares, so decoded values held over many trials
-        take no memory of their own.
+        For one complex value, returns one of the grid's own complex
+        objects, which every equal Constellation shares.  For an array,
+        returns the array of nearest points, entry by entry.
         """
         pts, values = self._grid
-        return values[int(np.argmin(np.abs(pts - value)))]
+        nearest = np.argmin(np.abs(pts - np.asarray(value)[..., None]), axis=-1)
+        if nearest.ndim:
+            return pts[nearest]
+        return values[int(nearest)]
 
 
 @lru_cache(maxsize=16)

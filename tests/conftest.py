@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ffast.frontend import BinObservation, steering_vector
+from ffast.frontend import steering_vector
 from ffast.planner import build_plan
+from ffast.singleton import bin_statistics, classify_bin
 
 
 @pytest.fixture(scope="session")
@@ -29,10 +30,15 @@ def plan_big():
 
 
 def make_singleton_obs(plan, ell, value, rng=None, stage=0):
-    """Bin observation holding a lone tone, optionally noise-corrupted."""
+    """(y, stage, bin) of a bin holding a lone tone, optionally noise-corrupted."""
     f = plan.bin_counts[stage]
     y = math.sqrt(f) * value * steering_vector(ell, plan)
     if rng is not None:
         d = plan.chain_count
         y = y + (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2)
-    return BinObservation(stage=stage, bin=int(ell % f), y=y)
+    return y, stage, int(ell % f)
+
+
+def classify_one(y, stage, bin, plan, constellation=None):
+    """Verdict on one bin row, through the batched statistics."""
+    return classify_bin(bin_statistics(y[None, :], [stage], [bin], plan, constellation), 0)

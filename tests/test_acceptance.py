@@ -30,7 +30,7 @@ from ffast.planner import (
     plan_delays,
     verify_incoherence,
 )
-from ffast.singleton import VerdictKind, classify_bin, cluster_estimate
+from ffast.singleton import VerdictKind, bin_statistics, classify_bin, cluster_estimate
 from ffast.spectral import Constellation, SparseSpectrum, random_spectrum, synthesize
 
 
@@ -100,8 +100,9 @@ def test_02_worked_small_instance():
     signal = synthesize(truth)
     bank = subsample_and_transform(signal, plan)
 
+    stats = bin_statistics(bank.rows, plan.row_stage, plan.row_bin, plan)
     kinds = {
-        (stage, j): classify_bin(bank.observation(stage, j), plan)
+        (stage, j): classify_bin(stats, plan.row_offsets[stage] + j)
         for stage in range(plan.d)
         for j in range(plan.bin_counts[stage])
     }

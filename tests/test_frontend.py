@@ -236,16 +236,3 @@ class TestBinBank:
                np.zeros((4, plan20.chain_count), complex)]
         with pytest.raises(ValueError):
             BinBank(plan20, bad)
-
-    def test_observation_fields(self, plan20):
-        spectrum = random_spectrum(20, 3, Constellation(1.0), seed=2)
-        bank = subsample_and_transform(synthesize(spectrum), plan20)
-        obs = bank.observation(1, 3)
-        assert obs.stage == 1 and obs.bin == 3
-        np.testing.assert_array_equal(obs.y, bank.stages[1][3])
-
-    def test_iter_observations_visits_every_bin(self, plan20):
-        spectrum = SparseSpectrum.empty(20)
-        bank = subsample_and_transform(synthesize(spectrum), plan20)
-        visited = [(obs.stage, obs.bin) for obs in bank.iter_observations()]
-        assert visited == [(0, j) for j in range(4)] + [(1, j) for j in range(5)]

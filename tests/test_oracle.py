@@ -72,14 +72,14 @@ class TestBruteSingleton:
     def test_recovers_a_clean_singleton_exactly(self, plan20):
         value = 1.5 * np.exp(0.3j)
         obs = make_singleton_obs(plan20, 13, value)
-        ell, fitted, residual = brute_singleton(obs, plan20)
+        ell, fitted, residual = brute_singleton(*obs, plan20)
         assert ell == 13
         assert abs(fitted - value) < 1e-12
         assert residual < 1e-18
 
     def test_candidates_stay_in_the_residue_class(self, plan504):
         obs = make_singleton_obs(plan504, 100, 2.0 + 0j, stage=1)
-        ell, _, _ = brute_singleton(obs, plan504)
+        ell, _, _ = brute_singleton(*obs, plan504)
         f = plan504.bin_counts[1]
         assert ell % f == 100 % f
 
@@ -91,8 +91,7 @@ class TestBruteSingleton:
             504, [(3, 2.0 + 0j), (3 + f, -2.0j)]
         )
         bank = subsample_and_transform(synthesize(spectrum), plan504)
-        obs = bank.observation(0, 3)
-        _, _, residual = brute_singleton(obs, plan504)
+        _, _, residual = brute_singleton(bank.stages[0][3], 0, 3, plan504)
         cap = singleton_residual_threshold(
             plan504.chain_count, plan504.gamma
         )
@@ -104,7 +103,7 @@ class TestBruteSingleton:
         for trial in range(50):
             ell_true = int(rng.integers(0, 504))
             obs = make_singleton_obs(plan504, ell_true, 3.0 + 0j, rng=rng)
-            ell, _, _ = brute_singleton(obs, plan504)
+            ell, _, _ = brute_singleton(*obs, plan504)
             hits += ell == ell_true
         assert hits == 50
 

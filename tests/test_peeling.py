@@ -1,20 +1,25 @@
 """Peeling decoder tests: peel arithmetic, convergence, graph decodability."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffast import oracle
+from ffast import oracle, peeling
 from ffast.bench import ExperimentConfig, plan_for_config
-from ffast.frontend import subsample_and_transform
+from ffast.frontend import BinBank, steering_vector, subsample_and_transform
 from ffast.peeling import decode, peel
 from ffast.planner import FrontendPlan, build_plan, cluster_shifts
 from ffast.randomness import generator
-from ffast.singleton import zero_ton_threshold
+from ffast.singleton import bin_statistics, zero_ton_threshold
 from ffast.spectral import (
     Constellation,
     SparseSpectrum,
     TimeSignal,
+    add_noise,
     random_spectrum,
     synthesize,
 )
@@ -74,6 +79,12 @@ FROZEN_SPARSE_5DB_EVENTS = {
     ],
 }
 
+# The same record for three dense-noiseless decodes (n4845, k=170,
+# noiseless, plan seed 20260817), keyed by trial seed.
+FROZEN_DENSE_NOISELESS_EVENTS = (
+    Path(__file__).parent / "data" / "frozen_dense_noiseless_events.json"
+)
+
 
 def _bank_for(spectrum, plan):
     return subsample_and_transform(synthesize(spectrum), plan)
@@ -88,14 +99,22 @@ class TestPeel:
         for stage in range(plan20.d):
             assert np.all(bank.energies(stage) < 1e-18)
 
-    def test_peel_and_unpeel_restore_the_bank(self, plan504):
-        spectrum = random_spectrum(504, 7, Constellation(2.0), seed=6)
-        bank = _bank_for(spectrum, plan504)
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        support=st.integers(0, 503),
+        value=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_peel_and_unpeel_restore_the_bank(self, plan504, support, value):
+        """peel changes one row per stage, the row the support aliases
+        into, and peeling -value afterwards puts the bank back."""
+        bank = _bank_for(random_spectrum(504, 7, Constellation(2.0), seed=6), plan504)
         work = bank.copy()
-        peel(work, 123, 0.7 - 0.2j)
-        peel(work, 123, -(0.7 - 0.2j))
-        for stage in range(plan504.d):
-            assert np.max(np.abs(work.stages[stage] - bank.stages[stage])) < 1e-12
+        rows = peel(work, support, value)
+        assert rows == [o + support % f for o, f in zip(plan504.row_offsets, plan504.bin_counts)]
+        untouched = np.setdiff1d(np.arange(len(bank.rows)), rows)
+        np.testing.assert_array_equal(work.rows[untouched], bank.rows[untouched])
+        assert peel(work, support, -value) == rows
+        np.testing.assert_allclose(work.rows, bank.rows, rtol=0, atol=1e-12)
 
     def test_peel_matches_aliasing_recomputation(self, plan20):
         values = {1: 1.5 + 0j, 3: 1.5j, 5: -1.5 + 0j, 10: 1.5 - 0.5j, 15: -1.5j}
@@ -218,6 +237,58 @@ class TestDecodeStructure:
         assert result.spectrum.k == 0
         assert len(result.multi_ton_bins) > 0
 
+    def test_a_commit_makes_only_the_rows_it_touched_stale(self, plan20, monkeypatch):
+        """Support 1 alone in bin 1 of stage 1 and support 5 alone in bin
+        1 of stage 0 (slightly noisy, so it sorts second) are both
+        singletons at the start of the pass, but 1 also aliases into bin
+        1 of stage 0.  Committing 1 changes that row, so it is re-read,
+        now holds two tones' worth of leftover, and is dropped; it is
+        the pass's only re-read."""
+        rows = np.zeros((sum(plan20.bin_counts), plan20.chain_count), complex)
+        ripple = 0.3 * np.exp(2j * np.pi * np.arange(plan20.chain_count) / 7)
+        rows[plan20.row_offsets[0] + 1] = 2 * math.sqrt(4) * steering_vector(5, plan20) + ripple
+        rows[plan20.row_offsets[1] + 1] = 2 * math.sqrt(5) * steering_vector(1, plan20)
+        stacks = []
+
+        def counted(stack, *args):
+            stacks.append(len(stack))
+            return bin_statistics(stack, *args)
+
+        monkeypatch.setattr(peeling, "bin_statistics", counted)
+        result = decode(BinBank(plan20, rows))
+        assert [(e.pass_index, e.stage, e.bin, e.support) for e in result.events] == [(1, 1, 1, 1)]
+        assert stacks == [len(rows), 1, len(rows)]
+        assert result.multi_ton_bins == ((0, 1),) and not result.converged
+
+    def test_noisy_sparse_5db_decodes_converge(self):
+        """At 5 dB the bins left after a good decode hold noise alone,
+        which the residual cap accepts: a decode that recovers the whole
+        support reports convergence, and lists a bin only when it still
+        holds an unrecovered coefficient."""
+        kw = dict(preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3)
+        plan = plan_for_config(ExperimentConfig(**kw, seed=20260817))
+        con = Constellation(ExperimentConfig(**kw).rho)
+        converged = 0
+        for seed in range(1, 11):
+            truth = random_spectrum(plan.n, 40, con, seed)
+            signal = add_noise(synthesize(truth), 1.0, seed)
+            result = decode(subsample_and_transform(signal, plan), con)
+            assert result.converged == (not result.multi_ton_bins)
+            if np.array_equal(result.spectrum.indices, truth.indices):
+                assert result.converged
+            converged += result.converged
+        assert converged >= 9
+
+    def test_decode_is_deterministic(self):
+        kw = dict(preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3)
+        plan = plan_for_config(ExperimentConfig(**kw, seed=20260817))
+        con = Constellation(ExperimentConfig(**kw).rho)
+        truth = random_spectrum(plan.n, 40, con, 4)
+        bank = subsample_and_transform(add_noise(synthesize(truth), 1.0, 4), plan)
+        first, second = decode(bank, con), decode(bank, con)
+        assert first == second
+        assert first.events == second.events and len(first.events) > 0
+
     def test_max_passes_cap_respected(self, plan504):
         truth = random_spectrum(504, 7, Constellation(4.0), seed=2)
         result = decode(_bank_for(truth, plan504), max_passes=1)
@@ -255,3 +326,20 @@ class TestDecodeFrozen:
             assert events == [event[:4] for event in expected]
             values = [e.value for e in result.events]
             assert values == [points[event[4]] for event in expected]
+
+
+class TestDenseNoiselessFrozen:
+    def test_dense_noiseless_events_are_frozen(self):
+        """Composite-stage noiseless decodes peel the recorded (pass,
+        stage, bin, support, grid point) sequence, value for value."""
+        kw = dict(preset="n4845", k=170, snr_db=None)
+        plan = plan_for_config(ExperimentConfig(**kw, seed=20260817))
+        con = Constellation(ExperimentConfig(**kw).rho)
+        points = con.points()
+        frozen = json.loads(FROZEN_DENSE_NOISELESS_EVENTS.read_text())
+        for seed, expected in frozen.items():
+            truth = random_spectrum(plan.n, 170, con, int(seed))
+            result = decode(_bank_for(truth, plan), con)
+            events = [[e.pass_index, e.stage, e.bin, e.support] for e in result.events]
+            assert events == [event[:4] for event in expected]
+            assert [e.value for e in result.events] == [points[event[4]] for event in expected]

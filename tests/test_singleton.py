@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincc, gammainccinv
 
-from conftest import make_singleton_obs
+from conftest import classify_one, make_singleton_obs
 from ffast import oracle
-from ffast.frontend import BinObservation, steering_vector, subsample_and_transform
+from ffast.frontend import steering_vector, subsample_and_transform
 from ffast.planner import build_plan
 from ffast.singleton import (
     VerdictKind,
+    VerdictReason,
+    bin_statistics,
     classify_bin,
     cluster_estimate,
     kay_weights,
@@ -183,8 +187,7 @@ class TestThresholds:
 
 class TestClassifyBin:
     def test_zero_observation_is_zero_ton(self, plan20):
-        obs = BinObservation(0, 0, np.zeros(plan20.chain_count, complex))
-        v = classify_bin(obs, plan20)
+        v = classify_one(np.zeros(plan20.chain_count, complex), 0, 0, plan20)
         assert v.kind is VerdictKind.ZERO_TON
         assert v.residual_energy == 0.0
         assert v.support is None and v.value is None
@@ -192,7 +195,7 @@ class TestClassifyBin:
     def test_noiseless_singleton_exact(self, plan20):
         value = 1.5 * np.exp(1j * np.pi / 4 * 7)
         obs = make_singleton_obs(plan20, 10, value)
-        v = classify_bin(obs, plan20)
+        v = classify_one(*obs, plan20)
         assert v.kind is VerdictKind.SINGLETON
         assert v.support == 10
         assert abs(v.value - value) < 1e-12
@@ -203,10 +206,10 @@ class TestClassifyBin:
         value = complex(con.points()[9])
         rng = np.random.default_rng(4)
         obs = make_singleton_obs(plan20, 13, value, rng=rng)
-        v = classify_bin(obs, plan20, con)
+        v = classify_one(*obs, plan20, con)
         assert v.kind is VerdictKind.SINGLETON
         assert v.value == value  # snapping returns the grid point bit-exactly
-        unsnapped = classify_bin(obs, plan20)
+        unsnapped = classify_one(*obs, plan20)
         assert unsnapped.value != value  # noise keeps the raw fit off-grid
 
     def test_zero_chain_sample_is_multi_ton(self, plan20):
@@ -215,11 +218,10 @@ class TestClassifyBin:
         support 0 every cluster's phase is 0 anyway, and the least-squares
         fit leaves a residual under the cap, so only the zero-sample check
         keeps this bin from being a singleton."""
-        obs = make_singleton_obs(plan20, 0, 1.5)
-        y = obs.y.copy()
+        y, stage, j = make_singleton_obs(plan20, 0, 1.5)
         y[1] = 0
         assert np.vdot(y, y).real >= zero_ton_threshold(plan20)
-        v = classify_bin(BinObservation(obs.stage, obs.bin, y), plan20)
+        v = classify_one(y, stage, j, plan20)
         assert v.kind is VerdictKind.MULTI_TON
         assert v.support is None and v.value is None
 
@@ -228,7 +230,7 @@ class TestClassifyBin:
         values = {1: 1.5 + 0j, 5: 1.5j}
         spectrum = SparseSpectrum.from_pairs(20, values)
         bank = subsample_and_transform(synthesize(spectrum), plan20)
-        v = classify_bin(bank.observation(0, 1), plan20)
+        v = classify_one(bank.stages[0][1], 0, 1, plan20)
         assert v.kind is VerdictKind.MULTI_TON
 
     def test_unclustered_plan_rejected(self):
@@ -236,9 +238,8 @@ class TestClassifyBin:
 
         plan = FrontendPlan(n=20, bin_counts=(4, 5), clusters=2, per_cluster=2,
                             base=3, shifts=(0, 5, 11, 2))
-        obs = BinObservation(0, 0, np.full(4, 10.0 + 0j))
         with pytest.raises(ValueError):
-            classify_bin(obs, plan)
+            classify_one(np.full(4, 10.0 + 0j), 0, 0, plan)
 
     def test_zero_noise_exactness_over_random_supports(self):
         plan = build_plan("n4845", 10, seed=17)
@@ -250,7 +251,7 @@ class TestClassifyBin:
             value = complex(pts[rng.integers(pts.size)])
             stage = int(rng.integers(plan.d))
             obs = make_singleton_obs(plan, ell, value, stage=stage)
-            v = classify_bin(obs, plan)
+            v = classify_one(*obs, plan)
             assert v.kind is VerdictKind.SINGLETON
             assert v.support == ell
             assert abs(v.value - value) < 1e-12
@@ -268,10 +269,10 @@ class TestClassifyBin:
             ell = int(rng.integers(plan504.n))
             value = math.sqrt(rho_b / f) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             obs = make_singleton_obs(plan504, ell, value, rng=rng, stage=stage)
-            v = classify_bin(obs, plan504)
+            v = classify_one(*obs, plan504)
             if v.kind is not VerdictKind.SINGLETON:
                 continue
-            brute_ell, _, _ = oracle.brute_singleton(obs, plan504)
+            brute_ell, _, _ = oracle.brute_singleton(*obs, plan504)
             both += 1
             agree += brute_ell == v.support
         assert both > 5000
@@ -290,7 +291,90 @@ class TestClassifyBin:
             ell = int(rng.integers(plan_big.n))
             value = amp * np.exp(1j * rng.uniform(0, 2 * np.pi))
             obs = make_singleton_obs(plan_big, ell, value, rng=rng, stage=stage)
-            v = classify_bin(obs, plan_big)
+            v = classify_one(*obs, plan_big)
             if v.kind is not VerdictKind.SINGLETON or v.support != ell:
                 bad += 1
         assert bad / trials <= 1e-3
+
+
+def _mixed_rows(plan, seed, count):
+    """count bin rows of every kind: empty, noise, lone tones, two-tone
+    mixtures, rows with a zero sample; with a (stage, bin) each."""
+    rng = np.random.default_rng(seed)
+    d = plan.chain_count
+    rows, stages, bins = [], [], []
+    for _ in range(count):
+        stage = int(rng.integers(plan.d))
+        f = plan.bin_counts[stage]
+        ell = int(rng.integers(plan.n))
+        y = math.sqrt(f) * rng.uniform(0.5, 3.0) * np.exp(2j * np.pi * rng.uniform()) \
+            * steering_vector(ell, plan)
+        kind = int(rng.integers(5))
+        if kind == 2:
+            y = y + math.sqrt(f) * 1.5j * steering_vector(ell + f, plan)
+        y = y + (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * rng.uniform(0, 1)
+        if kind == 0:
+            y = np.zeros(d, complex)
+        elif kind == 3:
+            y[int(rng.integers(d))] = 0
+        rows.append(y)
+        stages.append(stage)
+        bins.append(ell % f)
+    return np.array(rows), stages, bins
+
+
+class TestBinStatistics:
+    def test_each_reason_is_reached(self, plan20):
+        """One constructed row per reason.  A tone whose chain samples are
+        scaled by positive reals keeps its exact phase differences, so
+        its estimate is the tone's own support, while the scaling sets
+        the fit's residual: one dominant sample leaves about 5/6 of the
+        energy unexplained, under the residual cap at energy 10 and over
+        it at energy 100."""
+        d = plan20.chain_count
+        cap = singleton_residual_threshold(d, plan20.gamma)
+        assert zero_ton_threshold(plan20) < 10.0 < cap < 100.0 * (1 - 1 / d)
+        tone = steering_vector(13, plan20)
+        spiky = np.full(d, 1e-3)
+        spiky[0] = 1.0
+        zero_sample = 2.0 * tone
+        zero_sample[2] = 0
+        rows = np.array([
+            np.zeros(d, complex),  # energy gate
+            zero_sample,  # zero sample
+            2.0 * tone,  # support 13 seen in bin 14 % 4 = 2: off its class
+            10.0 * tone * spiky,  # residual over the cap
+            math.sqrt(10.0) * tone * spiky,  # residual under the cap, poor fit
+            2.0 * tone,  # a lone tone
+        ])
+        stages = [0] * 6
+        bins = [0, 1, 2, 1, 1, 1]
+        stats = bin_statistics(rows, stages, bins, plan20)
+        verdicts = [classify_bin(stats, i) for i in range(len(rows))]
+        assert [v.reason for v in verdicts] == list(VerdictReason)
+        assert [v.kind for v in verdicts] == (
+            [VerdictKind.ZERO_TON] + [VerdictKind.MULTI_TON] * 4 + [VerdictKind.SINGLETON]
+        )
+        assert verdicts[-1].support == 13
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 24), snap=st.booleans())
+    def test_stack_matches_one_row_calls(self, plan504, seed, count, snap):
+        """Each row of a stacked call gets the verdict and support of a
+        call on that row alone; sums may run in another order in the
+        two forms, so values agree to a few ulp."""
+        con = Constellation(4.0) if snap else None
+        rows, stages, bins = _mixed_rows(plan504, seed, count)
+        stacked = bin_statistics(rows, stages, bins, plan504, con)
+        ulp = np.finfo(float).eps
+        for i in range(count):
+            together = classify_bin(stacked, i)
+            alone = classify_one(rows[i], stages[i], bins[i], plan504, con)
+            assert (together.kind, together.reason) == (alone.kind, alone.reason)
+            assert together.support == alone.support
+            if together.value is not None:
+                assert abs(together.value - alone.value) <= 64 * ulp * abs(alone.value)
+            scale = max(1.0, stacked.energy[i])
+            assert together.residual_energy == pytest.approx(
+                alone.residual_energy, rel=0, abs=64 * ulp * scale
+            )
