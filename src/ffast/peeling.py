@@ -6,9 +6,9 @@ commits the singleton verdicts in ascending residual order, most
 confident first.  A commit subtracts the coefficient's steering
 contribution from the one bin it aliases into in every stage, which can
 turn a multi-ton elsewhere into a fresh singleton, so passes repeat
-until a pass commits nothing.  Decoding converges when no bin's
-leftover energy exceeds the singleton residual cap: what is left is
-noise, not an unrecovered coefficient.
+until a pass commits nothing (at most MAX_PASSES).  Decoding converges
+when no bin's leftover energy exceeds the singleton residual cap: what
+is left is noise, not an unrecovered coefficient.
 
 A result keeps its peel events as one packed record each (support,
 value, pass, stage; the bin is the support's residue in that stage),
@@ -18,7 +18,6 @@ PeelEvent objects from them when read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +35,9 @@ from .spectral import Constellation, SparseSpectrum
 # A uint32 support covers every n the decoder handles: steering_vector's
 # int64 phase products already need n below 2**31.5.
 _RECORD = np.dtype([("support", "<u4"), ("value", "<u4"), ("pass", "<u2"), ("stage", "u1")])
+
+# A decode stops after this many passes even if the last one committed.
+MAX_PASSES = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,16 +86,6 @@ class DecodeResult:
         )
 
 
-@lru_cache(maxsize=16)
-def _bin_keys(bin_counts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The (stage, bin) pair of every bank row, made once.
-
-    A failed decode lists the bins left over; as shared tuples they cost
-    a result that is kept no memory of its own.
-    """
-    return tuple((stage, j) for stage, f in enumerate(bin_counts) for j in range(f))
-
-
 def peel(bank: BinBank, support: int, value: complex) -> list[int]:
     """Subtract coefficient `value` at `support` from every stage in place.
 
@@ -106,13 +98,8 @@ def peel(bank: BinBank, support: int, value: complex) -> list[int]:
     return rows
 
 
-def decode(
-    bank: BinBank,
-    constellation: Constellation | None = None,
-    *,
-    max_passes: int = 32,
-) -> DecodeResult:
-    """Run classify-and-peel passes until a pass commits nothing.
+def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeResult:
+    """Run classify-and-peel passes until a pass commits nothing, or MAX_PASSES.
 
     Within a pass, candidate singletons are ordered by residual energy
     (then stage, then bin) and checked against the live bank just before
@@ -133,7 +120,7 @@ def decode(
     value_ids: dict[complex, int] = {}
     passes = 0
 
-    while passes < max_passes:
+    while passes < MAX_PASSES:
         passes += 1
         stats = bin_statistics(bank.rows, row_stage, row_bin, plan, constellation)
         candidates = []
@@ -162,9 +149,9 @@ def decode(
         if not touched:
             break
 
-    keys = _bin_keys(plan.bin_counts)
     cap = singleton_residual_threshold(plan.chain_count, plan.gamma)
-    leftover = tuple(keys[row] for row in np.flatnonzero(row_energies(bank.rows) > cap))
+    left = row_energies(bank.rows) > cap
+    leftover = tuple(zip(row_stage[left].tolist(), row_bin[left].tolist()))
     log = np.array(records, dtype=_RECORD).tobytes()
     values = np.array(list(value_ids), dtype=np.complex128).tobytes()
     return DecodeResult(plan, not leftover, passes, leftover, log, values)

@@ -260,6 +260,16 @@ class FrontendPlan:
         return _read_only(np.concatenate([np.arange(f) for f in self.bin_counts]))
 
     @cached_property
+    def sample_index(self) -> np.ndarray:
+        """Time index each bank row reads under each shift (read-only).
+
+        Row a of a stage with f bins reads (a * n/f + r_t) mod n under
+        shift r_t: a (sum f_i, D) int64 array, laid out like the bank.
+        """
+        periods = np.repeat(self.periods, self.bin_counts)
+        return _read_only(((self.row_bin * periods)[:, None] + self.shift_array) % self.n)
+
+    @cached_property
     def clustered(self) -> bool:
         """True when shifts follow the (head + j * base**c) cluster pattern."""
         if self.per_cluster < 2:

@@ -136,7 +136,6 @@ class BinStatistics:
     because classify_bin reads them one row at a time.
     """
 
-    energy: list[float]
     reason: list[int]
     support: list[int]
     value: list[complex]
@@ -274,9 +273,7 @@ def bin_statistics(
             )
             value[fit] = fitted
             residual[fit] = left
-    return BinStatistics(
-        energy.tolist(), reason.tolist(), support.tolist(), value.tolist(), residual.tolist()
-    )
+    return BinStatistics(reason.tolist(), support.tolist(), value.tolist(), residual.tolist())
 
 
 def classify_bin(stats: BinStatistics, i: int) -> BinVerdict:

@@ -3,11 +3,11 @@
 Conventions used throughout the package:
 
 * synthesis:  x[p] = sum_q X[l_q] * exp(+2j*pi*l_q*p/n), no 1/n factor.
-  synthesize keeps the spectrum and evaluates nothing; TimeSignal.chains
-  evaluates only the samples a front end reads, and the dense view of
-  all n samples comes from exp_sums: a blocked O(n*k) product for sparse
-  spectra, n * ifft of the dense spectrum when k is large enough that
-  the FFT is cheaper;
+  synthesize keeps the spectrum and evaluates nothing; the front end,
+  which alone knows which samples it reads, evaluates only those, and
+  the dense view of all n samples comes from exp_sums: a blocked
+  O(n*k) product for sparse spectra, n * ifft of the dense spectrum
+  when k is large enough that the FFT is cheaper;
 * analysis:   X[l] = (1/n) * sum_p x[p] * exp(-2j*pi*l*p/n);
 * noise:      y = x + z with z circular complex Gaussian, so a noise
   variance of 1.0 means unit variance per complex sample (0.5 per
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -71,27 +71,15 @@ class Constellation:
         return (mags[:, None] * phasors[None, :]).ravel()
 
     @cached_property
-    def _grid(self) -> tuple[np.ndarray, tuple[complex, ...]]:
-        return _grid_points(self)
+    def _grid(self) -> np.ndarray:
+        pts = self.points()
+        pts.flags.writeable = False
+        return pts
 
     def snap(self, value):
-        """Nearest grid point to value (Euclidean distance in C).
-
-        For one complex value, returns one of the grid's own complex
-        objects, which every equal Constellation shares.  For an array,
-        returns the array of nearest points, entry by entry.
-        """
-        pts, values = self._grid
-        nearest = np.argmin(np.abs(pts - np.asarray(value)[..., None]), axis=-1)
-        if nearest.ndim:
-            return pts[nearest]
-        return values[int(nearest)]
-
-
-@lru_cache(maxsize=16)
-def _grid_points(constellation: Constellation) -> tuple[np.ndarray, tuple[complex, ...]]:
-    pts = constellation.points()
-    return pts, tuple(complex(p) for p in pts)
+        """Nearest grid point to value, entry by entry (Euclidean distance in C)."""
+        pts = self._grid
+        return pts[np.argmin(np.abs(pts - np.asarray(value)[..., None]), axis=-1)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,8 +168,9 @@ class TimeSignal:
     index p, so it is the same value however many samples are read and
     in what order.
 
-    samples is the dense view, all n samples, computed on first use.
-    chains evaluates only the samples a front end reads.
+    samples is the dense view, all n samples, computed on first use, and
+    clean its noiseless part.  A front end that reads only some samples
+    evaluates the spectrum itself and adds the noise with add_noise_at.
     """
 
     def __init__(
@@ -198,7 +187,7 @@ class TimeSignal:
             s = np.asarray(samples, dtype=np.complex128)
             if s.ndim != 1 or s.size != n:
                 raise ValueError(f"expected {n} samples, got shape {s.shape}")
-            self._clean = s
+            self.clean = s
         elif spectrum.n != n:
             raise ValueError(f"spectrum length {spectrum.n} does not match n={n}")
         self.n = n
@@ -206,107 +195,38 @@ class TimeSignal:
         self.noise = tuple(noise)
 
     @cached_property
-    def _clean(self) -> np.ndarray:
+    def clean(self) -> np.ndarray:
         """The noiseless samples, all n of them."""
         return exp_sums(self.n, self.spectrum.indices, self.spectrum.values)
 
     @cached_property
     def samples(self) -> np.ndarray:
         if not self.noise:
-            return self._clean
-        return self._add_noise_at(self._clean.copy(), np.arange(self.n))
+            return self.clean
+        return self.add_noise_at(self.clean.copy(), np.arange(self.n))
 
-    def _add_noise_at(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    def add_noise_at(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Add the noise at each sample index to x, in place, and return x."""
         for variance, seed in self.noise:
             x += complex_normal(seed, _STREAM_NOISE, index, variance)
         return x
 
-    def chains(self, bin_counts: tuple[int, ...], shifts: tuple[int, ...]) -> list[np.ndarray]:
-        """x[(a*n/f + r_t) mod n] for a < f as an (f, D) array, one per f.
 
-        A spectrum-backed signal evaluates them in factored form when
-        that is the cheaper way (see factored_is_cheaper):
+def _random_support(n: int, k: int, seed: int) -> np.ndarray:
+    """k distinct indices in [0, n), drawn uniformly and sorted.
 
-            x[a*n/f + r] = sum_q e^{2j*pi*(a*l_q mod f)/f} * X_q e^{2j*pi*l_q*r/n},
-
-        a (sum f x k) table looked up among the f-th roots of unity, times
-        one (k x D) table whose phase products are reduced mod n in exact
-        integer arithmetic, as steering_vector does.  Otherwise they are
-        gathered from the noiseless samples.  The noise is then added at
-        the indices read.
-        """
-        n = self.n
-        grid = _read_grid(n, tuple(bin_counts), tuple(shifts))
-        spec = self.spectrum
-        if spec is None or not factored_is_cheaper(n, spec.k, grid.index.size):
-            x = self._clean[grid.index]
-        else:
-            ells = spec.indices
-            phases = (ells[:, None] * grid.shifts) % n
-            steer = spec.values[:, None] * np.exp(2j * np.pi * phases / n)
-            x = grid.roots[(grid.rows * ells) % grid.periods + grid.root_offsets] @ steer
-        return np.split(self._add_noise_at(x, grid.index), grid.splits)
-
-
-@dataclass(frozen=True)
-class _ReadGrid:
-    """What TimeSignal.chains needs of a front end's sample pattern.
-
-    index is the (sum f, D) array of sample indices, stages stacked;
-    rows holds each row's a, periods its stage's f and root_offsets
-    where that stage's f roots of unity start in roots.
+    Every value model draws its support here, so one seed gives one
+    support whatever the values.
     """
-
-    index: np.ndarray
-    shifts: np.ndarray
-    rows: np.ndarray
-    periods: np.ndarray
-    root_offsets: np.ndarray
-    roots: np.ndarray
-    splits: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _read_grid(n: int, bin_counts: tuple[int, ...], shifts: tuple[int, ...]) -> _ReadGrid:
-    counts = np.array(bin_counts, dtype=np.int64)
-    rows = np.concatenate([np.arange(f, dtype=np.int64) for f in bin_counts])[:, None]
-    periods = np.repeat(counts, counts)[:, None]
-    shift_array = np.array(shifts, dtype=np.int64)
-    ends = np.cumsum(counts)
-    grid = _ReadGrid(
-        index=(rows * (n // periods) + shift_array) % n,
-        shifts=shift_array,
-        rows=rows,
-        periods=periods,
-        root_offsets=np.repeat(ends - counts, counts)[:, None],
-        roots=np.exp(2j * np.pi * rows[:, 0] / periods[:, 0]),
-        splits=ends[:-1],
-    )
-    for array in vars(grid).values():
-        array.flags.writeable = False
-    return grid
-
-
-def factored_is_cheaper(n: int, k: int, m: int) -> bool:
-    """Whether m samples of a k-sparse n-point signal are cheaper factored.
-
-    The factored form costs about m*k multiply-adds.  Evaluating all n
-    samples costs about n*k (exp_sums' blocked product) or n*log2(n)
-    (its FFT), after which reading m of them is a gather.  A dense
-    spectrum read at more than n samples, such as k=170 at n=4845 with
-    m=37,972, therefore stays on the gather.
-    """
-    return m * k <= n * min(k, math.log2(n))
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, n], got k={k}, n={n}")
+    rng = generator(seed, _STREAM_SUPPORT)
+    return np.sort(rng.choice(n, size=k, replace=False).astype(np.int64))
 
 
 def random_spectrum(n: int, k: int, constellation: Constellation, seed: int) -> SparseSpectrum:
     """Draw k distinct support points uniformly and values uniformly from the grid."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, n], got k={k}, n={n}")
-    if k == 0:
-        return SparseSpectrum.empty(n)
-    rng = generator(seed, _STREAM_SUPPORT)
-    support = np.sort(rng.choice(n, size=k, replace=False).astype(np.int64))
+    support = _random_support(n, k, seed)
     vrng = generator(seed, _STREAM_VALUES)
     mags = constellation.magnitudes()[vrng.integers(0, constellation.m1 + 1, size=k)]
     phis = constellation.phases()[vrng.integers(0, constellation.m2, size=k)]
@@ -316,17 +236,12 @@ def random_spectrum(n: int, k: int, constellation: Constellation, seed: int) -> 
 def random_phase_spectrum(n: int, k: int, amplitude: float, seed: int) -> SparseSpectrum:
     """Fixed-amplitude coefficients with phases uniform on [0, 2*pi).
 
-    The support draw matches random_spectrum for the same seed, so the
-    two value models are comparable instance by instance.
+    The support is random_spectrum's for the same seed, so the two value
+    models are comparable instance by instance.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, n], got k={k}, n={n}")
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
-    if k == 0:
-        return SparseSpectrum.empty(n)
-    rng = generator(seed, _STREAM_SUPPORT)
-    support = np.sort(rng.choice(n, size=k, replace=False).astype(np.int64))
+    support = _random_support(n, k, seed)
     prng = generator(seed, _STREAM_PHASES)
     values = amplitude * np.exp(1j * prng.uniform(0.0, 2.0 * np.pi, size=k))
     return SparseSpectrum(n, support, values)
@@ -391,7 +306,7 @@ def add_noise(signal: TimeSignal, noise_variance: float, seed: int) -> TimeSigna
     spectrum = signal.spectrum
     return TimeSignal(
         signal.n,
-        None if spectrum is not None else signal._clean,
+        None if spectrum is not None else signal.clean,
         spectrum=spectrum,
         noise=signal.noise + ((float(noise_variance), seed),),
     )

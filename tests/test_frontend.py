@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ffast.bench import ExperimentConfig, plan_for_config
-from ffast.frontend import BinBank, bin_index, steering_vector, subsample_and_transform
+from ffast.frontend import (
+    BinBank,
+    bin_index,
+    factored_is_cheaper,
+    row_energies,
+    steering_vector,
+    subsample_and_transform,
+)
 from ffast.planner import PRESETS, FrontendPlan, build_plan
 from ffast.spectral import (
     Constellation,
@@ -16,7 +23,6 @@ from ffast.spectral import (
     TimeSignal,
     add_noise,
     exp_sums,
-    factored_is_cheaper,
     random_phase_spectrum,
     random_spectrum,
     synthesize,
@@ -172,8 +178,7 @@ class TestSampleSource:
 
     def test_dense_noiseless_reads_the_samples_it_always_did(self):
         """On the gather side the bank is bit-identical to gathering
-        from the synthesized samples, as the front end did before it
-        asked the signal for its chains."""
+        the synthesized samples stage by stage and transforming them."""
         plan = plan_for_config(ExperimentConfig(preset="n4845", k=170, snr_db=None, seed=3))
         truth = random_spectrum(plan.n, 170, Constellation(4.0), seed=11)
         samples = exp_sums(plan.n, truth.indices, truth.values)
@@ -186,7 +191,7 @@ class TestSampleSource:
         truth = random_spectrum(plan_big.n, 40, Constellation(4.0), seed=2)
         signal = add_noise(synthesize(truth), 1.0, seed=2)
         subsample_and_transform(signal, plan_big)
-        assert "samples" not in vars(signal) and "_clean" not in vars(signal)
+        assert "samples" not in vars(signal) and "clean" not in vars(signal)
 
 
 class TestNoiseStatistics:
@@ -207,7 +212,7 @@ class TestNoiseStatistics:
         for t in range(10_000):
             noisy = add_noise(zero, 1.0, seed=50_000 + t)
             bank = subsample_and_transform(noisy, plan)
-            draws[t] = bank.energies(0)[0]
+            draws[t] = row_energies(bank.stages[0])[0]
         edges = stats.chi2.ppf(np.linspace(0, 1, 21), df=2 * d) / 2.0
         observed, _ = np.histogram(draws, bins=edges)
         _, p_value = stats.chisquare(observed)
@@ -222,7 +227,7 @@ class TestBinBank:
             manual = np.array([
                 float(np.vdot(row, row).real) for row in bank.stages[stage]
             ])
-            np.testing.assert_allclose(bank.energies(stage), manual, atol=1e-9)
+            np.testing.assert_allclose(row_energies(bank.stages[stage]), manual, atol=1e-9)
 
     def test_copy_is_independent(self, plan20):
         spectrum = random_spectrum(20, 3, Constellation(1.0), seed=2)

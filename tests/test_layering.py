@@ -1,0 +1,58 @@
+"""Import layering of the package, read from its source with ast."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ffast"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def package_imports(module: str) -> set[tuple[str, str | None]]:
+    """(module, name) for each name `module` imports from the package.
+
+    `from .planner import FrontendPlan` gives ("planner", "FrontendPlan");
+    a whole module, as in `from . import oracle`, gives ("oracle", None).
+    """
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                source = node.module
+            elif node.level == 0 and (node.module or "").split(".")[0] == "ffast":
+                source = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                found.add((source, alias.name) if source else (alias.name, None))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "ffast":
+                    found.add((rest or "ffast", None))
+    return found
+
+
+def test_the_source_is_found():
+    assert {"oracle", "spectral", "randomness", "peeling"} <= set(MODULES)
+    assert ("planner", "FrontendPlan") in package_imports("oracle")
+
+
+def test_oracle_imports_only_the_shared_data_types():
+    # the oracle checks the fast path, so it shares no code with it
+    allowed = {("planner", "FrontendPlan"), ("spectral", "SparseSpectrum"),
+               ("spectral", "TimeSignal")}
+    assert package_imports("oracle") <= allowed
+
+
+@pytest.mark.parametrize("module", ["spectral", "randomness"])
+def test_signal_model_knows_nothing_of_the_front_end_or_decoder(module):
+    sources = {source for source, _ in package_imports(module)}
+    assert not sources & {"planner", "frontend", "singleton", "peeling"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_a_private_name(module):
+    private = [(source, name) for source, name in package_imports(module)
+               if (name or source).startswith("_")]
+    assert private == []

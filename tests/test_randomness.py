@@ -93,10 +93,12 @@ class TestReadWhereUsed:
         """Row a = 0 of every stage reads x[r_t]: the same noise each time,
         and the value the dense view holds there."""
         signal = add_noise(synthesize(SparseSpectrum.empty(504)), 1.0, seed=5)
-        chains = signal.chains(plan504.bin_counts, plan504.shifts)
-        for stage in chains:
-            np.testing.assert_array_equal(stage[0], chains[0][0])
-        np.testing.assert_array_equal(chains[0][0], signal.samples[plan504.shift_array])
+        index = plan504.sample_index
+        read = signal.add_noise_at(np.zeros(index.shape, dtype=np.complex128), index)
+        for first in plan504.row_offsets:
+            np.testing.assert_array_equal(index[first], plan504.shift_array)
+            np.testing.assert_array_equal(read[first], read[0])
+        np.testing.assert_array_equal(read[0], signal.samples[plan504.shift_array])
 
     def test_front_end_reads_the_dense_view(self, plan504):
         signal = add_noise(synthesize(SparseSpectrum.empty(504)), 2.0, seed=8)
