@@ -32,8 +32,13 @@ class BinBank:
 
     rows is a (sum f_i, D) complex array: row plan.row_offsets[i] + j is
     bin j of stage i, and stages[i] is the (f_i, D) view of stage i's
-    rows.  The bank a decoder mutates should be a copy(); readers treat
-    banks as frozen.
+    rows.  record_peel notes the subtraction of one coefficient's
+    contribution without doing it; the next read of rows or stages
+    applies every subtraction noted so far in one batch, in the order
+    they were noted, so a reader always sees the fully peeled bank,
+    bit for bit what subtracting one coefficient at a time gives.  The
+    bank a decoder mutates should be a copy(); readers treat banks as
+    frozen.
     """
 
     def __init__(self, plan: FrontendPlan, rows: np.ndarray):
@@ -43,11 +48,42 @@ class BinBank:
                 f"bank shape {rows.shape} != ({sum(plan.bin_counts)}, {plan.chain_count})"
             )
         self.plan = plan
-        self.rows = rows
-        self.stages = [rows[o : o + f] for o, f in zip(plan.row_offsets, plan.bin_counts)]
+        self._rows = rows
+        self._stages = [rows[o : o + f] for o, f in zip(plan.row_offsets, plan.bin_counts)]
+        self._peels: list[tuple[int, complex]] = []
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._peels:
+            self._apply_peels()
+        return self._rows
+
+    @property
+    def stages(self) -> list[np.ndarray]:
+        if self._peels:
+            self._apply_peels()
+        return self._stages
 
     def copy(self) -> "BinBank":
         return BinBank(self.plan, self.rows.copy())
+
+    def record_peel(self, support: int, value: complex) -> None:
+        """Note that value * sqrt(f_i) * s_support leaves bin support mod f_i of each stage."""
+        self._peels.append((support, value))
+
+    def _apply_peels(self) -> None:
+        plan = self.plan
+        supports = np.array([support for support, _ in self._peels], dtype=np.int64)
+        values = np.array([value for _, value in self._peels], dtype=np.complex128)
+        self._peels.clear()
+        counts = np.asarray(plan.bin_counts)
+        targets = supports[:, None] % counts + np.asarray(plan.row_offsets)
+        # the same products, in the same order, as one peel at a time:
+        # (sqrt(f) * value) * steering vector
+        scaled = np.sqrt(counts)[:, None] * values[:, None, None]
+        deltas = scaled * steering_vector(supports, plan)[:, None, :]
+        # subtract.at applies repeated rows one after another, in peel order
+        np.subtract.at(self._rows, targets.ravel(), deltas.reshape(-1, plan.chain_count))
 
 
 def row_energies(rows: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ def support_recovery(est: SparseSpectrum, truth: SparseSpectrum) -> tuple[bool, 
     if est.n != truth.n:
         raise ValueError(f"length mismatch: {est.n} vs {truth.n}")
     success = bool(np.array_equal(est.indices, truth.indices))
-    union = np.union1d(est.indices, truth.indices)
+    union = est.support_union(truth)
     denom = float(np.abs(truth.values).sum())
     numer = float(np.abs(est.values_at(union) - truth.values_at(union)).sum())
     if denom == 0.0:

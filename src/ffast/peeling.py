@@ -24,6 +24,7 @@ import numpy as np
 from .frontend import BinBank, bin_index, row_energies, steering_vector
 from .planner import FrontendPlan
 from .singleton import (
+    BinStatistics,
     VerdictKind,
     bin_statistics,
     classify_bin,
@@ -87,15 +88,15 @@ class DecodeResult:
 
 
 def peel(bank: BinBank, support: int, value: complex) -> list[int]:
-    """Subtract coefficient `value` at `support` from every stage in place.
+    """Subtract coefficient `value` at `support` from every stage.
 
-    Returns the bank rows it changed, one per stage.
+    The bank records the subtraction and applies it, with any others
+    recorded since, on its next read.  Returns the bank rows it changes,
+    one per stage.
     """
     plan = bank.plan
-    rows = [o + bin_index(support, stage, plan) for stage, o in enumerate(plan.row_offsets)]
-    gains = np.sqrt(plan.bin_counts)[:, None]
-    bank.rows[rows] -= gains * value * steering_vector(support, plan)
-    return rows
+    bank.record_peel(support, value)
+    return [o + bin_index(support, stage, plan) for stage, o in enumerate(plan.row_offsets)]
 
 
 def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeResult:
@@ -109,35 +110,51 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     poisoning the output.  An untouched row holds what it held when the
     pass began, so its verdict stands.  A support reported twice keeps
     only the lowest-residual sighting.
+
+    A verdict depends on its row alone, so one set of statistics serves
+    every pass: a pass after the first recomputes only the rows that
+    commits have touched since.  A re-read covers every candidate still
+    ahead in the pass whose row has been touched, and a row's re-read
+    stands until another commit touches it.
     """
     bank = bank.copy()
     plan = bank.plan
     row_stage, row_bin = plan.row_stage, plan.row_bin
     stage_of = row_stage.tolist()
+
+    def statistics(rows) -> BinStatistics:
+        return bin_statistics(bank.rows[rows], row_stage[rows], row_bin[rows], plan, constellation)
+
     recovered: set[int] = set()
     records = []
     # equal values share an entry, so a 0.0 and a -0.0 part are not told apart
     value_ids: dict[complex, int] = {}
+    stats = statistics(slice(None))
     passes = 0
 
-    while passes < MAX_PASSES:
+    while True:
         passes += 1
-        stats = bin_statistics(bank.rows, row_stage, row_bin, plan, constellation)
         candidates = []
         for row in range(len(stage_of)):
             verdict = classify_bin(stats, row)
             if verdict.kind is VerdictKind.SINGLETON:
                 candidates.append((verdict.residual_energy, row, verdict))
-        # rows are stage-major, so row order is (stage, bin) order
-        candidates.sort(key=lambda c: c[:2])
+        # rows are stage-major, so row order is (stage, bin) order; rows
+        # are distinct, so the sort never compares two verdicts
+        candidates.sort()
+        position = {row: at for at, (_, row, _) in enumerate(candidates)}
+        # candidate rows still ahead that a commit has touched since they were read
+        stale: set[int] = set()
+        reread: dict[int, tuple[BinStatistics, int]] = {}
         touched: set[int] = set()
-        for _, row, verdict in candidates:
-            if row in touched:
-                one = slice(row, row + 1)
-                reread = bin_statistics(
-                    bank.rows[one], row_stage[one], row_bin[one], plan, constellation
-                )
-                verdict = classify_bin(reread, 0)
+        for at, (_, row, verdict) in enumerate(candidates):
+            if row in stale:
+                rows = sorted(stale)
+                fresh = statistics(rows)
+                reread.update((r, (fresh, i)) for i, r in enumerate(rows))
+                stale.clear()
+            if row in reread:
+                verdict = classify_bin(*reread[row])
                 if verdict.kind is not VerdictKind.SINGLETON:
                     continue
             if verdict.support in recovered:
@@ -145,9 +162,18 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
             recovered.add(verdict.support)
             value_id = value_ids.setdefault(verdict.value, len(value_ids))
             records.append((verdict.support, value_id, passes, stage_of[row]))
-            touched.update(peel(bank, verdict.support, verdict.value))
-        if not touched:
+            for r in peel(bank, verdict.support, verdict.value):
+                touched.add(r)
+                if position.get(r, -1) > at:
+                    stale.add(r)
+        if not touched or passes == MAX_PASSES:
             break
+        rows = sorted(touched)
+        fresh = statistics(rows)
+        for name in ("reason", "support", "value", "residual"):
+            column, update = getattr(stats, name), getattr(fresh, name)
+            for i, row in enumerate(rows):
+                column[row] = update[i]
 
     cap = singleton_residual_threshold(plan.chain_count, plan.gamma)
     left = row_energies(bank.rows) > cap

@@ -111,6 +111,13 @@ class VerdictReason(enum.IntEnum):
 
 
 _REASONS = tuple(VerdictReason)
+# The codes as plain ints for bin_statistics' array writes: numpy probes an
+# enum member for the array protocols each time one is passed in.
+_ZERO_SAMPLE = int(VerdictReason.ZERO_SAMPLE)
+_OFF_RESIDUE_CLASS = int(VerdictReason.OFF_RESIDUE_CLASS)
+_RESIDUAL_CAP = int(VerdictReason.RESIDUAL_CAP)
+_EXPLAINED_FRACTION = int(VerdictReason.EXPLAINED_FRACTION)
+_SINGLETON = int(VerdictReason.SINGLETON)
 _KINDS = (VerdictKind.ZERO_TON,) + (VerdictKind.MULTI_TON,) * 4 + (VerdictKind.SINGLETON,)
 
 
@@ -243,7 +250,7 @@ def bin_statistics(
         raise ValueError("classification needs a clustered shift pattern")
     # a zero sample leaves a phase difference undefined
     zero = ~rows[live].all(axis=1)
-    reason[live[zero]] = VerdictReason.ZERO_SAMPLE
+    reason[live[zero]] = _ZERO_SAMPLE
     est = live[~zero]
     if est.size:
         y = rows[est]
@@ -254,7 +261,7 @@ def bin_statistics(
         q = _project_to_residue_class(target, np.asarray(bins)[est], f, n)
         support[est] = q
         in_class = _consistent_with_bin(target, q, n)
-        reason[est[~in_class]] = VerdictReason.OFF_RESIDUE_CLASS
+        reason[est[~in_class]] = _OFF_RESIDUE_CLASS
         fit = est[in_class]
         if fit.size:
             y, q = y[in_class], q[in_class]
@@ -268,8 +275,8 @@ def bin_statistics(
             explained = left <= (1.0 - MIN_EXPLAINED_FRACTION) * energy[fit]
             reason[fit] = np.where(
                 ~(left < cap),
-                VerdictReason.RESIDUAL_CAP,
-                np.where(explained, VerdictReason.SINGLETON, VerdictReason.EXPLAINED_FRACTION),
+                _RESIDUAL_CAP,
+                np.where(explained, _SINGLETON, _EXPLAINED_FRACTION),
             )
             value[fit] = fitted
             residual[fit] = left

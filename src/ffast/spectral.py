@@ -147,11 +147,23 @@ class SparseSpectrum:
             out[hit] = self.values[pos[hit]]
         return out
 
+    def support_union(self, other: "SparseSpectrum") -> np.ndarray:
+        """Sorted indices in either support.
+
+        Both index arrays are sorted and repeat-free, so sorting the two
+        together and dropping repeats is enough.  np.union1d would do the
+        same through np.unique, whose first call imports numpy.ma.
+        """
+        both = np.sort(np.concatenate((self.indices, other.indices)))
+        first = np.ones(both.size, dtype=bool)
+        first[1:] = both[1:] != both[:-1]
+        return both[first]
+
     def max_abs_difference(self, other: "SparseSpectrum") -> float:
         """Largest per-coefficient |difference| over the union of supports."""
         if self.n != other.n:
             raise ValueError("spectra have different lengths")
-        union = np.union1d(self.indices, other.indices)
+        union = self.support_union(other)
         if union.size == 0:
             return 0.0
         return float(np.max(np.abs(self.values_at(union) - other.values_at(union))))

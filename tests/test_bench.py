@@ -1,8 +1,13 @@
 """Experiment harness tests: seeding, scoring, and the value-scale rule."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffast
 from ffast.bench import ExperimentConfig, plan_for_config, run_experiment, run_trial
 from ffast.planner import PlanningError
 
@@ -40,6 +45,28 @@ class TestRunTrial:
         assert row.success
         assert row.l1 < 1e-9
         assert row.samples_used == plan_for_config(config).sample_count
+
+    def test_a_trial_imports_neither_numpy_ma_nor_scipy(self):
+        """Each module a process imports adds to its memory, so one trial
+        of each benchmark configuration (sparse 5 dB, its n=1.5M stretch,
+        dense noiseless) in a fresh process leaves both unloaded."""
+        script = """
+import sys
+from ffast.bench import ExperimentConfig, plan_for_config, run_trial
+for kw in (
+    dict(preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3),
+    dict(preset="paper-124950x12", k=40, snr_db=5.0, clusters=12, per_cluster=3),
+    dict(preset="n4845", k=170, snr_db=None),
+):
+    config = ExperimentConfig(**kw, seed=20260817)
+    run_trial(plan_for_config(config), config, 0)
+print(sorted(m for m in ("numpy.ma", "scipy") if m in sys.modules))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(ffast.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestRunExperiment:

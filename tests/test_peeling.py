@@ -116,6 +116,35 @@ class TestPeel:
         assert peel(work, support, -value) == rows
         np.testing.assert_allclose(work.rows, bank.rows, rtol=0, atol=1e-12)
 
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(
+        peels=st.lists(
+            st.tuples(
+                # multiples of 7 share stage 0's bin 0, so rows take several peels
+                st.one_of(st.integers(0, 503), st.integers(0, 71).map(lambda j: 7 * j)),
+                st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+                st.sampled_from(["none", "rows", "stages"]),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_recorded_peels_read_back_as_eager_subtraction(self, plan504, peels):
+        """peel only records; whenever the bank is read, every recorded
+        peel is applied, and the bank is bit for bit what subtracting
+        each peel on its own, in order, gives."""
+        bank = _bank_for(random_spectrum(504, 7, Constellation(2.0), seed=6), plan504).copy()
+        eager = bank.rows.copy()
+        gains = np.sqrt(plan504.bin_counts)[:, None]
+        for support, value, read in peels:
+            rows = peel(bank, support, value)
+            eager[rows] -= gains * value * steering_vector(support, plan504)
+            if read == "rows":
+                assert bank.rows.tobytes() == eager.tobytes()
+            elif read == "stages":
+                assert np.concatenate(bank.stages).tobytes() == eager.tobytes()
+        assert bank.rows.tobytes() == eager.tobytes()
+
     def test_peel_matches_aliasing_recomputation(self, plan20):
         values = {1: 1.5 + 0j, 3: 1.5j, 5: -1.5 + 0j, 10: 1.5 - 0.5j, 15: -1.5j}
         full = SparseSpectrum.from_pairs(20, values)
@@ -243,7 +272,8 @@ class TestDecodeStructure:
         singletons at the start of the pass, but 1 also aliases into bin
         1 of stage 0.  Committing 1 changes that row, so it is re-read,
         now holds two tones' worth of leftover, and is dropped; it is
-        the pass's only re-read."""
+        the pass's only re-read.  The second pass recomputes only the
+        two rows the commit touched."""
         rows = np.zeros((sum(plan20.bin_counts), plan20.chain_count), complex)
         ripple = 0.3 * np.exp(2j * np.pi * np.arange(plan20.chain_count) / 7)
         rows[plan20.row_offsets[0] + 1] = 2 * math.sqrt(4) * steering_vector(5, plan20) + ripple
@@ -257,7 +287,7 @@ class TestDecodeStructure:
         monkeypatch.setattr(peeling, "bin_statistics", counted)
         result = decode(BinBank(plan20, rows))
         assert [(e.pass_index, e.stage, e.bin, e.support) for e in result.events] == [(1, 1, 1, 1)]
-        assert stacks == [len(rows), 1, len(rows)]
+        assert stacks == [len(rows), 1, plan20.d]
         assert result.multi_ton_bins == ((0, 1),) and not result.converged
 
     def test_noisy_sparse_5db_decodes_converge(self):
