@@ -1,14 +1,21 @@
 """Iterative decoding over the bank of bin observations.
 
-Each pass computes the bin statistics of the whole bank in one batch
-(singleton.bin_statistics), reads every bin's verdict from them, then
-commits the singleton verdicts in ascending residual order, most
-confident first.  A commit subtracts the coefficient's steering
-contribution from the one bin it aliases into in every stage, which can
-turn a multi-ton elsewhere into a fresh singleton, so passes repeat
-until a pass commits nothing (at most MAX_PASSES).  Decoding converges
-when no bin's leftover energy exceeds the singleton residual cap: what
-is left is noise, not an unrecovered coefficient.
+Each pass reads every bin's verdict from one set of bin statistics
+(singleton.bin_statistics), then commits the singleton verdicts in
+ascending residual order, most confident first.  A commit subtracts the
+coefficient's steering contribution from the one bin it aliases into in
+every stage, which can turn a multi-ton elsewhere into a fresh
+singleton, so passes repeat until a pass commits nothing (at most
+MAX_PASSES).  Decoding converges when no bin's leftover energy exceeds
+the singleton residual cap: what is left is noise, not an unrecovered
+coefficient.
+
+The work follows the d bins each commit changes.  The first pass
+computes the statistics of the whole bank, and a later pass recomputes
+only the rows changed since.  Re-reads within a pass are batched over
+the changed candidates still ahead.  peel only records a subtraction on
+the bank, which applies every recorded one in a single batch when it is
+next read.
 
 A result keeps its peel events as one packed record each (support,
 value, pass, stage; the bin is the support's residue in that stage),
@@ -32,13 +39,25 @@ from .singleton import (
 )
 from .spectral import Constellation, SparseSpectrum
 
-# One peel, packed into 11 bytes; "value" indexes DecodeResult.values.
-# A uint32 support covers every n the decoder handles: steering_vector's
-# int64 phase products already need n below 2**31.5.
-_RECORD = np.dtype([("support", "<u4"), ("value", "<u4"), ("pass", "<u2"), ("stage", "u1")])
-
 # A decode stops after this many passes even if the last one committed.
 MAX_PASSES = 32
+
+# One peel, packed: "value" indexes DecodeResult.values and is as narrow
+# as the count of distinct values allows, so a snapped decode takes 7
+# bytes per peel.  A uint32 support covers every n the decoder handles:
+# steering_vector's int64 phase products already need n below 2**31.5.
+# A pass index fits a byte, since MAX_PASSES does.
+_RECORDS = {
+    np.dtype(width): np.dtype(
+        [("support", "<u4"), ("value", width), ("pass", "u1"), ("stage", "u1")]
+    )
+    for width in ("u1", "<u2", "<u4")
+}
+
+
+def _record(value_count: int) -> np.dtype:
+    """The packed peel record of a log with value_count distinct values."""
+    return _RECORDS[np.min_scalar_type(max(value_count - 1, 0))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,19 +90,23 @@ class DecodeResult:
     log: bytes
     values: bytes
 
+    def _records(self) -> tuple[np.ndarray, np.ndarray]:
+        values = np.frombuffer(self.values, dtype=np.complex128)
+        return np.frombuffer(self.log, dtype=_record(values.size)), values
+
     @property
     def spectrum(self) -> SparseSpectrum:
-        records = np.frombuffer(self.log, dtype=_RECORD)
-        values = np.frombuffer(self.values, dtype=np.complex128)
+        records, values = self._records()
         return SparseSpectrum(self.plan.n, records["support"], values[records["value"]])
 
     @property
     def events(self) -> tuple[PeelEvent, ...]:
         counts = self.plan.bin_counts
-        values = np.frombuffer(self.values, dtype=np.complex128).tolist()
+        records, values = self._records()
+        values = values.tolist()
         return tuple(
             PeelEvent(pass_index, stage, support % counts[stage], support, values[value])
-            for support, value, pass_index, stage in np.frombuffer(self.log, _RECORD).tolist()
+            for support, value, pass_index, stage in records.tolist()
         )
 
 
@@ -178,6 +201,6 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     cap = singleton_residual_threshold(plan.chain_count, plan.gamma)
     left = row_energies(bank.rows) > cap
     leftover = tuple(zip(row_stage[left].tolist(), row_bin[left].tolist()))
-    log = np.array(records, dtype=_RECORD).tobytes()
+    log = np.array(records, dtype=_record(len(value_ids))).tobytes()
     values = np.array(list(value_ids), dtype=np.complex128).tobytes()
     return DecodeResult(plan, not leftover, passes, leftover, log, values)

@@ -140,7 +140,8 @@ class BinStatistics:
     value the fitted (and snapped) value of every row that reached the
     fit (0 elsewhere), and residual the fit's residual energy, or the
     row's energy where no fit was made.  The fields are Python lists,
-    because classify_bin reads them one row at a time.
+    because classify_bin reads them one row at a time and the decoder
+    overwrites the entries of the rows it recomputes.
     """
 
     reason: list[int]

@@ -20,6 +20,7 @@ from ffast.spectral import (
     SparseSpectrum,
     TimeSignal,
     add_noise,
+    random_phase_spectrum,
     random_spectrum,
     synthesize,
 )
@@ -227,6 +228,20 @@ class TestDecodeNoiseless:
             undecodable_seen += not decodable
         assert checked == 1000
         assert undecodable_seen > 0  # both branches exercised
+
+    def test_more_values_than_a_byte_indexes_read_back(self):
+        """An unsnapped decode of 260 random-phase coefficients commits
+        260 distinct values, more than a one-byte value id can index;
+        its spectrum and events still give back every coefficient."""
+        plan = plan_for_config(ExperimentConfig(preset="n4845", k=260, snr_db=None, seed=1))
+        truth = random_phase_spectrum(plan.n, 260, 2.0, 5)
+        result = decode(_bank_for(truth, plan))
+        assert result.converged and len(result.events) == 260
+        assert result.spectrum.max_abs_difference(truth) < 1e-9
+        by_support = {e.support: e.value for e in result.events}
+        assert [by_support[l] for l in result.spectrum.indices.tolist()] == (
+            result.spectrum.values.tolist()
+        )
 
     def test_residual_consistency_after_convergence(self, plan504):
         truth = random_spectrum(504, 7, Constellation(4.0), seed=21)
