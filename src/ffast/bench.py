@@ -37,8 +37,6 @@ class ExperimentConfig:
     snr_db: float | None = 5.0
     clusters: int | None = None
     per_cluster: int | None = None
-    gamma: float = 0.2
-    c1: float = 8.0
     trials: int = 1
     seed: int = 0
     random_phases: bool = False
@@ -90,8 +88,6 @@ def plan_for_config(config: ExperimentConfig) -> FrontendPlan:
         config.k,
         clusters=config.clusters,
         per_cluster=config.per_cluster,
-        gamma=config.gamma,
-        c1=config.c1,
         seed=config.seed,
     )
 
@@ -164,6 +160,8 @@ SWEEP_CLUSTERS_START = 9
 SWEEP_CLUSTERS_MAX = 16
 # Chains per cluster at every sweep point unless the config sets them.
 SWEEP_PER_CLUSTER = 3
+# The support-success rate a sweep point's cluster count must reach.
+SWEEP_TARGET_SUCCESS = 0.97
 
 
 def _preset_name(scale: int) -> str:
@@ -187,27 +185,22 @@ def sweep_config(config: ExperimentConfig, scale: int, clusters: int) -> Experim
     )
 
 
-def auto_sweep(
-    scales: list[int], config: ExperimentConfig, *, target_success: float = 0.97
-) -> list[SweepPoint]:
+def auto_sweep(scales: list[int], config: ExperimentConfig) -> list[SweepPoint]:
     """Scaling study over the stretched-length preset family.
 
     Every sweep point runs sweep_config(config, scale, clusters), so k,
-    snr_db, gamma, c1, trials, random_phases and snap reach every trial
-    as given.
+    snr_db, trials, random_phases and snap reach every trial as given.
 
     At each length the cluster count ramps up from the previous point's
-    choice until the observed success rate reaches the target, so the
-    selected C (and with it m = D * sum f_i) is monotone across the
-    sweep.  per_cluster stays fixed; empirically 3 chains per cluster
+    choice until the observed success rate reaches SWEEP_TARGET_SUCCESS,
+    so the selected C (and with it m = D * sum f_i) is monotone across
+    the sweep.  per_cluster stays fixed; empirically 3 chains per cluster
     suffice at these SNRs and the cluster count is the lever that
     actually buys decoding margin.
     """
     if not scales:
         raise PlanningError("sweep needs a nonempty scale list")
-    if not 0.0 <= target_success <= 1.0:
-        raise PlanningError(f"target_success must lie in [0, 1], got {target_success}")
-    needed = math.ceil(target_success * config.trials - 1e-9)
+    needed = math.ceil(SWEEP_TARGET_SUCCESS * config.trials - 1e-9)
     points: list[SweepPoint] = []
     c_floor = SWEEP_CLUSTERS_START
     for scale in scales:
@@ -221,7 +214,7 @@ def auto_sweep(
         if accepted is None:
             raise PlanningError(
                 f"no cluster count up to {SWEEP_CLUSTERS_MAX} reached "
-                f"{target_success:.0%} success at {name}"
+                f"{SWEEP_TARGET_SUCCESS:.0%} success at {name}"
             )
         clusters, result = accepted
         c_floor = clusters

@@ -31,7 +31,8 @@ from . import bench, metrics, oracle
 from .formats import CSV_HEADER, FormatError, write_plan
 from .frontend import subsample_and_transform
 from .peeling import decode
-from .planner import PRESETS, PlanningError, verify_incoherence
+from .planner import C1, PRESETS, PlanningError, verify_incoherence
+from .singleton import GAMMA
 from .spectral import Constellation, random_spectrum, synthesize
 
 EXIT_OK = 0
@@ -184,9 +185,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    points = bench.auto_sweep(
-        args.scales, _experiment_config(args), target_success=args.target_success
-    )
+    points = bench.auto_sweep(args.scales, _experiment_config(args))
     stable = args.stable_output
     rows = [
         [
@@ -227,29 +226,27 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     rho = config.rho
     f_min = min(plan.bin_counts)
     rho_b = f_min * rho
-    if not plan.gamma < rho_b:
+    if not GAMMA < rho_b:
         raise PlanningError(
-            f"bounds need gamma < per-bin SNR rho_b; got gamma={plan.gamma}, rho_b={rho_b:.6g}"
+            f"bounds need gamma < per-bin SNR rho_b; got gamma={GAMMA}, rho_b={rho_b:.6g}"
         )
     d_chains = plan.chain_count
     n_samples = plan.per_cluster
     m2 = Constellation(rho).m2
-    cluster_value, cluster_ok = metrics.prop1_bound(
-        rho_b, n_samples, plan.c1, plan.n
-    )
+    cluster_value, cluster_ok = metrics.prop1_bound(rho_b, n_samples, C1, plan.n)
     rows = [
-        ["zeroton", f"D={d_chains} gamma={plan.gamma}",
-         repr(metrics.zeroton_bound(d_chains, plan.gamma))],
-        ["singleton_miss", f"rho_b={rho_b} D={d_chains} gamma={plan.gamma}",
-         repr(metrics.energy_tail_bound(rho_b, d_chains, plan.gamma))],
+        ["zeroton", f"D={d_chains} gamma={GAMMA}",
+         repr(metrics.zeroton_bound(d_chains, GAMMA))],
+        ["singleton_miss", f"rho_b={rho_b} D={d_chains} gamma={GAMMA}",
+         repr(metrics.energy_tail_bound(rho_b, d_chains, GAMMA))],
         ["kay_variance", f"rho_b={rho_b} N={n_samples}",
          repr(metrics.kay_variance(rho_b, n_samples))],
-        ["cluster_miss", f"rho_b={rho_b} N={n_samples} c1={plan.c1} n={plan.n} "
+        ["cluster_miss", f"rho_b={rho_b} N={n_samples} c1={C1} n={plan.n} "
          f"below_1_over_n3={cluster_ok}", repr(cluster_value)],
         ["value_error", f"rho_b={rho_b} D={d_chains} m2={m2}",
          repr(metrics.value_error_bound(rho_b, d_chains, m2))],
-        ["multiton", f"rho_b={rho_b} D={d_chains} gamma={plan.gamma} n={plan.n} L=2",
-         repr(metrics.multiton_bound(rho_b, d_chains, plan.gamma, plan.n, 2))],
+        ["multiton", f"rho_b={rho_b} D={d_chains} gamma={GAMMA} n={plan.n} L=2",
+         repr(metrics.multiton_bound(rho_b, d_chains, GAMMA, plan.n, 2))],
     ]
     _write_csv(args.out, ["bound", "params", "value"], rows,
                stamp=not args.stable_output)
@@ -259,9 +256,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Noiseless decode against the direct DFT oracle on every small preset."""
     config = _experiment_config(args)
-    names = sorted(
-        name for name, p in PRESETS.items() if p.n <= oracle.ORACLE_MAX_N and p.scale == 1
-    )
+    names = sorted(name for name, p in PRESETS.items() if p.n <= oracle.ORACLE_MAX_N)
     constellation = Constellation(replace(config, snr_db=None).rho)
     failures = 0
     checked = 0
@@ -301,8 +296,6 @@ _FLAGS: dict[str, tuple[str, dict]] = {
                                     help="shift clusters C (default: planner's choice)")),
     "per_cluster": ("--per-cluster", dict(
         type=int, default=None, help="chains per cluster N (default: planner's choice)")),
-    "gamma": ("--gamma", dict(type=float, default=0.2, help="energy-gate slack in (0, 1/3]")),
-    "c1": ("--c1", dict(type=float, default=8.0, help="refinement lock-in interval divisor")),
     "trials": ("--trials", dict(type=int, default=1)),
     "seed": ("--seed", dict(type=int, default=0, help="base RNG seed")),
     "random_phases": ("--random-phases", dict(
@@ -316,7 +309,6 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "out": ("--out", dict(default=None, help="output path ('-' for stdout)")),
     "scales": ("--scales", dict(type=_parse_scales, default=list(range(1, 13)),
                                 help="comma-separated length multipliers (default 1..12)")),
-    "target_success": ("--target-success", dict(type=float, default=0.97)),
 }
 
 
@@ -335,7 +327,7 @@ def _add_command(
     sub.set_defaults(handler=handler, parser=sub)
 
 
-_PLAN_FLAGS = ("preset", "k", "clusters", "per_cluster", "gamma", "c1", "seed")
+_PLAN_FLAGS = ("preset", "k", "clusters", "per_cluster", "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,14 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
                   "stable_output", "out"),
                  seed_required=True)
     _add_command(commands, "sweep", cmd_sweep, "scaling study over stretched lengths",
-                 ("k", "snr_db", "per_cluster", "gamma", "c1", "trials", "seed",
-                  "random_phases", "snap", "stable_output", "out", "scales",
-                  "target_success"),
+                 ("k", "snr_db", "per_cluster", "trials", "seed", "random_phases",
+                  "snap", "stable_output", "out", "scales"),
                  seed_required=True)
     _add_command(commands, "bounds", cmd_bounds, "tabulate error-event bounds",
                  (*_PLAN_FLAGS, "snr_db", "stable_output", "out"))
     _add_command(commands, "verify", cmd_verify, "check decodes against the DFT oracle",
-                 ("k", "gamma", "c1", "trials", "seed"))
+                 ("k", "trials", "seed"))
     return parser
 
 

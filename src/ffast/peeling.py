@@ -198,7 +198,7 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
             for i, row in enumerate(rows):
                 column[row] = update[i]
 
-    cap = singleton_residual_threshold(plan.chain_count, plan.gamma)
+    cap = singleton_residual_threshold(plan.chain_count)
     left = row_energies(bank.rows) > cap
     leftover = tuple(zip(row_stage[left].tolist(), row_bin[left].tolist()))
     log = np.array(records, dtype=_record(len(value_ids))).tobytes()

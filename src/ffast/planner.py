@@ -8,6 +8,8 @@ A plan fixes, for an admissible length n:
   Shift (c, j) = (head_c + j * base**c) mod n, j = 0..per_cluster-1,
   with a random head per cluster.  base is the smallest prime that does
   not divide n, so consecutive same-cluster shifts alias distinctly.
+  Unless set explicitly, clusters is the smallest C with
+  base**(C-1) * C1 > n, for the design constant C1.
 
 Admissible n are kept in a preset table; each entry records the
 pairwise-coprime base factors whose product is n.
@@ -26,6 +28,9 @@ from .spectral import exp_sums
 _STREAM_DELAYS = 0xB1
 
 MAX_SHIFT_DRAWS = 200
+# Refinement lock-in divisor: each cluster estimate must land within
+# pi/C1 of the truth for the next, finer cluster to pick the right cell.
+C1 = 8.0
 
 
 class PlanningError(ValueError):
@@ -36,8 +41,8 @@ class PlanningError(ValueError):
 class Preset:
     """An admissible length with its coprime factorization.
 
-    factors multiply to n and are pairwise coprime.  scale > 1 marks a
-    stretched member of a sweep family: n = scale * prod(factors) with
+    factors multiply to n and are pairwise coprime.  A stretched member
+    of a sweep family (paper-124950xj) has n = j * prod(factors) with
     the base bin counts kept, so the sampling periods grow with n.
     Two factors admit one design, the factors as two stages, which
     plan_stages uses at every sparsity (the 20-point reference preset).
@@ -46,7 +51,6 @@ class Preset:
     name: str
     n: int
     factors: tuple[int, ...]
-    scale: int = 1
 
 
 def _build_presets() -> dict[str, Preset]:
@@ -60,7 +64,7 @@ def _build_presets() -> dict[str, Preset]:
         Preset("paper-124950", 124950, (49, 50, 51)),
     ]
     for j in range(2, 13):
-        entries.append(Preset(f"paper-124950x{j}", 124950 * j, (49, 50, 51), scale=j))
+        entries.append(Preset(f"paper-124950x{j}", 124950 * j, (49, 50, 51)))
     return {p.name: p for p in entries}
 
 
@@ -141,21 +145,19 @@ class ClusterParams:
     base: int
 
 
-def choose_cluster_params(n: int, c1: float = 8.0) -> ClusterParams:
+def choose_cluster_params(n: int) -> ClusterParams:
     """Cluster count, chains per cluster, and shift base for length n.
 
-    clusters is the smallest C with base**(C-1) * c1 > n, so the final
-    refinement interval 2*pi/(base**(C-1)*c1) is finer than the 2*pi/n
+    clusters is the smallest C with base**(C-1) * C1 > n, so the final
+    refinement interval 2*pi/(base**(C-1)*C1) is finer than the 2*pi/n
     frequency grid.  per_cluster follows max(2, round(2 * ln(n)**(1/3))).
     """
     if n < 2:
         raise PlanningError(f"n must be at least 2, got {n}")
-    if c1 <= 0:
-        raise PlanningError(f"c1 must be positive, got {c1}")
     base = smallest_coprime_base(n)
     c_minus_1 = 0
     power = 1
-    while power * c1 <= n:
+    while power * C1 <= n:
         power *= base
         c_minus_1 += 1
     clusters = max(1, c_minus_1 + 1)
@@ -199,8 +201,6 @@ class FrontendPlan:
     per_cluster: int
     base: int
     shifts: tuple[int, ...]
-    gamma: float = 0.2
-    c1: float = 8.0
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -216,11 +216,6 @@ class FrontendPlan:
             raise ValueError("clusters * per_cluster must equal the shift count")
         object.__setattr__(self, "bin_counts", tuple(int(f) for f in self.bin_counts))
         object.__setattr__(self, "shifts", tuple(int(r) % self.n for r in self.shifts))
-        # gamma and c1 come straight from flags; the other fields are derived
-        if not 0.0 < self.gamma <= 1.0 / 3.0:
-            raise PlanningError(f"gamma must lie in (0, 1/3], got {self.gamma}")
-        if self.c1 <= 0:
-            raise PlanningError(f"c1 must be positive, got {self.c1}")
 
     @property
     def d(self) -> int:
@@ -311,8 +306,6 @@ def build_plan(
     *,
     clusters: int | None = None,
     per_cluster: int | None = None,
-    gamma: float = 0.2,
-    c1: float = 8.0,
     seed: int = 0,
 ) -> FrontendPlan:
     """Assemble and screen a complete plan.
@@ -324,7 +317,7 @@ def build_plan(
     entry = preset_by_name(preset)
     n = entry.n
     bins = plan_stages(entry, k)
-    params = choose_cluster_params(n, c1=c1)
+    params = choose_cluster_params(n)
     C = clusters if clusters is not None else params.clusters
     N = per_cluster if per_cluster is not None else params.per_cluster
     for draw in range(MAX_SHIFT_DRAWS):
@@ -336,8 +329,6 @@ def build_plan(
             per_cluster=N,
             base=params.base,
             shifts=tuple(int(r) for r in shifts),
-            gamma=gamma,
-            c1=c1,
         )
         if verify_incoherence(plan).passed:
             return plan

@@ -51,16 +51,11 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mix_int(x: int) -> int:
-    """_mix on one Python integer in [0, 2**64)."""
-    x = ((x ^ (x >> 30)) * int(_MIX1)) & _MASK64
-    x = ((x ^ (x >> 27)) * int(_MIX2)) & _MASK64
-    return x ^ (x >> 31)
-
-
 def stream_key(seed: int, stream: int) -> int:
     """The splitmix64 state that (seed, stream) starts from."""
-    return _mix_int(_mix_int(seed & _MASK64) ^ (stream & _MASK64))
+    x = _mix(np.array([seed & _MASK64], dtype=np.uint64))
+    x ^= np.uint64(stream & _MASK64)
+    return int(_mix(x)[0])
 
 
 def index_bits(seed: int, stream: int, index) -> np.ndarray:

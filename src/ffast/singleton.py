@@ -1,7 +1,7 @@
 """Bin classification: zero-ton / singleton / multi-ton.
 
 A singleton bin y = sqrt(f) * X[l] * s_l + w is identified in three
-steps.  First an energy gate: ||y||^2 < (1+gamma)*D means noise only.
+steps.  First an energy gate: ||y||^2 < (1+GAMMA)*D means noise only.
 Next the frequency: one array expression over the (B, C, N) view of a
 stack of bins gives each shift cluster c's weighted phase-difference
 estimate of (base**c * omega) mod 2*pi, omega = 2*pi*l/n (a zero sample
@@ -31,6 +31,9 @@ from .frontend import row_energies, steering_vector
 from .planner import FrontendPlan
 from .spectral import Constellation
 
+# Energy-gate slack, a design constant of the analysis: a bin under
+# (1 + GAMMA) * D holds noise only.  metrics.zeroton_bound needs GAMMA <= 1/3.
+GAMMA = 0.2
 RESIDUAL_ALPHA = 1e-4
 MIN_EXPLAINED_FRACTION = 0.5
 
@@ -151,7 +154,7 @@ class BinStatistics:
 
 
 def zero_ton_threshold(plan: FrontendPlan) -> float:
-    return (1.0 + plan.gamma) * plan.chain_count
+    return (1.0 + GAMMA) * plan.chain_count
 
 
 def _gamma_upper_quantile(shape: int, alpha: float) -> float:
@@ -182,7 +185,7 @@ def _gamma_upper_quantile(shape: int, alpha: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def singleton_residual_threshold(chain_count: int, gamma: float) -> float:
+def singleton_residual_threshold(chain_count: int) -> float:
     """Residual energy cap for accepting a singleton.
 
     After projecting out one steering column, a true singleton's
@@ -192,7 +195,7 @@ def singleton_residual_threshold(chain_count: int, gamma: float) -> float:
     rejection rate of genuine singletons is about RESIDUAL_ALPHA
     regardless of D.
     """
-    floor = (1.0 + gamma) * chain_count
+    floor = (1.0 + GAMMA) * chain_count
     if chain_count < 2:
         return floor
     quantile = _gamma_upper_quantile(chain_count - 1, RESIDUAL_ALPHA)
@@ -272,7 +275,7 @@ def bin_statistics(
             if constellation is not None:
                 fitted = constellation.snap(fitted)
             left = row_energies(y - (gain * fitted)[:, None] * columns)
-            cap = singleton_residual_threshold(d_chains, plan.gamma)
+            cap = singleton_residual_threshold(d_chains)
             explained = left <= (1.0 - MIN_EXPLAINED_FRACTION) * energy[fit]
             reason[fit] = np.where(
                 ~(left < cap),

@@ -46,7 +46,7 @@ def test_01_noiseless_oracle_equivalence():
     minute of wall time."""
     t0 = time.perf_counter()
     names = sorted(
-        (n for n, p in PRESETS.items() if p.n <= 10_000 and p.scale == 1),
+        (n for n, p in PRESETS.items() if p.n <= 10_000),
         key=lambda n: PRESETS[n].n,
     )
     con = Constellation(4.0)
@@ -137,7 +137,7 @@ def test_03_noisy_support_recovery_rate():
     t0 = time.perf_counter()
     config = ExperimentConfig(
         preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3,
-        gamma=0.2, c1=8.0, trials=500, seed=20260817,
+        trials=500, seed=20260817,
     )
     result = run_experiment(config)
     elapsed = time.perf_counter() - t0
@@ -261,7 +261,7 @@ def test_08_l1_error_with_arbitrary_phases():
     normalized l1 error must stay at or below 0.05."""
     config = ExperimentConfig(
         preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3,
-        gamma=0.2, c1=8.0, trials=500, seed=20260817,
+        trials=500, seed=20260817,
         random_phases=True, snap=False,
     )
     result = run_experiment(config)

@@ -1,13 +1,15 @@
 """Command-line harness tests, run in-process through cli.main()."""
 import argparse
 import csv
+from configparser import ConfigParser
 
 import pytest
 
 from ffast import bench, cli, metrics
 from ffast.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
-from ffast.formats import CSV_HEADER, read_plan
+from ffast.formats import CSV_HEADER
 from ffast.planner import build_plan
+from ffast.singleton import GAMMA
 
 
 def _read_rows(path):
@@ -32,8 +34,17 @@ class TestPlanCommand:
         code = main(["plan", "--preset", "n504", "--k", "4", "--seed", "17",
                      "--out", str(out)])
         assert code == EXIT_OK
-        expected = build_plan("n504", 4, seed=17)
-        assert read_plan(out) == expected
+        plan = build_plan("n504", 4, seed=17)
+        ini = ConfigParser()
+        ini.read(out, encoding="utf-8")
+        assert dict(ini["plan"]) == {"n": str(plan.n), "base": str(plan.base),
+                                     "clusters": str(plan.clusters),
+                                     "per_cluster": str(plan.per_cluster)}
+        assert ini["delays"]["shifts"].split() == [str(r) for r in plan.shifts]
+        stages = [s for s in ini.sections() if s.startswith("stage ")]
+        assert stages == [f"stage {i}" for i in range(plan.d)]
+        for name, f, period in zip(stages, plan.bin_counts, plan.periods):
+            assert dict(ini[name]) == {"bins": str(f), "period": str(period)}
 
     def test_unknown_preset_is_a_config_error(self, capsys):
         code = main(["plan", "--preset", "n1000000", "--k", "2"])
@@ -126,21 +137,21 @@ class TestSweepCommand:
         assert outputs[0] == outputs[1]
         assert b"swept 2 lengths" in outputs[0] and b"time x" not in outputs[0]
 
-    def test_config_file_supplies_target_success(self, tmp_path, capsys):
-        """An INI value is converted by its flag's type, so target_success
-        arrives as a float, the same as --target-success."""
+    def test_config_file_supplies_trials(self, tmp_path, capsys):
+        """An INI value is converted by its flag's type, so trials
+        arrives as an int, the same as --trials."""
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(
             "[experiment]\n"
             "scales = 1\n"
-            "target_success = 0.5\n"
+            "trials = 2\n"
             "stable_output = true\n",
             encoding="utf-8",
         )
-        common = ["sweep", "--k", "8", "--trials", "2", "--seed", "1"]
+        common = ["sweep", "--k", "8", "--seed", "1"]
         from_cfg, from_flags = tmp_path / "cfg.csv", tmp_path / "flags.csv"
         assert main(common + ["--config", str(cfg), "--out", str(from_cfg)]) == EXIT_OK
-        assert main(common + ["--scales", "1", "--target-success", "0.5",
+        assert main(common + ["--scales", "1", "--trials", "2",
                               "--stable-output", "--out", str(from_flags)]) == EXIT_OK
         assert from_cfg.read_bytes() == from_flags.read_bytes()
 
@@ -182,16 +193,14 @@ class TestSweepCommand:
 # Each subcommand's flag dests, pinned so that a flag its handler does
 # not read cannot be registered unnoticed.
 FLAG_DESTS = {
-    "bounds": ["c1", "clusters", "config", "gamma", "k", "out", "per_cluster",
-               "preset", "seed", "snr_db", "stable_output"],
-    "plan": ["c1", "clusters", "config", "gamma", "k", "out", "per_cluster",
-             "preset", "seed"],
-    "run": ["c1", "clusters", "config", "gamma", "k", "out", "per_cluster", "preset",
+    "bounds": ["clusters", "config", "k", "out", "per_cluster", "preset", "seed",
+               "snr_db", "stable_output"],
+    "plan": ["clusters", "config", "k", "out", "per_cluster", "preset", "seed"],
+    "run": ["clusters", "config", "k", "out", "per_cluster", "preset",
             "random_phases", "seed", "snap", "snr_db", "stable_output", "trials"],
-    "sweep": ["c1", "config", "gamma", "k", "out", "per_cluster", "random_phases",
-              "scales", "seed", "snap", "snr_db", "stable_output", "target_success",
-              "trials"],
-    "verify": ["c1", "config", "gamma", "k", "seed", "trials"],
+    "sweep": ["config", "k", "out", "per_cluster", "random_phases", "scales", "seed",
+              "snap", "snr_db", "stable_output", "trials"],
+    "verify": ["config", "k", "seed", "trials"],
 }
 
 
@@ -209,6 +218,7 @@ class TestErrors:
     @pytest.mark.parametrize("command, key", [
         ("run", "snr"), ("plan", "trials"), ("sweep", "clusters"),
         ("bounds", "snap"), ("verify", "preset"),
+        ("plan", "gamma"), ("verify", "c1"), ("sweep", "target_success"),
     ])
     def test_unknown_config_key_is_a_config_error(self, command, key, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
@@ -226,6 +236,8 @@ class TestErrors:
         ["sweep", "--seed", "1", "--clusters", "12"],
         ["bounds", "--no-snap"],
         ["verify", "--preset", "n504"],
+        ["plan", "--preset", "paper-20", "--k", "2", "--gamma", "0.5"],
+        ["sweep", "--scales", "1", "--seed", "1", "--target-success", "nan"],
     ])
     def test_flag_a_subcommand_does_not_read_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -234,10 +246,10 @@ class TestErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["plan", "--preset", "paper-20", "--k", "2", "--gamma", "0.5"],
+        ["plan", "--preset", "paper-20", "--k", "21"],
         ["bounds", "--preset", "paper-20", "--k", "2", "--snr-db", "-20"],
         ["run", "--preset", "paper-20", "--k", "2", "--seed", "1", "--snr-db", "nan"],
-        ["sweep", "--scales", "1", "--seed", "1", "--target-success", "nan"],
+        ["sweep", "--scales", "1", "--seed", "1", "--trials", "0"],
     ])
     def test_bad_flag_values_are_config_errors(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -272,9 +284,9 @@ class TestBoundsCommand:
         config = bench.ExperimentConfig(preset="paper-20", k=2)
         plan = bench.plan_for_config(config)
         rho_b = min(plan.bin_counts) * config.rho
-        assert table["zeroton"] == metrics.zeroton_bound(plan.chain_count, plan.gamma)
+        assert table["zeroton"] == metrics.zeroton_bound(plan.chain_count, GAMMA)
         assert table["singleton_miss"] == metrics.energy_tail_bound(
-            rho_b, plan.chain_count, plan.gamma
+            rho_b, plan.chain_count, GAMMA
         )
         assert table["kay_variance"] == metrics.kay_variance(rho_b, plan.per_cluster)
 

@@ -1,8 +1,10 @@
-"""Import layering of the package, read from its source with ast."""
+"""Import layering and reachability of the package, read from its source with ast."""
 import ast
 from pathlib import Path
 
 import pytest
+
+import ffast
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ffast"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
@@ -56,3 +58,37 @@ def test_no_module_imports_a_private_name(module):
     private = [(source, name) for source, name in package_imports(module)
                if (name or source).startswith("_")]
     assert private == []
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Every name `node` reads: bare names, attributes and imported names."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_public_function_and_class_has_a_package_caller():
+    """A public module-level function or class is read somewhere in the
+    package outside its own definition, or exported in __all__.  The
+    oracle is exempt: its callers are the tests, by design."""
+    bodies = {m: ast.parse((SRC / f"{m}.py").read_text(encoding="utf-8")).body
+              for m in MODULES}
+    unused = []
+    for module in MODULES:
+        if module == "oracle":
+            continue
+        for node in bodies[module]:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in ffast.__all__:
+                continue
+            if not any(node.name in _names_used(other)
+                       for m in MODULES for other in bodies[m] if other is not node):
+                unused.append(f"{module}.{node.name}")
+    assert unused == []

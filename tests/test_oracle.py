@@ -92,9 +92,7 @@ class TestBruteSingleton:
         )
         bank = subsample_and_transform(synthesize(spectrum), plan504)
         _, _, residual = brute_singleton(bank.stages[0][3], 0, 3, plan504)
-        cap = singleton_residual_threshold(
-            plan504.chain_count, plan504.gamma
-        )
+        cap = singleton_residual_threshold(plan504.chain_count)
         assert residual > cap
 
     def test_noisy_singleton_still_wins_the_scan(self, plan504):

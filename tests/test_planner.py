@@ -6,6 +6,7 @@ import pytest
 
 from ffast.oracle import coherence_profile
 from ffast.planner import (
+    C1,
     MAX_SHIFT_DRAWS,
     PRESETS,
     FrontendPlan,
@@ -73,10 +74,10 @@ class TestClusterParams:
     def test_cluster_count_covers_the_grid(self):
         # the last refinement interval must fit inside one frequency cell
         for n in (20, 504, 1430, 124950):
-            params = choose_cluster_params(n, c1=8.0)
+            params = choose_cluster_params(n)
             c, b = params.clusters, params.base
-            assert b ** (c - 1) * 8.0 > n
-            assert c == 1 or b ** (c - 2) * 8.0 <= n
+            assert b ** (c - 1) * C1 > n
+            assert c == 1 or b ** (c - 2) * C1 <= n
 
 
 class TestShifts:
@@ -124,11 +125,6 @@ class TestFrontendPlan:
         with pytest.raises(ValueError):
             FrontendPlan(n=20, bin_counts=(4, 5), clusters=2, per_cluster=2,
                          base=3, shifts=(0, 1, 2))
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            FrontendPlan(n=20, bin_counts=(4, 5), clusters=1, per_cluster=2,
-                         base=3, shifts=(0, 1), gamma=0.5)
 
     def test_scrambled_shifts_are_not_clustered(self):
         plan = FrontendPlan(n=20, bin_counts=(4, 5), clusters=2, per_cluster=2,

@@ -164,12 +164,10 @@ class TestRefine:
 
 class TestThresholds:
     def test_zero_ton_gate(self, plan20):
-        assert zero_ton_threshold(plan20) == pytest.approx(
-            (1 + plan20.gamma) * plan20.chain_count
-        )
+        assert zero_ton_threshold(plan20) == pytest.approx(1.2 * plan20.chain_count)
 
     def test_residual_cap_is_tail_quantile(self):
-        cap = singleton_residual_threshold(16, 0.2)
+        cap = singleton_residual_threshold(16)
         assert cap > (1.2) * 16  # quantile branch wins at D=16
         # independent check: the survival function at the cap equals alpha
         assert float(gammaincc(15, cap)) == pytest.approx(1e-4, rel=1e-6)
@@ -177,12 +175,12 @@ class TestThresholds:
     def test_residual_cap_matches_scipy_quantile(self):
         for d_chains in range(2, 97):
             expected = max(1.2 * d_chains, float(gammainccinv(d_chains - 1, 1e-4)))
-            cap = singleton_residual_threshold(d_chains, 0.2)
+            cap = singleton_residual_threshold(d_chains)
             assert cap == pytest.approx(expected, rel=1e-13), d_chains
 
     def test_residual_cap_floor(self):
         # with one chain there is no residual dof; the gate is the floor
-        assert singleton_residual_threshold(1, 0.2) == pytest.approx(1.2)
+        assert singleton_residual_threshold(1) == pytest.approx(1.2)
 
 
 class TestClassifyBin:
@@ -332,7 +330,7 @@ class TestBinStatistics:
         energy unexplained, under the residual cap at energy 10 and over
         it at energy 100."""
         d = plan20.chain_count
-        cap = singleton_residual_threshold(d, plan20.gamma)
+        cap = singleton_residual_threshold(d)
         assert zero_ton_threshold(plan20) < 10.0 < cap < 100.0 * (1 - 1 / d)
         tone = steering_vector(13, plan20)
         spiky = np.full(d, 1e-3)
