@@ -136,6 +136,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         f"({plan.clusters} clusters x {plan.per_cluster}, base {plan.base})"
     )
     print(f"mu_max       {report.mu_max:.6f}  bound {report.bound:.6f}")
+    # chains whose shifts agree mod a stage's period read the same samples there
+    distinct = "/".join(str(len({r % p for r in plan.shifts})) for p in plan.periods)
+    print(f"distinct     {distinct} of D={plan.chain_count} chains per stage read distinct samples")
     print(f"samples m    {plan.sample_count}  (m/n = {plan.sample_count / plan.n:.6f})")
     if args.out:
         print(f"plan written to {args.out}")

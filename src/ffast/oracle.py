@@ -98,8 +98,8 @@ def brute_singleton(
 def coherence_profile(plan: FrontendPlan, ells: np.ndarray) -> np.ndarray:
     """mu(l) for the requested frequencies by direct summation.
 
-    Reference for planner.verify_incoherence, which evaluates the same
-    sums with spectral.exp_sums.
+    Reference for planner.verify_incoherence, which scans the same sums
+    block by block from spectral.exp_sum_blocks.
     """
     ells = np.asarray(ells, dtype=np.int64)
     phases = (ells[:, None] * plan.shift_array[None, :]) % plan.n

@@ -42,22 +42,25 @@ from .spectral import Constellation, SparseSpectrum
 # A decode stops after this many passes even if the last one committed.
 MAX_PASSES = 32
 
-# One peel, packed: "value" indexes DecodeResult.values and is as narrow
-# as the count of distinct values allows, so a snapped decode takes 7
-# bytes per peel.  A uint32 support covers every n the decoder handles:
+# One peel, packed.  "support" is as narrow as n allows: two bytes up to
+# n = 65,536, else four, which covers every n the decoder handles, since
 # steering_vector's int64 phase products already need n below 2**31.5.
-# A pass index fits a byte, since MAX_PASSES does.
+# "value" indexes DecodeResult.values and is as narrow as the count of
+# distinct values allows, so a snapped decode at n <= 65,536 takes 5
+# bytes per peel.  A pass index fits a byte, since MAX_PASSES does.
 _RECORDS = {
-    np.dtype(width): np.dtype(
-        [("support", "<u4"), ("value", width), ("pass", "u1"), ("stage", "u1")]
+    (np.dtype(support), np.dtype(value)): np.dtype(
+        [("support", support), ("value", value), ("pass", "u1"), ("stage", "u1")]
     )
-    for width in ("u1", "<u2", "<u4")
+    for support in ("<u2", "<u4")
+    for value in ("u1", "<u2", "<u4")
 }
 
 
-def _record(value_count: int) -> np.dtype:
-    """The packed peel record of a log with value_count distinct values."""
-    return _RECORDS[np.min_scalar_type(max(value_count - 1, 0))]
+def _record(n: int, value_count: int) -> np.dtype:
+    """The packed peel record of a length-n log with value_count distinct values."""
+    support = np.dtype("<u2" if n <= 1 << 16 else "<u4")
+    return _RECORDS[support, np.min_scalar_type(max(value_count - 1, 0))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +95,7 @@ class DecodeResult:
 
     def _records(self) -> tuple[np.ndarray, np.ndarray]:
         values = np.frombuffer(self.values, dtype=np.complex128)
-        return np.frombuffer(self.log, dtype=_record(values.size)), values
+        return np.frombuffer(self.log, dtype=_record(self.plan.n, values.size)), values
 
     @property
     def spectrum(self) -> SparseSpectrum:
@@ -201,6 +204,6 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     cap = singleton_residual_threshold(plan.chain_count)
     left = row_energies(bank.rows) > cap
     leftover = tuple(zip(row_stage[left].tolist(), row_bin[left].tolist()))
-    log = np.array(records, dtype=_record(len(value_ids))).tobytes()
+    log = np.array(records, dtype=_record(plan.n, len(value_ids))).tobytes()
     values = np.array(list(value_ids), dtype=np.complex128).tobytes()
     return DecodeResult(plan, not leftover, passes, leftover, log, values)

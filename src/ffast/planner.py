@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .randomness import generator
-from .spectral import exp_sums
+from .spectral import exp_sum_blocks
 
 _STREAM_DELAYS = 0xB1
 
@@ -286,16 +286,26 @@ def verify_incoherence(plan: FrontendPlan) -> IncoherenceReport:
 
     mu(l) = |sum_s exp(2j*pi*l*r_s/n)| / D for l = 1..n-1; the report
     compares max_l mu(l) against 2*sqrt(ln(5n)/D).  The sums come from
-    one spectral.exp_sums call with unit weights on the shifts: a blocked
-    O(n*D) product, or the rfft of the shift histogram when D is large
-    next to sqrt(n).  Shifts are first translated so the first one is
-    zero; mu is invariant under translation.  With unit weights
+    spectral.exp_sum_blocks with unit weights on the shifts, one block
+    at a time, and a running max of their magnitudes is kept in one
+    reused buffer, so the scan holds O(D*sqrt(n)) values and never all
+    n/2 sums.  When D is large next to sqrt(n) the one block is the rfft
+    of the shift histogram.  Shifts are first translated so the first
+    one is zero; mu is invariant under translation.  With unit weights
     mu(n - l) = mu(l), so only l <= n // 2 is evaluated.
     """
     shifts = plan.shift_array
     d_chains = plan.chain_count
-    sums = exp_sums(plan.n, shifts - shifts[0], np.ones(d_chains), stop=plan.n // 2 + 1)
-    mu_max = float(np.abs(sums[1:]).max() / d_chains)
+    runs = exp_sum_blocks(plan.n, shifts - shifts[0], np.ones(d_chains), stop=plan.n // 2 + 1)
+    peak = 0.0
+    magnitudes = np.empty(0)
+    start = 1  # l = 0: every column against itself
+    for run in runs:
+        if magnitudes.size < run.size:  # only the first run, the largest
+            magnitudes = np.empty(run.size)
+        peak = max(peak, float(np.abs(run, out=magnitudes[: run.size])[start:].max()))
+        start = 0
+    mu_max = peak / d_chains
     bound = 2.0 * math.sqrt(math.log(5.0 * plan.n) / d_chains)
     return IncoherenceReport(mu_max=mu_max, bound=bound, passed=mu_max < bound)
 

@@ -20,6 +20,7 @@ unit noise the signal amplitude alone sets the operating point.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -259,18 +260,27 @@ def random_phase_spectrum(n: int, k: int, amplitude: float, seed: int) -> Sparse
     return SparseSpectrum(n, support, values)
 
 
-def exp_sums(n: int, freqs, weights, *, stop: int | None = None) -> np.ndarray:
-    """x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p = 0..stop-1 (stop = n by default).
+# Rows of the blocked exp-sum product that one matmul computes.  A block
+# holds _BLOCK_ROWS * ceil(sqrt(n)) sums, so a scan of any length holds
+# O(k * sqrt(n)) values at once.
+_BLOCK_ROWS = 128
 
-    Frequencies are integers, taken mod n; repeats add.  With p = b*W + r
-    and W = ceil(sqrt(n)), x is the row-major (rows x W) product of a
-    (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W) table
-    exp(2j*pi*f_q*r/n): O(stop*k) multiply-adds and O(k*sqrt(n)) exps,
-    for the ceil(stop/W) rows that hold p < stop.
+
+def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterator[np.ndarray]:
+    """Yield exp_sums(n, freqs, weights, stop=stop) as consecutive 1-d runs.
+
+    With p = b*W + r and W = ceil(sqrt(n)), x[p] is entry (b, r) of the
+    product of a (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W)
+    table exp(2j*pi*f_q*r/n), for the ceil(stop/W) rows that hold
+    p < stop: O(stop*k) multiply-adds and O(k*sqrt(n)) exps.  Each run
+    is _BLOCK_ROWS rows of it (the last run is cut at stop), computed by
+    one matmul into a buffer the next run reuses, so the tables and one
+    block are all that is held, O(k*sqrt(n)) memory.  Copy a run that
+    must outlive the next step of the iteration.
     The phase products are reduced mod n in exact integer arithmetic, as
     steering_vector does.  When 9*k**2 > n the length-n FFT is cheaper,
-    and x is n * ifft of the dense spectrum instead; for real weights,
-    x = conj(fft(dense)) is assembled from the half-length rfft.
+    and the one run is n * ifft of the dense spectrum instead; for real
+    weights, x = conj(fft(dense)) is assembled from the half-length rfft.
     """
     f = np.asarray(freqs, dtype=np.int64) % n
     w = np.asarray(weights)
@@ -279,19 +289,60 @@ def exp_sums(n: int, freqs, weights, *, stop: int | None = None) -> np.ndarray:
         if np.iscomplexobj(w):
             dense = np.zeros(n, dtype=np.complex128)
             np.add.at(dense, f, w)
-            return (np.fft.ifft(dense) * n)[:stop]
+            yield (np.fft.ifft(dense) * n)[:stop]
+            return
         half = np.fft.rfft(np.bincount(f, weights=w, minlength=n))
         x = np.empty(n, dtype=np.complex128)
         np.conjugate(half, out=x[: half.size])
         x[half.size :] = half[n - half.size : 0 : -1]
-        return x[:stop]
+        yield x[:stop]
+        return
     width = math.isqrt(n - 1) + 1
     rows = -(-stop // width)
-    outer = (np.arange(rows, dtype=np.int64)[:, None] * (f * width % n)) % n
-    inner = (f[:, None] * np.arange(width, dtype=np.int64)) % n
-    table_b = w * np.exp(2j * np.pi * outer / n)
-    table_r = np.exp(2j * np.pi * inner / n)
-    return (table_b @ table_r).reshape(-1)[:stop]
+    height = min(rows, _BLOCK_ROWS)
+    k = f.size
+    # The two tables and the block share one allocation.  glibc hands
+    # freed heap back to the system once more than twice its largest
+    # recent allocation lies free, and the next call faults it in again.
+    # One allocation outweighs all else a scan holds (the integer phases
+    # and a caller's block of magnitudes), so repeated scans reuse their
+    # pages; as three buffers, each screening call at n = 124,950 took
+    # ~320 page faults and 25% longer.
+    work = np.empty(k * (rows + width) + height * width, dtype=np.complex128)
+    table_b = work[: rows * k].reshape(rows, k)
+    table_r = work[rows * k : k * (rows + width)].reshape(k, width)
+    block = work[k * (rows + width) :].reshape(height, width)
+    _unit_phasors(np.arange(rows, dtype=np.int64)[:, None] * (f * width % n), n, out=table_b)
+    np.multiply(w, table_b, out=table_b)
+    _unit_phasors(f[:, None] * np.arange(width, dtype=np.int64), n, out=table_r)
+    for first in range(0, rows, _BLOCK_ROWS):
+        part = table_b[first : first + _BLOCK_ROWS]
+        out = np.matmul(part, table_r, out=block[: part.shape[0]])
+        yield out.reshape(-1)[: stop - first * width]
+
+
+def _unit_phasors(phases: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Write exp(2j*pi*phases/n) into out; the int64 phases are reduced mod n in place."""
+    phases %= n
+    np.multiply(2j * np.pi, phases, out=out)
+    out /= n
+    np.exp(out, out=out)
+
+
+def exp_sums(n: int, freqs, weights, *, stop: int | None = None) -> np.ndarray:
+    """x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p = 0..stop-1 (stop = n by default).
+
+    Frequencies are integers, taken mod n; repeats add.  x is filled run
+    by run from exp_sum_blocks, which says how the sums are computed:
+    a blocked O(stop*k) product, or the length-n FFT when 9*k**2 > n.
+    """
+    stop = n if stop is None else stop
+    x = np.empty(stop, dtype=np.complex128)
+    filled = 0
+    for run in exp_sum_blocks(n, freqs, weights, stop=stop):
+        x[filled : filled + run.size] = run
+        filled += run.size
+    return x
 
 
 def synthesize(spectrum: SparseSpectrum) -> TimeSignal:

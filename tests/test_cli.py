@@ -29,6 +29,18 @@ class TestPlanCommand:
         assert "mu_max" in out
         assert "samples m" in out
 
+    @pytest.mark.parametrize("argv,distinct", [
+        (["--preset", "n4845", "--k", "170"], "18/14/16 of D=44"),
+        (["--preset", "paper-124950", "--k", "40", "--clusters", "12", "--per-cluster", "3"],
+         "36/36/36 of D=36"),
+    ])
+    def test_prints_the_chains_reading_distinct_samples_per_stage(self, argv, distinct, capsys):
+        """Chains whose shifts agree mod a stage's period read the same
+        samples there; n4845's periods 19/15/17 hold fewer than its 44."""
+        assert main(["plan", *argv, "--seed", "20260817"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"distinct     {distinct} chains per stage read distinct samples" in out
+
     def test_written_plan_round_trips(self, tmp_path, capsys):
         out = tmp_path / "plan.ini"
         code = main(["plan", "--preset", "n504", "--k", "4", "--seed", "17",

@@ -264,6 +264,24 @@ class TestDecodeNoiseless:
             np.testing.assert_array_equal(bank.stages[stage], before[stage])
 
 
+class TestDecodeLog:
+    @pytest.mark.parametrize("preset,k,record_bytes", [("n4845", 170, 5), ("paper-124950", 40, 7)])
+    def test_support_is_packed_as_narrow_as_n_allows(self, preset, k, record_bytes):
+        """A snapped log takes a two-byte support up to n = 65,536 and a
+        four-byte one above it; either way it reads back every peel."""
+        config = ExperimentConfig(preset=preset, k=k, snr_db=None, seed=20260817)
+        plan = plan_for_config(config)
+        con = Constellation(config.rho)
+        truth = random_spectrum(plan.n, k, con, 3)
+        result = decode(_bank_for(truth, plan), con)
+        assert result.converged
+        assert len(result.log) == record_bytes * len(result.events) == record_bytes * k
+        assert sorted(e.support for e in result.events) == truth.indices.tolist()
+        assert result.spectrum.max_abs_difference(truth) < 1e-9
+        # the widest support fits the two-byte field only when n does
+        assert (truth.indices.max() < 1 << 16) == (plan.n <= 1 << 16)
+
+
 class TestDecodeStructure:
     def test_undecodable_four_cycle_reports_failure(self):
         """Two stages, four coefficients in a closed alias cycle: no bin is

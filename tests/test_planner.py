@@ -1,5 +1,6 @@
 """Planner tests: stage factorizations, cluster geometry, incoherence screening."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,14 @@ from ffast.planner import (
     sparsity_index,
     verify_incoherence,
 )
+from ffast.spectral import _BLOCK_ROWS, exp_sum_blocks, exp_sums
+
+# The plan seed of the benchmark workloads and acceptance 3.
+BENCH_PLAN_SEED = 20260817
+
+
+def _bench_plan(preset):
+    return build_plan(preset, 40, clusters=12, per_cluster=3, seed=BENCH_PLAN_SEED)
 
 
 class TestPlanStages:
@@ -183,6 +192,76 @@ class TestIncoherence:
                                 shifts=tuple(int(s) for s in shifts))
             passing += verify_incoherence(plan).passed
         assert passing / 200 >= 0.2
+
+
+class TestBlockedScan:
+    """verify_incoherence on a plan large enough for the blocked product,
+    whose n/2 cut falls mid-row and whose row count is not a multiple of
+    the block height: paper-124950 has 177 rows of 354 sums."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return _bench_plan("paper-124950")
+
+    @staticmethod
+    def _runs(plan):
+        shifts = plan.shift_array
+        ones = np.ones(plan.chain_count)
+        return exp_sum_blocks(plan.n, shifts - shifts[0], ones, stop=plan.n // 2 + 1)
+
+    def test_the_plan_has_a_short_last_block_and_a_mid_row_cut(self, plan):
+        stop = plan.n // 2 + 1
+        width = math.isqrt(plan.n - 1) + 1
+        rows = -(-stop // width)
+        assert 9 * plan.chain_count**2 <= plan.n  # the blocked product, not the FFT
+        assert (rows, width) == (177, 354)
+        assert rows % _BLOCK_ROWS and stop % width
+        sizes = [run.size for run in self._runs(plan)]
+        assert sizes == [_BLOCK_ROWS * width, stop - _BLOCK_ROWS * width]
+
+    def test_scan_matches_the_direct_profile_at_every_l(self, plan):
+        d_chains = plan.chain_count
+        half = np.concatenate([np.abs(run) for run in self._runs(plan)]) / d_chains
+        # mu(n - l) = mu(l): the half scanned gives every l in 0..n-1
+        scanned = np.concatenate([half, half[1 : plan.n - half.size + 1][::-1]])
+        direct = np.concatenate([
+            coherence_profile(plan, np.arange(first, min(first + 8192, plan.n)))
+            for first in range(0, plan.n, 8192)
+        ])
+        np.testing.assert_allclose(scanned, direct, rtol=0, atol=1e-12)
+        mu_max = verify_incoherence(plan).mu_max
+        assert mu_max == pytest.approx(float(direct[1:].max()), abs=1e-12)
+
+    @pytest.mark.parametrize("preset", ["paper-124950", "paper-124950x12"])
+    def test_mu_max_is_the_dense_scan_bit_for_bit(self, preset):
+        """The sparse-5db and stretch-x12 benchmark plans."""
+        plan = _bench_plan(preset)
+        shifts = plan.shift_array
+        d_chains = plan.chain_count
+        sums = exp_sums(plan.n, shifts - shifts[0], np.ones(d_chains), stop=plan.n // 2 + 1)
+        assert verify_incoherence(plan).mu_max == np.abs(sums[1:]).max() / d_chains
+
+
+class TestPlanMemory:
+    """The memory counterpart of acceptance 4: screening holds O(D*sqrt(n))
+    values, so a plan for 12x the length needs far less than 12x the
+    memory to build.  Traced allocations time nothing, so this holds on a
+    busy machine too."""
+
+    @staticmethod
+    def _traced_build_peak(preset):
+        tracemalloc.start()
+        try:
+            _bench_plan(preset)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_peak_grows_far_slower_than_n(self):
+        base = self._traced_build_peak("paper-124950")
+        stretched = self._traced_build_peak("paper-124950x12")
+        assert stretched <= 4.5 * base, (base, stretched)
+        assert stretched < 6e6, stretched
 
 
 class TestBuildPlan:
