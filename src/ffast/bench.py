@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .frontend import subsample_and_transform
-from .metrics import TrialStats, support_recovery
+from .metrics import support_recovery
 from .peeling import decode
 from .planner import FrontendPlan, PlanningError, build_plan, preset_by_name
 from .spectral import (
@@ -40,7 +40,6 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     random_phases: bool = False
-    snap: bool = True
 
     def __post_init__(self) -> None:
         preset_by_name(self.preset)
@@ -62,6 +61,15 @@ class ExperimentConfig:
             return 4.0
         return 10.0 ** (self.snr_db / 10.0)
 
+    @property
+    def snap(self) -> bool:
+        """Whether decoded values snap to the constellation.
+
+        Only grid-drawn values lie on the grid, so a random-phase run
+        keeps its fitted values as they are.
+        """
+        return not self.random_phases
+
 
 @dataclass(frozen=True)
 class TrialRow:
@@ -76,10 +84,30 @@ class TrialRow:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """One run: its config, its plan and one row per trial.
+
+    The run's totals are read off the rows.
+    """
+
     config: ExperimentConfig
     plan: FrontendPlan
-    stats: TrialStats
     rows: tuple[TrialRow, ...]
+
+    @property
+    def successes(self) -> int:
+        """Trials that recovered the exact support."""
+        return sum(r.success for r in self.rows)
+
+    @property
+    def l1_error_mean(self) -> float:
+        """Mean l1 over the trials whose l1 is finite; 0.0 if none is."""
+        finite = [r.l1 for r in self.rows if math.isfinite(r.l1)]
+        return sum(finite) / len(finite) if finite else 0.0
+
+    @property
+    def micros(self) -> int:
+        """Front-end plus decoder microseconds, summed over the trials."""
+        return sum(r.micros_frontend + r.micros_decode for r in self.rows)
 
 
 def plan_for_config(config: ExperimentConfig) -> FrontendPlan:
@@ -129,29 +157,7 @@ def run_experiment(
     if plan is None:
         plan = plan_for_config(config)
     rows = tuple(run_trial(plan, config, t) for t in range(config.trials))
-    successes = sum(r.success for r in rows)
-    finite = [r.l1 for r in rows if math.isfinite(r.l1)]
-    stats = TrialStats(
-        trials=config.trials,
-        support_success=successes,
-        l1_error_mean=sum(finite) / len(finite) if finite else 0.0,
-        samples_used=plan.sample_count,
-        wall_time=sum(r.micros_frontend + r.micros_decode for r in rows) / 1e6,
-    )
-    return ExperimentResult(config, plan, stats, rows)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    scale: int
-    n: int
-    clusters: int
-    per_cluster: int
-    samples_used: int
-    trials: int
-    support_success: int
-    mean_seconds: float
-    mean_l1: float
+    return ExperimentResult(config, plan, rows)
 
 
 # auto_sweep's cluster-count ramp: the first point starts at
@@ -185,11 +191,12 @@ def sweep_config(config: ExperimentConfig, scale: int, clusters: int) -> Experim
     )
 
 
-def auto_sweep(scales: list[int], config: ExperimentConfig) -> list[SweepPoint]:
+def auto_sweep(scales: list[int], config: ExperimentConfig) -> list[ExperimentResult]:
     """Scaling study over the stretched-length preset family.
 
-    Every sweep point runs sweep_config(config, scale, clusters), so k,
-    snr_db, trials, random_phases and snap reach every trial as given.
+    Returns one accepted run per scale, in order.  Every run's config is
+    sweep_config(config, scale, clusters), so k, snr_db, trials and
+    random_phases reach every trial as given.
 
     At each length the cluster count ramps up from the previous point's
     choice until the observed success rate reaches SWEEP_TARGET_SUCCESS,
@@ -201,38 +208,18 @@ def auto_sweep(scales: list[int], config: ExperimentConfig) -> list[SweepPoint]:
     if not scales:
         raise PlanningError("sweep needs a nonempty scale list")
     needed = math.ceil(SWEEP_TARGET_SUCCESS * config.trials - 1e-9)
-    points: list[SweepPoint] = []
+    accepted: list[ExperimentResult] = []
     c_floor = SWEEP_CLUSTERS_START
     for scale in scales:
-        name = _preset_name(scale)
-        accepted = None
         for clusters in range(c_floor, SWEEP_CLUSTERS_MAX + 1):
             result = run_experiment(sweep_config(config, scale, clusters))
-            if result.stats.support_success >= needed:
-                accepted = (clusters, result)
+            if result.successes >= needed:
                 break
-        if accepted is None:
+        else:
             raise PlanningError(
                 f"no cluster count up to {SWEEP_CLUSTERS_MAX} reached "
-                f"{SWEEP_TARGET_SUCCESS:.0%} success at {name}"
+                f"{SWEEP_TARGET_SUCCESS:.0%} success at {_preset_name(scale)}"
             )
-        clusters, result = accepted
+        accepted.append(result)
         c_floor = clusters
-        rows = result.rows
-        mean_seconds = (
-            sum(r.micros_frontend + r.micros_decode for r in rows) / len(rows) / 1e6
-        )
-        points.append(
-            SweepPoint(
-                scale=scale,
-                n=result.plan.n,
-                clusters=clusters,
-                per_cluster=result.config.per_cluster,
-                samples_used=result.plan.sample_count,
-                trials=config.trials,
-                support_success=result.stats.support_success,
-                mean_seconds=mean_seconds,
-                mean_l1=result.stats.l1_error_mean,
-            )
-        )
-    return points
+    return accepted

@@ -33,7 +33,7 @@ from .frontend import subsample_and_transform
 from .peeling import decode
 from .planner import C1, PRESETS, PlanningError, verify_incoherence
 from .singleton import GAMMA
-from .spectral import Constellation, random_spectrum, synthesize
+from .spectral import M2, Constellation, random_spectrum, synthesize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,18 +161,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         ]
         for r in result.rows
     ]
-    stats = result.stats
-    rows.append(
-        [
-            "summary",
-            config.seed,
-            stats.support_success,
-            repr(stats.l1_error_mean),
-            stats.samples_used,
-            0 if stable else round(stats.wall_time * 1e6),
-            stats.trials,
-        ]
-    )
+    m = result.plan.sample_count
+    rows.append(["summary", config.seed, result.successes, repr(result.l1_error_mean), m,
+                 0 if stable else result.micros, config.trials])
     _write_csv(
         args.out,
         ["trial", "seed", "success", "l1", "m", "micros_frontend", "micros_decode"],
@@ -180,29 +171,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         stamp=not stable,
     )
     print(
-        f"{stats.support_success}/{stats.trials} trials recovered the support "
-        f"(rate {stats.success_rate:.3f}, mean l1 {stats.l1_error_mean:.4g}, "
-        f"m={stats.samples_used})"
+        f"{result.successes}/{config.trials} trials recovered the support "
+        f"(rate {result.successes / config.trials:.3f}, "
+        f"mean l1 {result.l1_error_mean:.4g}, m={m})"
     )
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    points = bench.auto_sweep(args.scales, _experiment_config(args))
+    results = bench.auto_sweep(args.scales, _experiment_config(args))
     stable = args.stable_output
+    # front end plus decoder seconds per trial, at each scale
+    seconds = [r.micros / len(r.rows) / 1e6 for r in results]
     rows = [
-        [
-            p.scale,
-            p.n,
-            p.clusters,
-            p.per_cluster,
-            p.samples_used,
-            p.trials,
-            p.support_success,
-            repr(0.0 if stable else p.mean_seconds),
-            repr(p.mean_l1),
-        ]
-        for p in points
+        [scale, r.plan.n, r.config.clusters, r.config.per_cluster, r.plan.sample_count,
+         r.config.trials, r.successes, repr(0.0 if stable else t), repr(r.l1_error_mean)]
+        for scale, r, t in zip(args.scales, results, seconds)
     ]
     _write_csv(
         args.out,
@@ -211,20 +195,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows,
         stamp=not stable,
     )
-    base = points[0]
-    last = points[-1]
-    summary = (
-        f"swept {len(points)} lengths: m {base.samples_used} -> {last.samples_used} "
-        f"(x{last.samples_used / base.samples_used:.2f})"
-    )
+    m_base = results[0].plan.sample_count
+    m_last = results[-1].plan.sample_count
+    summary = f"swept {len(results)} lengths: m {m_base} -> {m_last} (x{m_last / m_base:.2f})"
     if not stable:
-        summary += f", time x{last.mean_seconds / base.mean_seconds:.2f}"
+        summary += f", time x{seconds[-1] / seconds[0]:.2f}"
     print(summary)
     return EXIT_OK
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
+    if config.snr_db is None:
+        raise PlanningError("bounds need a finite SNR; --snr-db inf has no noise to bound")
     plan = bench.plan_for_config(config)
     rho = config.rho
     f_min = min(plan.bin_counts)
@@ -235,7 +218,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         )
     d_chains = plan.chain_count
     n_samples = plan.per_cluster
-    m2 = Constellation(rho).m2
     cluster_value, cluster_ok = metrics.prop1_bound(rho_b, n_samples, C1, plan.n)
     rows = [
         ["zeroton", f"D={d_chains} gamma={GAMMA}",
@@ -246,8 +228,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
          repr(metrics.kay_variance(rho_b, n_samples))],
         ["cluster_miss", f"rho_b={rho_b} N={n_samples} c1={C1} n={plan.n} "
          f"below_1_over_n3={cluster_ok}", repr(cluster_value)],
-        ["value_error", f"rho_b={rho_b} D={d_chains} m2={m2}",
-         repr(metrics.value_error_bound(rho_b, d_chains, m2))],
+        ["value_error", f"rho_b={rho_b} D={d_chains} m2={M2}",
+         repr(metrics.value_error_bound(rho_b, d_chains, M2))],
         ["multiton", f"rho_b={rho_b} D={d_chains} gamma={GAMMA} n={plan.n} L=2",
          repr(metrics.multiton_bound(rho_b, d_chains, GAMMA, plan.n, 2))],
     ]
@@ -303,9 +285,8 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "seed": ("--seed", dict(type=int, default=0, help="base RNG seed")),
     "random_phases": ("--random-phases", dict(
         action="store_true",
-        help="draw coefficient phases uniformly instead of from the grid")),
-    "snap": ("--no-snap", dict(action="store_false",
-                               help="skip snapping fitted values to the constellation")),
+        help="draw coefficient phases uniformly instead of from the grid, "
+             "and keep fitted values unsnapped")),
     "stable_output": ("--stable-output", dict(
         action="store_true",
         help="zero timing columns and print no timing figure, so output is byte-reproducible")),
@@ -342,12 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(commands, "plan", cmd_plan, "build and screen a subsampling plan",
                  (*_PLAN_FLAGS, "out"))
     _add_command(commands, "run", cmd_run, "run seeded decode trials",
-                 (*_PLAN_FLAGS, "snr_db", "trials", "random_phases", "snap",
-                  "stable_output", "out"),
+                 (*_PLAN_FLAGS, "snr_db", "trials", "random_phases", "stable_output", "out"),
                  seed_required=True)
     _add_command(commands, "sweep", cmd_sweep, "scaling study over stretched lengths",
                  ("k", "snr_db", "per_cluster", "trials", "seed", "random_phases",
-                  "snap", "stable_output", "out", "scales"),
+                  "stable_output", "out", "scales"),
                  seed_required=True)
     _add_command(commands, "bounds", cmd_bounds, "tabulate error-event bounds",
                  (*_PLAN_FLAGS, "snr_db", "stable_output", "out"))

@@ -11,32 +11,10 @@ at unit variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import SparseSpectrum
-
-
-@dataclass(frozen=True)
-class TrialStats:
-    """Aggregate outcome of repeated decode trials at one configuration."""
-
-    trials: int
-    support_success: int
-    l1_error_mean: float
-    samples_used: int
-    wall_time: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.support_success <= self.trials:
-            raise ValueError("successes must lie in [0, trials]")
-        if self.l1_error_mean < 0:
-            raise ValueError("l1 error cannot be negative")
-
-    @property
-    def success_rate(self) -> float:
-        return self.support_success / self.trials if self.trials else 0.0
 
 
 def support_recovery(est: SparseSpectrum, truth: SparseSpectrum) -> tuple[bool, float]:

@@ -34,13 +34,18 @@ _STREAM_NOISE = 0xA3
 _STREAM_PHASES = 0xA4
 
 
+# The value grid's design constants: M1 + 1 magnitude levels and M2 phases.
+M1 = 1
+M2 = 8
+
+
 @dataclass(frozen=True)
 class Constellation:
     """Finite amplitude/phase grid for nonzero DFT coefficients.
 
-    Magnitudes are sqrt(rho)/2 + i*sqrt(rho)/m1 for i = 0..m1, giving
-    m1+1 strictly increasing positive levels; phases are the m2 evenly
-    spaced angles 2*pi*i/m2.  The grid holds (m1+1)*m2 points.
+    Magnitudes are sqrt(rho)/2 + i*sqrt(rho)/M1 for i = 0..M1, giving
+    M1+1 strictly increasing positive levels; phases are the M2 evenly
+    spaced angles 2*pi*i/M2.  The grid holds (M1+1)*M2 points.
 
     rho is the linear-scale design SNR.  Note the mean point energy
     exceeds rho (the lowest magnitude is sqrt(rho)/2, the highest
@@ -48,23 +53,17 @@ class Constellation:
     """
 
     rho: float
-    m1: int = 1
-    m2: int = 8
 
     def __post_init__(self) -> None:
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.m1 < 1:
-            raise ValueError(f"m1 must be a positive integer, got {self.m1}")
-        if self.m2 < 1:
-            raise ValueError(f"m2 must be a positive integer, got {self.m2}")
 
     def magnitudes(self) -> np.ndarray:
         a = math.sqrt(self.rho)
-        return a / 2.0 + np.arange(self.m1 + 1) * (a / self.m1)
+        return a / 2.0 + np.arange(M1 + 1) * (a / M1)
 
     def phases(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.m2) / self.m2
+        return 2.0 * np.pi * np.arange(M2) / M2
 
     def points(self) -> np.ndarray:
         mags = self.magnitudes()
@@ -132,11 +131,6 @@ class SparseSpectrum:
     @property
     def k(self) -> int:
         return int(self.indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.n, dtype=np.complex128)
-        dense[self.indices] = self.values
-        return dense
 
     def values_at(self, indices) -> np.ndarray:
         """X[l] at each requested index l: the stored value, or 0."""
@@ -241,8 +235,8 @@ def random_spectrum(n: int, k: int, constellation: Constellation, seed: int) -> 
     """Draw k distinct support points uniformly and values uniformly from the grid."""
     support = _random_support(n, k, seed)
     vrng = generator(seed, _STREAM_VALUES)
-    mags = constellation.magnitudes()[vrng.integers(0, constellation.m1 + 1, size=k)]
-    phis = constellation.phases()[vrng.integers(0, constellation.m2, size=k)]
+    mags = constellation.magnitudes()[vrng.integers(0, M1 + 1, size=k)]
+    phis = constellation.phases()[vrng.integers(0, M2, size=k)]
     return SparseSpectrum(n, support, mags * np.exp(1j * phis))
 
 
@@ -267,7 +261,7 @@ _BLOCK_ROWS = 128
 
 
 def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterator[np.ndarray]:
-    """Yield exp_sums(n, freqs, weights, stop=stop) as consecutive 1-d runs.
+    """Yield exp_sums(n, freqs, weights)[:stop] as consecutive 1-d runs.
 
     With p = b*W + r and W = ceil(sqrt(n)), x[p] is entry (b, r) of the
     product of a (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W)
@@ -281,22 +275,34 @@ def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterat
     steering_vector does.  When 9*k**2 > n the length-n FFT is cheaper,
     and the one run is n * ifft of the dense spectrum instead; for real
     weights, x = conj(fft(dense)) is assembled from the half-length rfft.
+    stop (n by default) must lie in [0, n]; one outside it raises
+    ValueError at the call, before any run is computed.
     """
+    stop = n if stop is None else stop
+    if not 0 <= stop <= n:
+        raise ValueError(f"stop must lie in [0, n={n}], got {stop}")
     f = np.asarray(freqs, dtype=np.int64) % n
     w = np.asarray(weights)
-    stop = n if stop is None else stop
     if 9 * f.size**2 > n:
-        if np.iscomplexobj(w):
-            dense = np.zeros(n, dtype=np.complex128)
-            np.add.at(dense, f, w)
-            yield (np.fft.ifft(dense) * n)[:stop]
-            return
-        half = np.fft.rfft(np.bincount(f, weights=w, minlength=n))
-        x = np.empty(n, dtype=np.complex128)
-        np.conjugate(half, out=x[: half.size])
-        x[half.size :] = half[n - half.size : 0 : -1]
-        yield x[:stop]
-        return
+        return iter((_fft_sums(n, f, w)[:stop],))
+    return _blocked_runs(n, f, w, stop)
+
+
+def _fft_sums(n: int, f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """All n exp sums by one length-n FFT of the dense spectrum."""
+    if np.iscomplexobj(w):
+        dense = np.zeros(n, dtype=np.complex128)
+        np.add.at(dense, f, w)
+        return np.fft.ifft(dense) * n
+    half = np.fft.rfft(np.bincount(f, weights=w, minlength=n))
+    x = np.empty(n, dtype=np.complex128)
+    np.conjugate(half, out=x[: half.size])
+    x[half.size :] = half[n - half.size : 0 : -1]
+    return x
+
+
+def _blocked_runs(n: int, f: np.ndarray, w: np.ndarray, stop: int) -> Iterator[np.ndarray]:
+    """exp_sum_blocks' blocked product, one _BLOCK_ROWS-row run at a time."""
     width = math.isqrt(n - 1) + 1
     rows = -(-stop // width)
     height = min(rows, _BLOCK_ROWS)
@@ -329,17 +335,16 @@ def _unit_phasors(phases: np.ndarray, n: int, out: np.ndarray) -> None:
     np.exp(out, out=out)
 
 
-def exp_sums(n: int, freqs, weights, *, stop: int | None = None) -> np.ndarray:
-    """x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p = 0..stop-1 (stop = n by default).
+def exp_sums(n: int, freqs, weights) -> np.ndarray:
+    """x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p = 0..n-1.
 
     Frequencies are integers, taken mod n; repeats add.  x is filled run
     by run from exp_sum_blocks, which says how the sums are computed:
-    a blocked O(stop*k) product, or the length-n FFT when 9*k**2 > n.
+    a blocked O(n*k) product, or the length-n FFT when 9*k**2 > n.
     """
-    stop = n if stop is None else stop
-    x = np.empty(stop, dtype=np.complex128)
+    x = np.empty(n, dtype=np.complex128)
     filled = 0
-    for run in exp_sum_blocks(n, freqs, weights, stop=stop):
+    for run in exp_sum_blocks(n, freqs, weights):
         x[filled : filled + run.size] = run
         filled += run.size
     return x

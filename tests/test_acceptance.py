@@ -12,14 +12,7 @@ import numpy as np
 import pytest
 
 from ffast import oracle
-from ffast.bench import (
-    ExperimentConfig,
-    auto_sweep,
-    plan_for_config,
-    run_experiment,
-    run_trial,
-    sweep_config,
-)
+from ffast.bench import ExperimentConfig, auto_sweep, run_experiment, run_trial
 from ffast.frontend import subsample_and_transform
 from ffast.metrics import energy_tail_bound, kay_variance, zeroton_bound
 from ffast.peeling import decode
@@ -141,12 +134,12 @@ def test_03_noisy_support_recovery_rate():
     )
     result = run_experiment(config)
     elapsed = time.perf_counter() - t0
-    rate = result.stats.success_rate
+    rate = result.successes / config.trials
     ok = rate >= 0.97 and elapsed < 600.0
     _report(
         "3 noisy-support-recovery",
         ok,
-        f"{result.stats.support_success}/{result.stats.trials} "
+        f"{result.successes}/{config.trials} "
         f"(rate {rate:.4f} >= 0.97), {elapsed:.1f}s < 600s",
     )
 
@@ -163,16 +156,16 @@ def test_04_sublinear_scaling():
     config = ExperimentConfig(k=40, snr_db=5.0, trials=16, seed=42)
     points = auto_sweep(list(range(1, 13)), config)
     needed = math.ceil(0.97 * 16 - 1e-9)
-    all_hit = all(p.support_success >= needed for p in points)
-    ends = [sweep_config(config, p.scale, p.clusters) for p in (points[0], points[-1])]
-    plans = [plan_for_config(c) for c in ends]
+    all_hit = all(p.successes >= needed for p in points)
+    ends = [points[0].config, points[-1].config]
+    plans = [points[0].plan, points[-1].plan]
     micros = ([], [])
     for trial in range(config.trials):
         for side in (0, 1):
             row = run_trial(plans[side], ends[side], trial)
             micros[side].append(row.micros_frontend + row.micros_decode)
     time_ratio = statistics.median(micros[1]) / statistics.median(micros[0])
-    m_ratio = points[-1].samples_used / points[0].samples_used
+    m_ratio = plans[1].sample_count / plans[0].sample_count
     ok = all_hit and time_ratio <= 1.6 and m_ratio <= 2.0
     _report(
         "4 sublinear-scaling",
@@ -262,7 +255,7 @@ def test_08_l1_error_with_arbitrary_phases():
     config = ExperimentConfig(
         preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3,
         trials=500, seed=20260817,
-        random_phases=True, snap=False,
+        random_phases=True,
     )
     result = run_experiment(config)
     l1s = [r.l1 for r in result.rows if r.success and math.isfinite(r.l1)]

@@ -80,18 +80,21 @@ class TestRunExperiment:
             assert (ra.trial, ra.seed, ra.success, ra.l1) == (
                 rb.trial, rb.seed, rb.success, rb.l1
             )
-        assert a.stats.support_success == b.stats.support_success
+        assert a.successes == b.successes
 
     def test_stats_aggregate_the_rows(self):
         config = ExperimentConfig(
             preset="paper-20", k=2, snr_db=None, trials=3, seed=5
         )
         result = run_experiment(config)
-        assert result.stats.trials == 3
-        assert result.stats.support_success == sum(r.success for r in result.rows)
+        assert len(result.rows) == 3
+        assert result.successes == sum(r.success for r in result.rows)
         finite = [r.l1 for r in result.rows if math.isfinite(r.l1)]
-        assert result.stats.l1_error_mean == pytest.approx(
+        assert result.l1_error_mean == pytest.approx(
             sum(finite) / len(finite)
+        )
+        assert result.micros == sum(
+            r.micros_frontend + r.micros_decode for r in result.rows
         )
 
     def test_noisy_run_mostly_succeeds(self):
@@ -100,4 +103,4 @@ class TestRunExperiment:
             trials=8, seed=3
         )
         result = run_experiment(config)
-        assert result.stats.support_success >= 7
+        assert result.successes >= 7

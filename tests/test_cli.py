@@ -169,7 +169,7 @@ class TestSweepCommand:
 
     def test_snr_db_inf_sweeps_noiseless(self, tmp_path, capsys, monkeypatch):
         """--snr-db inf reaches every trial as noiseless, not as 5 dB, and
-        --no-snap and --random-phases reach every trial too.
+        --random-phases reaches every trial too, with snapping off.
 
         With snapping both sweeps recover all trials exactly (l1 = 0) at
         the first cluster count, so their CSVs agree; the difference is
@@ -190,7 +190,7 @@ class TestSweepCommand:
         assert ran == [(None, True, False)]
         assert main(common + ["--snr-db", "5", "--out", str(noisy)]) == EXIT_OK
         assert ran[1:] == [(5.0, True, False)]
-        assert main(common + ["--snr-db", "5", "--no-snap", "--random-phases",
+        assert main(common + ["--snr-db", "5", "--random-phases",
                               "--out", str(tmp_path / "raw.csv")]) == EXIT_OK
         assert set(ran[2:]) == {(5.0, False, True)}
         _, body = _read_rows(noiseless)
@@ -209,9 +209,9 @@ FLAG_DESTS = {
                "snr_db", "stable_output"],
     "plan": ["clusters", "config", "k", "out", "per_cluster", "preset", "seed"],
     "run": ["clusters", "config", "k", "out", "per_cluster", "preset",
-            "random_phases", "seed", "snap", "snr_db", "stable_output", "trials"],
+            "random_phases", "seed", "snr_db", "stable_output", "trials"],
     "sweep": ["config", "k", "out", "per_cluster", "random_phases", "scales", "seed",
-              "snap", "snr_db", "stable_output", "trials"],
+              "snr_db", "stable_output", "trials"],
     "verify": ["config", "k", "seed", "trials"],
 }
 
@@ -230,6 +230,7 @@ class TestErrors:
     @pytest.mark.parametrize("command, key", [
         ("run", "snr"), ("plan", "trials"), ("sweep", "clusters"),
         ("bounds", "snap"), ("verify", "preset"),
+        ("run", "snap"), ("sweep", "snap"),
         ("plan", "gamma"), ("verify", "c1"), ("sweep", "target_success"),
     ])
     def test_unknown_config_key_is_a_config_error(self, command, key, tmp_path, capsys):
@@ -247,6 +248,7 @@ class TestErrors:
         ["plan", "--trials", "3"],
         ["sweep", "--seed", "1", "--clusters", "12"],
         ["bounds", "--no-snap"],
+        ["run", "--seed", "1", "--no-snap"],
         ["verify", "--preset", "n504"],
         ["plan", "--preset", "paper-20", "--k", "2", "--gamma", "0.5"],
         ["sweep", "--scales", "1", "--seed", "1", "--target-success", "nan"],
@@ -266,6 +268,14 @@ class TestErrors:
     def test_bad_flag_values_are_config_errors(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    def test_bounds_need_a_finite_snr(self, tmp_path, capsys):
+        """Noiseless runs use rho = 4 as a value scale; it is not an SNR
+        that the error-event bounds could be taken at."""
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--snr-db", "inf", "--out", str(out)]) == EXIT_CONFIG
+        assert "bounds need a finite SNR" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["k = abc", "snr_db = loud", "random_phases = maybe"])
     def test_unconvertible_config_value_is_a_config_error(self, line, tmp_path, capsys):

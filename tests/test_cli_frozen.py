@@ -19,7 +19,7 @@ CASES = {
     "run-n504-8db": ["run", "--preset", "n504", "--k", "4", "--snr-db", "8",
                      "--trials", "4", "--seed", "3"],
     "run-sparse-5db": ["run", *SPARSE_5DB],
-    "run-random-phases": ["run", *SPARSE_5DB, "--random-phases", "--no-snap"],
+    "run-random-phases": ["run", *SPARSE_5DB, "--random-phases"],
     "sweep": ["sweep", "--scales", "1,2", "--k", "8", "--trials", "2", "--seed", "1"],
     "bounds": ["bounds"],
     "verify": ["verify", "--k", "4", "--trials", "2"],

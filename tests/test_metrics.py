@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from ffast.metrics import (
-    TrialStats,
     energy_tail_bound,
     kay_variance,
     multiton_bound,
@@ -24,23 +23,6 @@ from ffast.metrics import (
     zeroton_bound,
 )
 from ffast.spectral import SparseSpectrum
-
-
-class TestTrialStats:
-    def test_success_rate(self):
-        stats = TrialStats(8, 6, 0.01, 1234, 2.5)
-        assert stats.success_rate == 0.75
-
-    def test_zero_trials(self):
-        assert TrialStats(0, 0, 0.0, 0, 0.0).success_rate == 0.0
-
-    def test_successes_bounded_by_trials(self):
-        with pytest.raises(ValueError):
-            TrialStats(5, 6, 0.0, 0, 0.0)
-
-    def test_negative_l1_rejected(self):
-        with pytest.raises(ValueError):
-            TrialStats(5, 5, -0.1, 0, 0.0)
 
 
 def _union_values(est, truth):

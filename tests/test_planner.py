@@ -238,7 +238,7 @@ class TestBlockedScan:
         plan = _bench_plan(preset)
         shifts = plan.shift_array
         d_chains = plan.chain_count
-        sums = exp_sums(plan.n, shifts - shifts[0], np.ones(d_chains), stop=plan.n // 2 + 1)
+        sums = exp_sums(plan.n, shifts - shifts[0], np.ones(d_chains))[: plan.n // 2 + 1]
         assert verify_incoherence(plan).mu_max == np.abs(sums[1:]).max() / d_chains
 
 

@@ -10,10 +10,13 @@ from ffast.planner import PRESETS
 from ffast.randomness import complex_normal
 from ffast.spectral import (
     _STREAM_NOISE,
+    M1,
+    M2,
     Constellation,
     SparseSpectrum,
     TimeSignal,
     add_noise,
+    exp_sum_blocks,
     exp_sums,
     random_phase_spectrum,
     random_spectrum,
@@ -29,21 +32,20 @@ class TestConstellation:
         np.testing.assert_allclose(con.magnitudes(), [1.0, 3.0])
 
     def test_magnitudes_strictly_increasing(self):
-        con = Constellation(2.5, m1=3)
+        con = Constellation(2.5)
         mags = con.magnitudes()
         assert mags[0] == pytest.approx(math.sqrt(2.5) / 2)
         assert np.all(np.diff(mags) > 0)
 
     def test_phase_count_and_range(self):
-        con = Constellation(1.0, m2=8)
+        con = Constellation(1.0)
         phases = con.phases()
         assert len(phases) == 8
         assert np.all((phases >= 0) & (phases < 2 * np.pi))
         assert len(np.unique(phases)) == 8
 
     def test_grid_size(self):
-        assert Constellation(1.0).points().size == 16
-        assert Constellation(1.0, m1=3, m2=4).points().size == 16
+        assert Constellation(1.0).points().size == (M1 + 1) * M2 == 16
 
     def test_mean_energy(self):
         # magnitudes sqrt(rho)/2 and 3*sqrt(rho)/2: mean square is 1.25*rho
@@ -65,9 +67,9 @@ class TestConstellation:
         pt = con.points()[5]
         assert con.snap(pt + 0.05 - 0.03j) == complex(pt)
 
-    @pytest.mark.parametrize("rho,m1,m2", [(4.0, 1, 8), (10 ** 0.5, 3, 4), (0.7, 2, 5)])
-    def test_snap_matches_nearest_point_formula(self, rho, m1, m2):
-        con = Constellation(rho, m1=m1, m2=m2)
+    @pytest.mark.parametrize("rho", [4.0, 10 ** 0.5, 0.7])
+    def test_snap_matches_nearest_point_formula(self, rho):
+        con = Constellation(rho)
         reach = 2.0 * math.sqrt(rho)
         axis = np.linspace(-reach, reach, 41)
         for value in (axis[:, None] + 1j * axis[None, :]).ravel():
@@ -78,12 +80,6 @@ class TestConstellation:
     def test_rho_must_be_positive(self, bad):
         with pytest.raises(ValueError):
             Constellation(bad)
-
-    def test_m1_m2_validation(self):
-        with pytest.raises(ValueError):
-            Constellation(1.0, m1=0)
-        with pytest.raises(ValueError):
-            Constellation(1.0, m2=0)
 
 
 class TestSparseSpectrum:
@@ -96,13 +92,6 @@ class TestSparseSpectrum:
         s = SparseSpectrum.from_pairs(10, [(8, 1.0), (2, 2.0)])
         assert list(s.indices) == [2, 8]
         assert s.k == 2
-
-    def test_to_dense_round_trip(self):
-        s = SparseSpectrum.from_pairs(12, [(0, 1j), (11, -2.0)])
-        dense = s.to_dense()
-        assert dense.shape == (12,)
-        assert dense[0] == 1j and dense[11] == -2.0
-        assert np.count_nonzero(dense) == 2
 
     def test_value_at(self):
         s = SparseSpectrum.from_pairs(10, [(4, 3.0), (7, -1j)])
@@ -234,16 +223,24 @@ class TestExpSums:
     def test_stop_gives_the_leading_samples(self, case, data):
         n, freqs, weights = case
         stop = data.draw(st.integers(1, n))
-        got = exp_sums(n, freqs, weights, stop=stop)
+        got = np.concatenate(list(exp_sum_blocks(n, freqs, weights, stop=stop)))
         assert got.shape == (stop,)
         tol = 1e-9 * max(float(np.abs(weights).sum()), 1.0)
         assert np.max(np.abs(got - _ifft_sums(n, freqs, weights)[:stop])) <= tol
+
+    @pytest.mark.parametrize("k", [6, 1])
+    @pytest.mark.parametrize("stop", [21, -1])
+    def test_stop_outside_the_signal_is_rejected(self, k, stop):
+        """n = 20 takes the FFT branch at k = 6 (9k^2 > n) and the blocked
+        one at k = 1; neither may read past the n samples there are."""
+        with pytest.raises(ValueError, match="stop must lie in"):
+            exp_sum_blocks(20, np.arange(k), np.ones(k), stop=stop)
 
     def test_dense_spectrum_synthesis_is_the_fft_bit_for_bit(self):
         s = random_spectrum(4845, 170, Constellation(4.0), seed=3)
         assert 9 * s.k**2 > s.n
         np.testing.assert_array_equal(
-            synthesize(s).samples, np.fft.ifft(s.to_dense()) * s.n
+            synthesize(s).samples, np.fft.ifft(s.values_at(np.arange(s.n))) * s.n
         )
 
 
