@@ -42,6 +42,13 @@ from .spectral import Constellation, SparseSpectrum
 # A decode stops after this many passes even if the last one committed.
 MAX_PASSES = 32
 
+# A singleton fit whose residual energy is below this is exact: it sorts
+# as residual 0, so exact fits commit in row order.  Float rounding in a
+# noiseless decode leaves residuals of about 1e-25, while unit-variance
+# noise leaves about D - 1, so the ordering of a noisy pass is unchanged
+# and that of a noiseless one does not hang on last-bit differences.
+EXACT_FIT_RESIDUAL = 1e-9
+
 # One peel, packed.  "support" is as narrow as n allows: two bytes up to
 # n = 65,536, else four, which covers every n the decoder handles, since
 # steering_vector's int64 phase products already need n below 2**31.5.
@@ -164,7 +171,10 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         for row in range(len(stage_of)):
             verdict = classify_bin(stats, row)
             if verdict.kind is VerdictKind.SINGLETON:
-                candidates.append((verdict.residual_energy, row, verdict))
+                residual = verdict.residual_energy
+                if residual < EXACT_FIT_RESIDUAL:
+                    residual = 0.0
+                candidates.append((residual, row, verdict))
         # rows are stage-major, so row order is (stage, bin) order; rows
         # are distinct, so the sort never compares two verdicts
         candidates.sort()

@@ -29,9 +29,9 @@ CORPUS = {
 DIGESTS = {
     "sparse-5db": "32857938a0ce662ffdd537cc5acd7e31cb1e702e12ce666fe261f6cc802dc00e",
     "stretch-x12": "2f62d541a2fd5ea18d4b0243ef859b1d6d4caad97dfedebc21f4b31c55bf9fab",
-    "dense-noiseless": "31a66edd31af9668d49e38a9cf846228fecac275c0370037546a5d573cff3652",
+    "dense-noiseless": "780bca475972528ff493a6117328b633a3e35349d25f0a32ba2d9afab40a3d7b",
     "n504-5db": "24ee2529be495822053dd12979503a8ab9d5eec9d56c85ad95037fee136fa300",
-    "n504-noiseless": "c0bc9a0409def8d9fa5f80a34dbc797e074be342cd2380c02104fa04bfb0d25c",
+    "n504-noiseless": "cd0072ea37f7d777ab1eebc55f7a103a9e64ea89db08eb2bdb047b3c659974de",
 }
 
 

@@ -185,6 +185,19 @@ class TestDecodeNoiseless:
         assert len(supports) == len(set(supports))
         assert sorted(supports) == list(result.spectrum.indices)
 
+    @pytest.mark.parametrize("preset,k", [("n4845", 170), ("n504", 7)])
+    def test_last_bit_changes_leave_the_event_order(self, preset, k):
+        """Exact fits commit in row order, so a noiseless bank scaled by
+        1 + 2**-52, whose fit residuals differ only in rounding, peels
+        the same events in the same order."""
+        config = ExperimentConfig(preset=preset, k=k, snr_db=None, seed=20260817)
+        plan = plan_for_config(config)
+        con = Constellation(config.rho)
+        for seed in range(20):
+            bank = _bank_for(random_spectrum(plan.n, k, con, seed), plan)
+            nudged = BinBank(plan, bank.rows * (1.0 + 2.0**-52))
+            assert decode(nudged, con).events == decode(bank, con).events
+
     def test_monotone_progress_and_pass_budget(self, plan990):
         for seed in range(25):
             truth = random_spectrum(990, 9, Constellation(4.0), seed=400 + seed)
