@@ -6,8 +6,9 @@ takes a 1/sqrt(f_i)-scaled f_i-point DFT.  Bin j of stage i then holds
     y_{i,j} = sqrt(f_i) * sum_{l = j mod f_i} X[l] * s_l  +  w,
 
 with s_l[t] = exp(+2j*pi*l*r_t/n) the steering vector over the D shifts
-and w unit-variance complex Gaussian per entry when the time-domain
-noise has unit variance.  The sqrt(f_i) scaling keeps the noise at unit
+(read from spectral.unit_roots' table, not evaluated by exp) and w
+unit-variance complex Gaussian per entry when the time-domain noise has
+unit variance.  The sqrt(f_i) scaling keeps the noise at unit
 variance in every stage, so a single energy threshold applies
 everywhere and the effective per-bin SNR is f_i times the time-domain
 SNR.
@@ -24,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .planner import FrontendPlan
-from .spectral import TimeSignal
+from .spectral import TimeSignal, unit_roots
 
 
 class BinBank:
@@ -36,13 +37,15 @@ class BinBank:
     contribution without doing it; the next read of rows or stages
     applies every subtraction noted so far in one batch, in the order
     they were noted, so a reader always sees the fully peeled bank,
-    bit for bit what subtracting one coefficient at a time gives.  The
+    bit for bit what subtracting one coefficient at a time gives.  A
+    peel's steering vector is recomputed by steering_vector, a few
+    microseconds per flush, rather than carried from its fit.  The
     bank a decoder mutates should be a copy(); readers treat banks as
     frozen.
     """
 
     def __init__(self, plan: FrontendPlan, rows: np.ndarray):
-        rows = np.asarray(rows)
+        rows = np.ascontiguousarray(rows)
         if rows.shape != (sum(plan.bin_counts), plan.chain_count):
             raise ValueError(
                 f"bank shape {rows.shape} != ({sum(plan.bin_counts)}, {plan.chain_count})"
@@ -77,13 +80,16 @@ class BinBank:
         values = np.array([value for _, value in self._peels], dtype=np.complex128)
         self._peels.clear()
         counts = np.asarray(plan.bin_counts)
+        d_chains = plan.chain_count
         targets = supports[:, None] % counts + np.asarray(plan.row_offsets)
         # the same products, in the same order, as one peel at a time:
         # (sqrt(f) * value) * steering vector
         scaled = np.sqrt(counts)[:, None] * values[:, None, None]
         deltas = scaled * steering_vector(supports, plan)[:, None, :]
-        # subtract.at applies repeated rows one after another, in peel order
-        np.subtract.at(self._rows, targets.ravel(), deltas.reshape(-1, plan.chain_count))
+        # subtract.at applies repeated entries one after another, in peel
+        # order; on the flat bank each entry is one sample, not one row
+        entries = targets[:, :, None] * d_chains + np.arange(d_chains)
+        np.subtract.at(self._rows.reshape(-1), entries.ravel(), deltas.ravel())
 
 
 def row_energies(rows: np.ndarray) -> np.ndarray:
@@ -101,11 +107,13 @@ def steering_vector(ell, plan: FrontendPlan) -> np.ndarray:
 
     ell may be an integer array, which gives one vector per entry along
     a new last axis.  The phase products are reduced mod n in exact
-    integer arithmetic before the float conversion, so large ell stays
-    accurate.
+    integer arithmetic and looked up in spectral.unit_roots' table of
+    the n-th roots of unity, so large ell stays accurate and no complex
+    exp is evaluated.  This serves the fit columns, the peel columns
+    and the factored front end.
     """
     phases = (np.asarray(ell, dtype=np.int64)[..., None] * plan.shift_array) % plan.n
-    return np.exp(2j * np.pi * phases / plan.n)
+    return unit_roots(phases, plan.n)
 
 
 def factored_is_cheaper(n: int, k: int, m: int) -> bool:
@@ -121,14 +129,14 @@ def factored_is_cheaper(n: int, k: int, m: int) -> bool:
 
 
 @lru_cache(maxsize=16)
-def _root_table(plan: FrontendPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stage_roots(plan: FrontendPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each stage's f roots of unity, stacked like the bank rows (read-only).
 
     Returns the sum(f_i) roots, and for each row (as a column) its
     stage's f and the row that stage starts at.
     """
     periods = np.repeat(plan.bin_counts, plan.bin_counts)
-    roots = np.exp(2j * np.pi * plan.row_bin / periods)
+    roots = unit_roots(plan.row_bin * (plan.n // periods), plan.n)
     tables = (roots, periods[:, None], (np.arange(periods.size) - plan.row_bin)[:, None])
     for table in tables:
         table.flags.writeable = False
@@ -146,7 +154,8 @@ def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
 
         x[a*n/f + r] = sum_q e^{2j*pi*(a*l_q mod f)/f} * X_q s_{l_q}[r],
 
-    a (sum f x k) table looked up among each stage's f-th roots of unity,
+    a (sum f x k) table looked up among each stage's f-th roots of unity
+    (e^{2j*pi*j/f} is the n-th root at j*n/f),
     times the (k x D) table of steering vectors scaled by the values.
     Otherwise the samples are gathered from the noiseless view.  The
     noise is then added at the indices read.
@@ -158,7 +167,7 @@ def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
     if spec is None or not factored_is_cheaper(plan.n, spec.k, index.size):
         x = signal.clean[index]
     else:
-        roots, periods, starts = _root_table(plan)
+        roots, periods, starts = _stage_roots(plan)
         ells = spec.indices
         steer = spec.values[:, None] * steering_vector(ells, plan)
         x = roots[(plan.row_bin[:, None] * ells) % periods + starts] @ steer

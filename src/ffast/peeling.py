@@ -2,10 +2,12 @@
 
 Each pass reads every bin's verdict from one set of bin statistics
 (singleton.bin_statistics), then commits the singleton verdicts in
-ascending residual order, most confident first.  A commit subtracts the
-coefficient's steering contribution from the one bin it aliases into in
-every stage, which can turn a multi-ton elsewhere into a fresh
-singleton, so passes repeat until a pass commits nothing (at most
+ascending residual order, most confident first.  Fits below
+EXACT_FIT_RESIDUAL are exact and commit in row order, so the order of
+a noiseless decode does not hang on last-bit rounding.  A commit
+subtracts the coefficient's steering contribution from the one bin it
+aliases into in every stage, which can turn a multi-ton elsewhere into
+a fresh singleton, so passes repeat until a pass commits nothing (at most
 MAX_PASSES).  Decoding converges when no bin's leftover energy exceeds
 the singleton residual cap: what is left is noise, not an unrecovered
 coefficient.
@@ -135,14 +137,15 @@ def peel(bank: BinBank, support: int, value: complex) -> list[int]:
 def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeResult:
     """Run classify-and-peel passes until a pass commits nothing, or MAX_PASSES.
 
-    Within a pass, candidate singletons are ordered by residual energy
-    (then stage, then bin) and checked against the live bank just before
-    being committed: a candidate whose row an earlier commit of the pass
-    has peeled into is re-read, so a stale verdict (its coefficients now
+    Within a pass, candidate singletons are ordered by residual energy,
+    a residual under EXACT_FIT_RESIDUAL counting as 0 (then stage, then
+    bin), and checked against the live bank just before being
+    committed: a candidate whose row an earlier commit of the pass has
+    peeled into is re-read, so a stale verdict (its coefficients now
     removed, or its apparent support shifted) is dropped instead of
     poisoning the output.  An untouched row holds what it held when the
     pass began, so its verdict stands.  A support reported twice keeps
-    only the lowest-residual sighting.
+    only its first sighting in this order.
 
     A verdict depends on its row alone, so one set of statistics serves
     every pass: a pass after the first recomputes only the rows that

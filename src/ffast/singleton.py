@@ -10,7 +10,9 @@ refinement lifts these onto ever finer grids until omega is pinned to
 better than half a grid cell of 2*pi/n.  Last the value: least squares
 against the steering column of the rounded support, accepted as a
 singleton only if the residual looks like pure noise and the column
-explains most of the bin energy.
+explains most of the bin energy.  The steering column comes from
+frontend.steering_vector, a lookup in spectral.unit_roots' table of
+the n-th roots of unity, so classification evaluates no complex exp.
 
 bin_statistics runs these steps for a whole stack of bins at once, each
 step only on the rows that passed the one before, and classify_bin
@@ -59,14 +61,21 @@ def cluster_estimate(samples: np.ndarray, spacing: int | np.ndarray) -> np.ndarr
     cluster, whose shifts differ by `spacing` (broadcast over the leading
     axes); the angles of consecutive products advance by spacing*omega.
     Angles are measured relative to the energy-weighted mean direction
-    so that a true phase near +/-pi does not wrap individual terms.
+    so that a true phase near +/-pi does not wrap individual terms; the
+    products are turned to it by conj(total)/|total| of their sum, not
+    a complex exp.
     Returns the weighted estimate divided by spacing, reduced to
     [0, 2*pi/spacing).
     """
     samples = np.asarray(samples)
     products = samples[..., 1:] * np.conj(samples[..., :-1])
-    reference = np.angle(products.sum(axis=-1))
-    deviations = np.angle(products * np.exp(-1j * reference)[..., None])
+    total = products.sum(axis=-1)
+    reference = np.angle(total)
+    # rotate by -reference: conj(total) / |total|, or 1 where total = 0,
+    # whose angle np.angle gives as 0
+    magnitude = np.abs(total)
+    rotation = np.divide(total.conj(), magnitude, out=np.ones_like(total), where=magnitude > 0)
+    deviations = np.angle(products * rotation[..., None])
     theta = reference + deviations @ kay_weights(samples.shape[-1])
     return np.mod(theta / spacing, 2.0 * np.pi / spacing)
 

@@ -9,6 +9,10 @@ Conventions used throughout the package:
   O(n*k) product for sparse spectra, n * ifft of the dense spectrum
   when k is large enough that the FFT is cheaper;
 * analysis:   X[l] = (1/n) * sum_p x[p] * exp(-2j*pi*l*p/n);
+* roots of unity: exp(2j*pi*m/n) on the fast path comes from
+  unit_roots, two gathers from one cached two-level table per n and a
+  multiply; complex exp is evaluated only to build that table and in
+  the value model (grid points, random phases);
 * noise:      y = x + z with z circular complex Gaussian, so a noise
   variance of 1.0 means unit variance per complex sample (0.5 per
   real/imaginary part).  z[p] is a function of (seed, p) alone
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -254,6 +258,42 @@ def random_phase_spectrum(n: int, k: int, amplitude: float, seed: int) -> Sparse
     return SparseSpectrum(n, support, values)
 
 
+@lru_cache(maxsize=32)
+def root_table(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The n-th roots of unity as a two-level table: (bits, high, low).
+
+    exp(2j*pi*m/n) = high[m >> bits] * low[m & (2**bits - 1)] for every
+    integer m in [0, n), with bits = ceil(bit_length(n) / 2), so the two
+    tables hold under 3*sqrt(n) + 1 entries (44 KB at n = 1,499,400).
+    Each product differs from exp(2j*pi*m/n) by a few units in the last
+    place.  The arrays are cached and read-only.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    bits = (n.bit_length() + 1) // 2
+    low = np.exp(2j * np.pi * np.arange(1 << bits, dtype=np.int64) / n)
+    high = np.exp(2j * np.pi * (np.arange(((n - 1) >> bits) + 1, dtype=np.int64) << bits) / n)
+    low.flags.writeable = False
+    high.flags.writeable = False
+    return bits, high, low
+
+
+def unit_roots(m, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2j*pi*m/n) for each integer m in [0, n), read from root_table(n).
+
+    Two gathers and one multiply per entry, split by shift and mask:
+    no complex exp.  m must already be reduced mod n; out, if given,
+    receives the result.
+    """
+    bits, high, low = root_table(n)
+    m = np.asarray(m)
+    # m in [0, n) keeps both indices in range; mode="wrap" only spares
+    # take the bounds-checked copy it would otherwise make of out
+    out = np.take(high, m >> bits, out=out, mode="wrap")
+    out *= np.take(low, m & ((1 << bits) - 1), mode="wrap")
+    return out
+
+
 # Rows of the blocked exp-sum product that one matmul computes.  A block
 # holds _BLOCK_ROWS * ceil(sqrt(n)) sums, so a scan of any length holds
 # O(k * sqrt(n)) values at once.
@@ -266,10 +306,11 @@ def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterat
     With p = b*W + r and W = ceil(sqrt(n)), x[p] is entry (b, r) of the
     product of a (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W)
     table exp(2j*pi*f_q*r/n), for the ceil(stop/W) rows that hold
-    p < stop: O(stop*k) multiply-adds and O(k*sqrt(n)) exps.  Each run
-    is _BLOCK_ROWS rows of it (the last run is cut at stop), computed by
-    one matmul into a buffer the next run reuses, so the tables and one
-    block are all that is held, O(k*sqrt(n)) memory.  Copy a run that
+    p < stop: O(stop*k) multiply-adds and O(k*sqrt(n)) roots of unity,
+    read from unit_roots' table.  Each run is _BLOCK_ROWS rows of it
+    (the last run is cut at stop), computed by one matmul into a buffer
+    the next run reuses, so the tables and one block are all that is
+    held, O(k*sqrt(n)) memory.  Copy a run that
     must outlive the next step of the iteration.
     The phase products are reduced mod n in exact integer arithmetic, as
     steering_vector does.  When 9*k**2 > n the length-n FFT is cheaper,
@@ -310,29 +351,22 @@ def _blocked_runs(n: int, f: np.ndarray, w: np.ndarray, stop: int) -> Iterator[n
     # The two tables and the block share one allocation.  glibc hands
     # freed heap back to the system once more than twice its largest
     # recent allocation lies free, and the next call faults it in again.
-    # One allocation outweighs all else a scan holds (the integer phases
-    # and a caller's block of magnitudes), so repeated scans reuse their
-    # pages; as three buffers, each screening call at n = 124,950 took
-    # ~320 page faults and 25% longer.
+    # One allocation outweighs all else a scan holds (the integer phases,
+    # unit_roots' table indices and gathers, and a caller's block of
+    # magnitudes), so repeated scans reuse their pages; as three
+    # buffers, each screening call at n = 124,950 took ~320 page faults
+    # and 25% longer.
     work = np.empty(k * (rows + width) + height * width, dtype=np.complex128)
     table_b = work[: rows * k].reshape(rows, k)
     table_r = work[rows * k : k * (rows + width)].reshape(k, width)
     block = work[k * (rows + width) :].reshape(height, width)
-    _unit_phasors(np.arange(rows, dtype=np.int64)[:, None] * (f * width % n), n, out=table_b)
+    unit_roots(np.arange(rows, dtype=np.int64)[:, None] * (f * width % n) % n, n, out=table_b)
     np.multiply(w, table_b, out=table_b)
-    _unit_phasors(f[:, None] * np.arange(width, dtype=np.int64), n, out=table_r)
+    unit_roots(f[:, None] * np.arange(width, dtype=np.int64) % n, n, out=table_r)
     for first in range(0, rows, _BLOCK_ROWS):
         part = table_b[first : first + _BLOCK_ROWS]
         out = np.matmul(part, table_r, out=block[: part.shape[0]])
         yield out.reshape(-1)[: stop - first * width]
-
-
-def _unit_phasors(phases: np.ndarray, n: int, out: np.ndarray) -> None:
-    """Write exp(2j*pi*phases/n) into out; the int64 phases are reduced mod n in place."""
-    phases %= n
-    np.multiply(2j * np.pi, phases, out=out)
-    out /= n
-    np.exp(out, out=out)
 
 
 def exp_sums(n: int, freqs, weights) -> np.ndarray:

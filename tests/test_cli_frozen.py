@@ -30,7 +30,7 @@ DIGESTS = {
                      "7846c77ee3e6e5811e843d0342b4854ad013bc4825539a6322a7c836d728398a"),
     "run-sparse-5db": ("87780242f1a8e011e0020bbbe5397a5e87221036963918bde06743851b9fae37",
                        "b4ce4fa64398137c5ddb2c8bb2f982f8bc4edf135ba53c1be9c499fdb57b7851"),
-    "run-random-phases": ("e55d61dc694b9a1e0271142a8d2da30b6600e6bef410a0d401820dd8264ca3c8",
+    "run-random-phases": ("6c3a3f9f109d01b4db03e4ae9a95e5dd9de34a5fe015d3ed76b21b7ec3af7d96",
                           "1cc3df44c03fe187fc1fe7a36c297f81a27e06f1900c0b12f17ab3d50cf8e749"),
     "sweep": ("755c272ff8c3d2c780eb438d6cdea92d239807d56fef271e3a9b6217b367c33f",
               "46ec845138f39ded60bc82d1457cd9ae885616d4832fb29759d55b8030469f4c"),

@@ -92,3 +92,43 @@ def test_every_public_function_and_class_has_a_package_caller():
                        for m in MODULES for other in bodies[m] if other is not node):
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+def _numpy_exp_callers(module: str) -> list[str]:
+    """The enclosing definition ("Class.method", "function" or "<module>")
+    of each numpy exp the module reads, as np.exp or imported from numpy."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "exp"
+                    and isinstance(child.value, ast.Name) and child.value.id in ("np", "numpy")):
+                found.append(scope or "<module>")
+            elif (isinstance(child, ast.ImportFrom) and child.module == "numpy"
+                  and any(alias.name == "exp" for alias in child.names)):
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), "")
+    return found
+
+
+@pytest.mark.parametrize("module", ["frontend", "singleton", "peeling", "planner"])
+def test_the_fast_path_evaluates_no_exp(module):
+    # roots of unity come from spectral.unit_roots' cached table
+    assert _numpy_exp_callers(module) == []
+
+
+def test_spectral_uses_exp_only_for_the_table_and_the_value_model():
+    allowed = {"root_table", "Constellation.points", "random_spectrum", "random_phase_spectrum"}
+    callers = _numpy_exp_callers("spectral")
+    assert "root_table" in callers
+    assert set(callers) <= allowed
+
+
+def test_the_oracle_keeps_its_own_exp():
+    assert _numpy_exp_callers("oracle")
+    assert ("spectral", "unit_roots") not in package_imports("oracle")

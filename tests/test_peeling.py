@@ -146,6 +146,19 @@ class TestPeel:
                 assert np.concatenate(bank.stages).tobytes() == eager.tobytes()
         assert bank.rows.tobytes() == eager.tobytes()
 
+    def test_a_bank_over_a_strided_array_applies_its_peels(self, plan504):
+        """Peels are applied to the flattened bank, so a bank built from a
+        non-contiguous array keeps a contiguous copy of it."""
+        rows = _bank_for(random_spectrum(504, 7, Constellation(2.0), seed=6), plan504).rows
+        bank = BinBank(plan504, np.asfortranarray(rows))
+        value = 1.5 - 0.5j
+        touched = peel(bank, 10, value)
+        expected = rows.copy()
+        expected[touched] -= np.sqrt(plan504.bin_counts)[:, None] * value * steering_vector(
+            10, plan504
+        )
+        assert bank.rows.tobytes() == expected.tobytes()
+
     def test_peel_matches_aliasing_recomputation(self, plan20):
         values = {1: 1.5 + 0j, 3: 1.5j, 5: -1.5 + 0j, 10: 1.5 - 0.5j, 15: -1.5j}
         full = SparseSpectrum.from_pairs(20, values)

@@ -68,6 +68,11 @@ class TestClusterEstimate:
         est = cluster_estimate(samples, 2)
         assert est == pytest.approx(omega % np.pi, abs=1e-12)
 
+    def test_products_summing_to_zero_keep_a_zero_reference(self):
+        """Products 1 and -1 sum to 0, whose angle is taken as 0, so the
+        deviations are the raw angles 0 and pi, weighted 1/2 each."""
+        assert cluster_estimate(np.array([1.0, 1.0, -1.0]), 1) == np.pi / 2
+
     def test_cluster_array_matches_row_by_row(self, plan990):
         """A (C, N) noiseless tone gives, in one call, the row-by-row
         estimates, and row c is omega mod 2*pi/base**c.  The weighted sum

@@ -20,7 +20,9 @@ from ffast.spectral import (
     exp_sums,
     random_phase_spectrum,
     random_spectrum,
+    root_table,
     synthesize,
+    unit_roots,
 )
 
 SMALL_LENGTHS = sorted({p.n for p in PRESETS.values() if p.n <= 4845})
@@ -242,6 +244,46 @@ class TestExpSums:
         np.testing.assert_array_equal(
             synthesize(s).samples, np.fft.ifft(s.values_at(np.arange(s.n))) * s.n
         )
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("n", sorted({p.n for p in PRESETS.values()}))
+    def test_matches_complex_exp(self, n):
+        """Within 4e-15 of np.exp at the split's edges and at random m,
+        at every preset n up to 1,499,400, and of modulus 1 to two ulps."""
+        bits = root_table(n)[0]
+        edges = [0, 1, (1 << bits) - 1, 1 << bits, n - 1]
+        m = np.concatenate((np.array([e for e in edges if e < n], dtype=np.int64),
+                            np.random.default_rng(n).integers(0, n, size=20_000)))
+        z = unit_roots(m, n)
+        assert np.max(np.abs(z - np.exp(2j * np.pi * m / n))) <= 4e-15
+        assert np.max(np.abs(np.abs(z) - 1.0)) <= 2 * np.finfo(np.float64).eps
+
+    def test_holds_under_three_sqrt_n_entries(self):
+        n = 1_499_400
+        bits, high, low = root_table(n)
+        assert (bits, low.size) == (11, 1 << 11)
+        assert (high.size - 1) << bits < n <= high.size << bits
+        assert high.size + low.size <= 3 * math.sqrt(n) + 1
+        assert high.nbytes + low.nbytes < 45_000
+
+    def test_shape_and_out(self):
+        m = np.arange(12).reshape(3, 4)
+        out = np.empty((3, 4), dtype=np.complex128)
+        assert unit_roots(m, 12, out=out) is out
+        np.testing.assert_allclose(out, np.exp(2j * np.pi * m / 12), rtol=0, atol=4e-15)
+
+    def test_cached_arrays_are_read_only(self):
+        _, high, low = root_table(504)
+        assert root_table(504)[1] is high
+        for table in (high, low):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_rejects_a_nonpositive_length(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            root_table(0)
 
 
 class TestAddNoise:
