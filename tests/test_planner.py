@@ -1,4 +1,5 @@
 """Planner tests: stage factorizations, cluster geometry, incoherence screening."""
+import hashlib
 import math
 import tracemalloc
 
@@ -308,3 +309,39 @@ class TestBuildPlan:
 
     def test_retry_cap_constant(self):
         assert MAX_SHIFT_DRAWS == 200
+
+
+# The benchmark workloads' plan settings (perfbench builds them at BENCH_PLAN_SEED).
+WORKLOAD_PLANS = {
+    "sparse-5db": dict(preset="paper-124950", k=40, clusters=12, per_cluster=3),
+    "stretch-x12": dict(preset="paper-124950x12", k=40, clusters=12, per_cluster=3),
+    "dense-noiseless": dict(preset="n4845", k=170),
+}
+
+
+def _plan_digest(named_plans):
+    """SHA-256 over each plan's (name, seed, bin_counts, clusters, per_cluster, base, shifts)."""
+    digest = hashlib.sha256()
+    for name, seed, plan in named_plans:
+        record = (name, seed, plan.bin_counts, plan.clusters, plan.per_cluster, plan.base,
+                  plan.shifts)
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+class TestFrozenPlans:
+    """Every plan build_plan draws, pinned bit for bit: a change to the
+    planner that moves one shift, base or cluster count fails here."""
+
+    def test_preset_plans(self):
+        plans = [(name, seed, build_plan(name, 2, seed=seed))
+                 for name in sorted(PRESETS) for seed in (0, BENCH_PLAN_SEED)]
+        assert len(plans) == 36
+        assert _plan_digest(plans) == (
+            "79b37bf80d017db80d2daf0ca020fb97269e4ae58a041a08b262e3238c669235")
+
+    def test_workload_plans(self):
+        plans = [(name, BENCH_PLAN_SEED, build_plan(**kw, seed=BENCH_PLAN_SEED))
+                 for name, kw in WORKLOAD_PLANS.items()]
+        assert _plan_digest(plans) == (
+            "39c0f8a35e391467804450048863c674ffe3d4260b86eb25217fe6bfe84f8374")
