@@ -95,27 +95,23 @@ def value_error_bound(rho_b: float, d_chains: int, m2: int) -> float:
 
 
 def multiton_bound(
-    rho_b: float,
-    d_chains: int,
-    gamma: float,
-    n: int,
-    sparsity_l: int,
-    c3: float = 1.0,
+    rho_b: float, d_chains: int, gamma: float, n: int, sparsity_l: int
 ) -> float:
     """Chance an L-component bin passes the singleton residual test.
 
     The residual after subtracting any single steering column keeps at
-    least c3*L*rho_b*(1 - 2L*sqrt(ln(5n)/D))_+ energy per dimension,
-    and the energy tail bound is applied to that floor.  When the
+    least L*rho_b*(1 - 2L*sqrt(ln(5n)/D))_+ energy per dimension, and
+    the energy tail bound is applied to that floor.  When the
     incoherence deficit drives the floor below gamma the bound is
-    vacuous and 1.0 is returned.
+    vacuous and 1.0 is returned: the deficit is positive only for
+    D > 4L^2*ln(5n).
     """
     if sparsity_l < 2:
         raise ValueError("a multi-ton has at least 2 components")
-    if rho_b <= 0 or c3 <= 0:
+    if rho_b <= 0:
         raise ValueError("invalid arguments")
     deficit = 1.0 - 2.0 * sparsity_l * math.sqrt(math.log(5.0 * n) / d_chains)
-    floor = c3 * sparsity_l * rho_b * max(deficit, 0.0)
+    floor = sparsity_l * rho_b * max(deficit, 0.0)
     if floor <= gamma:
         return 1.0
     return energy_tail_bound(floor, d_chains, gamma)

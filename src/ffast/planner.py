@@ -1,15 +1,17 @@
-"""Front-end planning: stage bin counts, delay-chain shifts, screening.
+"""Front-end planning: stage bin counts, cluster heads, screening.
 
-A plan fixes, for an admissible length n:
+A plan is an admissible length n, its d subsampling stages (stage i
+keeps every (n/f_i)-th sample and produces f_i bins; each f_i divides
+n), the chains per cluster N and one random head per cluster.  The rest
+is derived:
 
-* d subsampling stages, stage i keeping every (n/f_i)-th sample and
-  producing f_i bins (each f_i divides n);
-* D = clusters * per_cluster circular shifts shared by all stages.
-  Shift (c, j) = (head_c + j * base**c) mod n, j = 0..per_cluster-1,
-  with a random head per cluster.  base is the smallest prime that does
-  not divide n, so consecutive same-cluster shifts alias distinctly.
-  Unless set explicitly, clusters is the smallest C with
-  base**(C-1) * C1 > n, for the design constant C1.
+* base is the smallest prime that does not divide n, so consecutive
+  same-cluster shifts alias distinctly;
+* clusters C is the number of heads.  build_plan draws the smallest C
+  with base**(C-1) * C1 > n, for the design constant C1, unless set
+  explicitly;
+* the D = C * N circular shifts shared by all stages are
+  shift (c, j) = (head_c + j * base**c) mod n, j = 0..N-1.
 
 Admissible n are kept in a preset table; each entry records the
 pairwise-coprime base factors whose product is n.
@@ -25,7 +27,7 @@ import numpy as np
 from .randomness import generator
 from .spectral import exp_sum_blocks
 
-_STREAM_DELAYS = 0xB1
+_STREAM_HEADS = 0xB1
 
 MAX_SHIFT_DRAWS = 200
 # Refinement lock-in divisor: each cluster estimate must land within
@@ -142,11 +144,10 @@ def smallest_coprime_base(n: int) -> int:
 class ClusterParams:
     clusters: int
     per_cluster: int
-    base: int
 
 
 def choose_cluster_params(n: int) -> ClusterParams:
-    """Cluster count, chains per cluster, and shift base for length n.
+    """Cluster count and chains per cluster for length n.
 
     clusters is the smallest C with base**(C-1) * C1 > n, so the final
     refinement interval 2*pi/(base**(C-1)*C1) is finer than the 2*pi/n
@@ -162,28 +163,15 @@ def choose_cluster_params(n: int) -> ClusterParams:
         c_minus_1 += 1
     clusters = max(1, c_minus_1 + 1)
     per_cluster = max(2, round(2.0 * math.log(n) ** (1.0 / 3.0)))
-    return ClusterParams(clusters, per_cluster, base)
+    return ClusterParams(clusters, per_cluster)
 
 
-def cluster_shifts(heads: np.ndarray, per_cluster: int, base: int, n: int) -> np.ndarray:
-    """Expand cluster heads into the full shift sequence, cluster-major."""
-    heads = np.asarray(heads, dtype=object)
-    shifts = []
-    for c, head in enumerate(heads):
-        step = base**c  # exact integer power; reduced mod n below
-        shifts.extend((int(head) + j * step) % n for j in range(per_cluster))
-    return np.array(shifts, dtype=np.int64)
-
-
-def plan_delays(n: int, clusters: int, per_cluster: int, base: int, seed: int) -> np.ndarray:
-    """Draw random cluster heads and expand them into D = clusters*per_cluster shifts."""
-    if per_cluster < 2:
-        raise PlanningError(f"per_cluster must be at least 2, got {per_cluster}")
+def draw_heads(n: int, clusters: int, seed: int) -> tuple[int, ...]:
+    """Draw one random cluster head in [0, n) per cluster."""
     if clusters < 1:
         raise PlanningError(f"clusters must be at least 1, got {clusters}")
-    rng = generator(seed, _STREAM_DELAYS)
-    heads = rng.integers(0, n, size=clusters)
-    return cluster_shifts(heads, per_cluster, base, n)
+    rng = generator(seed, _STREAM_HEADS)
+    return tuple(int(h) for h in rng.integers(0, n, size=clusters))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -193,14 +181,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrontendPlan:
-    """Subsampling geometry shared by the front end and the decoder."""
+    """Subsampling geometry shared by the front end and the decoder.
+
+    The plan is n, the stage bin counts, the chains per cluster N and one
+    head per cluster; the base, the cluster count and the shifts follow
+    from them, so every plan has the clustered layout the classifier
+    decodes.
+    """
 
     n: int
     bin_counts: tuple[int, ...]
-    clusters: int
     per_cluster: int
-    base: int
-    shifts: tuple[int, ...]
+    heads: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -210,12 +202,21 @@ class FrontendPlan:
         for f in self.bin_counts:
             if f < 2 or self.n % f != 0:
                 raise ValueError(f"bin count {f} must divide n={self.n} and exceed 1")
-        if self.base < 2 or self.n % self.base == 0:
-            raise ValueError(f"base {self.base} must be coprime to n={self.n}")
-        if self.clusters * self.per_cluster != len(self.shifts):
-            raise ValueError("clusters * per_cluster must equal the shift count")
+        if self.per_cluster < 2:
+            raise PlanningError(f"per_cluster must be at least 2, got {self.per_cluster}")
+        if not self.heads:
+            raise PlanningError("a plan needs at least one cluster head")
         object.__setattr__(self, "bin_counts", tuple(int(f) for f in self.bin_counts))
-        object.__setattr__(self, "shifts", tuple(int(r) % self.n for r in self.shifts))
+        object.__setattr__(self, "heads", tuple(int(h) % self.n for h in self.heads))
+
+    @cached_property
+    def base(self) -> int:
+        """Shift base: the smallest prime not dividing n."""
+        return smallest_coprime_base(self.n)
+
+    @property
+    def clusters(self) -> int:
+        return len(self.heads)
 
     @property
     def d(self) -> int:
@@ -223,7 +224,7 @@ class FrontendPlan:
 
     @property
     def chain_count(self) -> int:
-        return len(self.shifts)
+        return self.clusters * self.per_cluster
 
     @property
     def periods(self) -> tuple[int, ...]:
@@ -236,8 +237,19 @@ class FrontendPlan:
 
     @cached_property
     def shift_array(self) -> np.ndarray:
-        """The shifts as a read-only int64 array, made on first use."""
-        return _read_only(np.array(self.shifts, dtype=np.int64))
+        """Shift (c, j) = (heads[c] + j * base**c) mod n, cluster-major (read-only int64).
+
+        base**c is taken mod n first, so every term stays below
+        per_cluster * n and the shifts are exact at any cluster count.
+        """
+        steps = np.array([pow(self.base, c, self.n) for c in range(self.clusters)], dtype=np.int64)
+        j = np.arange(self.per_cluster, dtype=np.int64)
+        grid = np.array(self.heads, dtype=np.int64)[:, None] + steps[:, None] * j
+        return _read_only((grid % self.n).ravel())
+
+    @cached_property
+    def shifts(self) -> tuple[int, ...]:
+        return tuple(self.shift_array.tolist())
 
     @cached_property
     def row_offsets(self) -> tuple[int, ...]:
@@ -263,15 +275,6 @@ class FrontendPlan:
         """
         periods = np.repeat(self.periods, self.bin_counts)
         return _read_only(((self.row_bin * periods)[:, None] + self.shift_array) % self.n)
-
-    @cached_property
-    def clustered(self) -> bool:
-        """True when shifts follow the (head + j * base**c) cluster pattern."""
-        if self.per_cluster < 2:
-            return False
-        heads = np.array(self.shifts[:: self.per_cluster], dtype=np.int64)
-        expected = cluster_shifts(heads, self.per_cluster, self.base, self.n)
-        return bool(np.array_equal(expected, self.shift_array))
 
 
 @dataclass(frozen=True)
@@ -320,7 +323,7 @@ def build_plan(
 ) -> FrontendPlan:
     """Assemble and screen a complete plan.
 
-    Shift patterns are drawn until verify_incoherence passes, up to
+    Cluster heads are drawn until verify_incoherence passes, up to
     MAX_SHIFT_DRAWS attempts.  Explicit clusters/per_cluster override the
     defaults from choose_cluster_params.
     """
@@ -331,15 +334,8 @@ def build_plan(
     C = clusters if clusters is not None else params.clusters
     N = per_cluster if per_cluster is not None else params.per_cluster
     for draw in range(MAX_SHIFT_DRAWS):
-        shifts = plan_delays(n, C, N, params.base, seed + draw)
-        plan = FrontendPlan(
-            n=n,
-            bin_counts=bins,
-            clusters=C,
-            per_cluster=N,
-            base=params.base,
-            shifts=tuple(int(r) for r in shifts),
-        )
+        heads = draw_heads(n, C, seed + draw)
+        plan = FrontendPlan(n=n, bin_counts=bins, per_cluster=N, heads=heads)
         if verify_incoherence(plan).passed:
             return plan
     raise PlanningError(

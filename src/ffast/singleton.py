@@ -259,8 +259,6 @@ def bin_statistics(
     value = np.zeros(len(rows), dtype=np.complex128)
     residual = energy.copy()
     live = (~(energy < zero_ton_threshold(plan))).nonzero()[0]
-    if live.size and not plan.clustered:
-        raise ValueError("classification needs a clustered shift pattern")
     # a zero sample leaves a phase difference undefined
     zero = ~rows[live].all(axis=1)
     reason[live[zero]] = _ZERO_SAMPLE

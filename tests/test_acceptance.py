@@ -20,7 +20,7 @@ from ffast.planner import (
     PRESETS,
     FrontendPlan,
     build_plan,
-    plan_delays,
+    draw_heads,
     verify_incoherence,
 )
 from ffast.singleton import VerdictKind, bin_statistics, classify_bin, cluster_estimate
@@ -232,11 +232,8 @@ def test_07_incoherence_ensemble():
     passing = 0
     bound = None
     for seed in range(1000):
-        shifts = plan_delays(1430, 6, 2, 3, seed)
-        plan = FrontendPlan(
-            n=1430, bin_counts=(10, 11, 13), clusters=6, per_cluster=2,
-            base=3, shifts=tuple(int(s) for s in shifts),
-        )
+        plan = FrontendPlan(n=1430, bin_counts=(10, 11, 13), per_cluster=2,
+                            heads=draw_heads(1430, 6, seed))
         report = verify_incoherence(plan)
         bound = report.bound
         passing += report.passed

@@ -269,6 +269,17 @@ class TestErrors:
         assert main(argv) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--per-cluster", "1"], "per_cluster must be at least 2, got 1"),
+        (["--clusters", "0"], "clusters must be at least 1, got 0"),
+        (["--clusters", "-3"], "clusters must be at least 1, got -3"),
+    ])
+    def test_invalid_cluster_settings_are_config_errors(self, flags, message, capsys):
+        """Only a PlanningError becomes exit 2; any other ValueError propagates."""
+        argv = ["plan", "--preset", "n504", "--k", "4", "--seed", "1", *flags]
+        assert main(argv) == EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_bounds_need_a_finite_snr(self, tmp_path, capsys):
         """Noiseless runs use rho = 4 as a value scale; it is not an SNR
         that the error-event bounds could be taken at."""

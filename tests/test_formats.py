@@ -37,14 +37,18 @@ def _read_back(path) -> FrontendPlan:
     stages = [cfg[f"stage {i}"] for i in range(len(cfg.sections()) - 2)]
     n = int(head["n"])
     assert [int(s["period"]) for s in stages] == [n // int(s["bins"]) for s in stages]
-    return FrontendPlan(
+    per_cluster = int(head["per_cluster"])
+    shifts = tuple(int(tok) for tok in cfg["delays"]["shifts"].split())
+    plan = FrontendPlan(
         n=n,
         bin_counts=tuple(int(s["bins"]) for s in stages),
-        clusters=int(head["clusters"]),
-        per_cluster=int(head["per_cluster"]),
-        base=int(head["base"]),
-        shifts=tuple(int(tok) for tok in cfg["delays"]["shifts"].split()),
+        per_cluster=per_cluster,
+        heads=shifts[::per_cluster],
     )
+    # the file's base, cluster count and shifts are the ones the heads give
+    assert (plan.base, plan.clusters, plan.shifts) == (
+        int(head["base"]), int(head["clusters"]), shifts)
+    return plan
 
 
 class TestPlanConfig:

@@ -33,9 +33,8 @@ SMALL_PRESETS = sorted(name for name, p in PRESETS.items() if p.n <= 4845)
 
 @pytest.fixture(scope="module")
 def textbook_plan():
-    """n=20 geometry with the three shifts 0, 2, 9."""
-    return FrontendPlan(n=20, bin_counts=(4, 5), clusters=1, per_cluster=3,
-                        base=3, shifts=(0, 2, 9))
+    """n=20 geometry with one cluster at head 0: the three shifts 0, 1, 2."""
+    return FrontendPlan(n=20, bin_counts=(4, 5), per_cluster=3, heads=(0,))
 
 
 class TestSteeringVector:
@@ -45,10 +44,10 @@ class TestSteeringVector:
     def test_textbook_entries(self, textbook_plan):
         s = steering_vector(10, textbook_plan)
         expected = np.array([1.0,
-                             np.exp(2j * np.pi * 20 / 20),
-                             np.exp(2j * np.pi * 90 / 20)])
+                             np.exp(2j * np.pi * 10 / 20),
+                             np.exp(2j * np.pi * 20 / 20)])
         np.testing.assert_allclose(s, expected, atol=1e-12)
-        np.testing.assert_allclose(s, [1.0, 1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(s, [1.0, -1.0, 1.0], atol=1e-12)
 
     def test_unit_norm_squared(self, plan504):
         for ell in (0, 1, 17, 503):
@@ -201,11 +200,13 @@ class TestNoiseStatistics:
         ||y||^2 for a noise-only bin follows half a chi-square with 2D
         degrees of freedom; goodness of fit checked at the 1% level.
         Chains only read disjoint time samples when the shifts are
-        distinct modulo every stage period, so the plan here uses
-        consecutive shifts (16 < every period).
+        distinct modulo every stage period, so the heads here are chosen
+        to make the 16 shifts distinct modulo 72, 63 and 56.
         """
-        plan = FrontendPlan(n=504, bin_counts=(7, 8, 9), clusters=8,
-                            per_cluster=2, base=5, shifts=tuple(range(16)))
+        plan = FrontendPlan(n=504, bin_counts=(7, 8, 9), per_cluster=2,
+                            heads=(0, 7, 14, 21, 28, 35, 42, 49))
+        for period in plan.periods:
+            assert len({r % period for r in plan.shifts}) == 16
         d = plan.chain_count
         zero = TimeSignal(504, np.zeros(504, dtype=np.complex128))
         draws = np.empty(10_000)

@@ -12,7 +12,7 @@ from ffast.oracle import (
     dense_dft,
     noiseless_check,
 )
-from ffast.planner import FrontendPlan, cluster_shifts
+from ffast.planner import FrontendPlan
 from ffast.singleton import singleton_residual_threshold
 from ffast.spectral import Constellation, SparseSpectrum, TimeSignal, random_spectrum, synthesize
 
@@ -118,10 +118,8 @@ class TestNoiselessCheck:
         assert noiseless_check(spectrum, plan20)
 
     def test_four_cycle_is_a_stopping_set(self):
-        heads = (0, 11, 37, 71, 113, 167, 229, 301)
-        shifts = tuple(int(s) for s in cluster_shifts(heads, 2, 5, 504))
-        plan = FrontendPlan(n=504, bin_counts=(7, 8), clusters=8, per_cluster=2,
-                            base=5, shifts=shifts)
+        plan = FrontendPlan(n=504, bin_counts=(7, 8), per_cluster=2,
+                            heads=(0, 11, 37, 71, 113, 167, 229, 301))
         cycle = SparseSpectrum.from_pairs(
             504, [(0, 1.0), (49, 1.0), (8, 1.0), (57, 1.0)]
         )

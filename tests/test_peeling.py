@@ -12,7 +12,7 @@ from ffast import oracle, peeling
 from ffast.bench import ExperimentConfig, plan_for_config
 from ffast.frontend import BinBank, row_energies, steering_vector, subsample_and_transform
 from ffast.peeling import decode, peel
-from ffast.planner import FrontendPlan, build_plan, cluster_shifts
+from ffast.planner import FrontendPlan, build_plan
 from ffast.randomness import generator
 from ffast.singleton import bin_statistics, zero_ton_threshold
 from ffast.spectral import (
@@ -312,10 +312,8 @@ class TestDecodeStructure:
     def test_undecodable_four_cycle_reports_failure(self):
         """Two stages, four coefficients in a closed alias cycle: no bin is
         ever a singleton, so decode must stop without converging."""
-        heads = (0, 11, 37, 71, 113, 167, 229, 301)
-        shifts = tuple(int(s) for s in cluster_shifts(heads, 2, 5, 504))
-        plan = FrontendPlan(n=504, bin_counts=(7, 8), clusters=8, per_cluster=2,
-                            base=5, shifts=shifts)
+        plan = FrontendPlan(n=504, bin_counts=(7, 8), per_cluster=2,
+                            heads=(0, 11, 37, 71, 113, 167, 229, 301))
         cycle = SparseSpectrum.from_pairs(
             504, [(0, 2.0 + 0j), (49, 2.0j), (8, -2.0 + 0j), (57, -2.0j)]
         )

@@ -1,4 +1,5 @@
 """Planner tests: stage factorizations, cluster geometry, incoherence screening."""
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -15,8 +16,7 @@ from ffast.planner import (
     PlanningError,
     build_plan,
     choose_cluster_params,
-    cluster_shifts,
-    plan_delays,
+    draw_heads,
     plan_stages,
     preset_by_name,
     smallest_coprime_base,
@@ -79,67 +79,78 @@ class TestClusterParams:
         params = choose_cluster_params(n)
         assert params.clusters == clusters
         assert params.per_cluster == per_cluster
-        assert params.base == base
+        assert smallest_coprime_base(n) == base
 
     def test_cluster_count_covers_the_grid(self):
         # the last refinement interval must fit inside one frequency cell
         for n in (20, 504, 1430, 124950):
-            params = choose_cluster_params(n)
-            c, b = params.clusters, params.base
+            c, b = choose_cluster_params(n).clusters, smallest_coprime_base(n)
             assert b ** (c - 1) * C1 > n
             assert c == 1 or b ** (c - 2) * C1 <= n
 
 
 class TestShifts:
     def test_cluster_shift_expansion(self):
-        shifts = cluster_shifts(np.array([5, 100]), 2, 3, 1430)
-        assert list(shifts) == [5, 6, 100, 103]
+        plan = FrontendPlan(n=1430, bin_counts=(10, 11, 13), per_cluster=2, heads=(5, 100))
+        assert plan.base == 3
+        assert plan.shifts == (5, 6, 100, 103)
 
     def test_single_cluster_consecutive(self):
-        shifts = cluster_shifts(np.array([0]), 3, 2, 64)
-        assert list(shifts) == [0, 1, 2]
+        plan = FrontendPlan(n=20, bin_counts=(4, 5), per_cluster=3, heads=(0,))
+        assert plan.shifts == (0, 1, 2)
 
-    def test_plan_delays_shape_and_determinism(self):
-        a = plan_delays(1430, 4, 3, 3, seed=9)
-        b = plan_delays(1430, 4, 3, 3, seed=9)
-        assert a.shape == (12,)
-        np.testing.assert_array_equal(a, b)
-        assert np.all((a >= 0) & (a < 1430))
+    def test_draw_heads_shape_and_determinism(self):
+        a = draw_heads(1430, 4, seed=9)
+        assert a == draw_heads(1430, 4, seed=9)
+        assert len(a) == 4
+        assert all(0 <= h < 1430 for h in a)
 
-    def test_plan_delays_validation(self):
-        with pytest.raises(PlanningError):
-            plan_delays(100, 2, 1, 3, seed=0)
-        with pytest.raises(PlanningError):
-            plan_delays(100, 0, 3, 3, seed=0)
+    def test_draw_heads_validation(self):
+        for clusters in (0, -3):
+            with pytest.raises(PlanningError):
+                draw_heads(100, clusters, seed=0)
+
+    @pytest.mark.parametrize("clusters", [1, 12, 25, 30, 40])
+    def test_shifts_are_exact_at_large_cluster_counts(self, clusters):
+        """At n = 1,499,400 (base 11) 11**(C-1) overflows int64 from C = 20
+        on; the shifts must still be the exact Python-int formula."""
+        n = PRESETS["paper-124950x12"].n
+        heads = draw_heads(n, clusters, seed=BENCH_PLAN_SEED)
+        plan = FrontendPlan(n=n, bin_counts=(49, 50, 51), per_cluster=3, heads=heads)
+        assert plan.base == 11
+        expected = [(h + j * 11**c) % n for c, h in enumerate(heads) for j in range(3)]
+        assert plan.shift_array.dtype == np.int64
+        assert plan.shift_array.tolist() == expected
+        assert plan.shifts == tuple(expected)
 
 
 class TestFrontendPlan:
     def test_properties(self, plan20):
         assert plan20.d == 2
-        assert plan20.chain_count == plan20.clusters * plan20.per_cluster
+        assert plan20.base == 3
+        assert plan20.clusters == len(plan20.heads)
+        assert plan20.chain_count == plan20.clusters * plan20.per_cluster == len(plan20.shifts)
         assert plan20.periods == (5, 4)
         assert plan20.sample_count == plan20.chain_count * sum(plan20.bin_counts)
-        assert plan20.clustered
+        assert plan20.shifts == tuple(plan20.shift_array.tolist())
+        assert not plan20.shift_array.flags.writeable
+
+    def test_fields_are_the_whole_plan(self):
+        assert [f.name for f in dataclasses.fields(FrontendPlan)] == [
+            "n", "bin_counts", "per_cluster", "heads"]
 
     def test_rejects_bin_count_not_dividing_n(self):
         with pytest.raises(ValueError):
-            FrontendPlan(n=20, bin_counts=(3, 5), clusters=1, per_cluster=2,
-                         base=3, shifts=(0, 1))
+            FrontendPlan(n=20, bin_counts=(3, 5), per_cluster=2, heads=(0,))
 
-    def test_rejects_base_dividing_n(self):
-        with pytest.raises(ValueError):
-            FrontendPlan(n=20, bin_counts=(4, 5), clusters=1, per_cluster=2,
-                         base=2, shifts=(0, 1))
+    @pytest.mark.parametrize("per_cluster", [1, 0])
+    def test_rejects_fewer_than_two_chains_per_cluster(self, per_cluster):
+        with pytest.raises(ValueError, match="per_cluster"):
+            FrontendPlan(n=20, bin_counts=(4, 5), per_cluster=per_cluster, heads=(0,))
 
-    def test_rejects_shift_count_mismatch(self):
-        with pytest.raises(ValueError):
-            FrontendPlan(n=20, bin_counts=(4, 5), clusters=2, per_cluster=2,
-                         base=3, shifts=(0, 1, 2))
-
-    def test_scrambled_shifts_are_not_clustered(self):
-        plan = FrontendPlan(n=20, bin_counts=(4, 5), clusters=2, per_cluster=2,
-                            base=3, shifts=(0, 5, 11, 2))
-        assert not plan.clustered
+    def test_rejects_empty_heads(self):
+        with pytest.raises(ValueError, match="head"):
+            FrontendPlan(n=20, bin_counts=(4, 5), per_cluster=2, heads=())
 
 
 def _rfft_mu_max(shifts, n):
@@ -150,15 +161,11 @@ def _rfft_mu_max(shifts, n):
 
 
 class TestIncoherence:
-    def test_all_equal_shifts_gives_mu_one(self):
-        plan = FrontendPlan(n=20, bin_counts=(4, 5), clusters=2, per_cluster=2,
-                            base=3, shifts=(7, 7, 7, 7))
-        rep = verify_incoherence(plan)
-        assert rep.mu_max == 1.0
-
     def test_full_shift_set_is_orthogonal(self):
-        plan = FrontendPlan(n=20, bin_counts=(4, 5), clusters=10, per_cluster=2,
-                            base=3, shifts=tuple(range(20)))
+        """These ten heads put the 20 shifts (h, h + 3**c) on all of Z_20."""
+        plan = FrontendPlan(n=20, bin_counts=(4, 5), per_cluster=2,
+                            heads=(0, 2, 3, 4, 7, 10, 6, 9, 18, 14))
+        assert sorted(plan.shifts) == list(range(20))
         rep = verify_incoherence(plan)
         assert rep.mu_max < 1e-9
 
@@ -178,8 +185,8 @@ class TestIncoherence:
         assert rep.mu_max == pytest.approx(_rfft_mu_max(plan.shifts, plan.n), abs=1e-12)
 
     def test_bound_formula(self):
-        plan = FrontendPlan(n=1430, bin_counts=(10, 11, 13), clusters=6,
-                            per_cluster=2, base=3, shifts=tuple(range(12)))
+        plan = FrontendPlan(n=1430, bin_counts=(10, 11, 13), per_cluster=2,
+                            heads=(0, 2, 4, 6, 8, 10))
         rep = verify_incoherence(plan)
         assert rep.bound == pytest.approx(2 * math.sqrt(math.log(5 * 1430) / 12))
         assert rep.passed == (rep.mu_max < rep.bound)
@@ -187,10 +194,8 @@ class TestIncoherence:
     def test_ensemble_pass_fraction(self):
         passing = 0
         for seed in range(200):
-            shifts = plan_delays(1430, 6, 2, 3, seed)
-            plan = FrontendPlan(n=1430, bin_counts=(10, 11, 13), clusters=6,
-                                per_cluster=2, base=3,
-                                shifts=tuple(int(s) for s in shifts))
+            plan = FrontendPlan(n=1430, bin_counts=(10, 11, 13), per_cluster=2,
+                                heads=draw_heads(1430, 6, seed))
             passing += verify_incoherence(plan).passed
         assert passing / 200 >= 0.2
 
@@ -268,7 +273,9 @@ class TestPlanMemory:
 class TestBuildPlan:
     def test_emitted_plan_is_screened_and_clustered(self):
         plan = build_plan("n990", 9, seed=5)
-        assert plan.clustered
+        N, b = plan.per_cluster, plan.base
+        assert plan.shifts == tuple((h + j * b**c) % plan.n
+                                    for c, h in enumerate(plan.heads) for j in range(N))
         assert verify_incoherence(plan).passed
 
     def test_deterministic(self):
@@ -301,11 +308,16 @@ class TestBuildPlan:
         d_chains = params.clusters * params.per_cluster
         bound = 2.0 * math.sqrt(math.log(5.0 * n) / d_chains)
         seed = 20260817
+        base = smallest_coprime_base(n)
         for draw in range(MAX_SHIFT_DRAWS):
-            shifts = plan_delays(n, params.clusters, params.per_cluster, params.base, seed + draw)
+            heads = draw_heads(n, params.clusters, seed + draw)
+            shifts = [(h + j * base**c) % n
+                      for c, h in enumerate(heads) for j in range(params.per_cluster)]
             if _rfft_mu_max(shifts, n) < bound:
                 break
-        assert build_plan(name, 2, seed=seed).shifts == tuple(int(r) for r in shifts)
+        plan = build_plan(name, 2, seed=seed)
+        assert plan.heads == heads
+        assert plan.shifts == tuple(shifts)
 
     def test_retry_cap_constant(self):
         assert MAX_SHIFT_DRAWS == 200

@@ -236,14 +236,6 @@ class TestClassifyBin:
         v = classify_one(bank.stages[0][1], 0, 1, plan20)
         assert v.kind is VerdictKind.MULTI_TON
 
-    def test_unclustered_plan_rejected(self):
-        from ffast.planner import FrontendPlan
-
-        plan = FrontendPlan(n=20, bin_counts=(4, 5), clusters=2, per_cluster=2,
-                            base=3, shifts=(0, 5, 11, 2))
-        with pytest.raises(ValueError):
-            classify_one(np.full(4, 10.0 + 0j), 0, 0, plan)
-
     def test_zero_noise_exactness_over_random_supports(self):
         plan = build_plan("n4845", 10, seed=17)
         rng = np.random.default_rng(1234)
