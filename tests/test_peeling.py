@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from ffast import oracle, peeling
 from ffast.bench import ExperimentConfig, plan_for_config
 from ffast.frontend import BinBank, row_energies, steering_vector, subsample_and_transform
-from ffast.peeling import decode, peel
+from ffast.peeling import EXACT_FIT_RESIDUAL, MAX_PASSES, decode, peel
 from ffast.planner import FrontendPlan, build_plan
 from ffast.randomness import generator
-from ffast.singleton import bin_statistics, zero_ton_threshold
+from ffast.singleton import VerdictKind, bin_statistics, classify_bin, zero_ton_threshold
 from ffast.spectral import (
     Constellation,
     SparseSpectrum,
@@ -381,6 +381,69 @@ class TestDecodeStructure:
         truth = random_spectrum(504, 7, Constellation(4.0), seed=2)
         result = decode(_bank_for(truth, plan504))
         assert result.passes <= 1
+
+
+def _reference_decode(bank, constellation):
+    """Peeling as specified, without the decoder's incremental bookkeeping.
+
+    Each pass computes the statistics of the whole live bank and walks
+    its singletons in decode's order (residual, an exact fit counting as
+    0, then row).  A candidate whose row a commit of the same pass has
+    touched is read again on its own just before its commit.  Returns
+    the (pass, stage, bin, support, value) events and the pass count.
+    """
+    bank = bank.copy()
+    plan = bank.plan
+    stages, bins = plan.row_stage, plan.row_bin
+    offsets, counts = plan.row_offsets, plan.bin_counts
+    recovered, events, passes = set(), [], 0
+    while True:
+        passes += 1
+        stats = bin_statistics(bank.rows, stages, bins, plan, constellation)
+        singletons = []
+        for row in range(len(stages)):
+            verdict = classify_bin(stats, row)
+            if verdict.kind is VerdictKind.SINGLETON:
+                residual = verdict.residual_energy
+                singletons.append((0.0 if residual < EXACT_FIT_RESIDUAL else residual, row))
+        touched = set()
+        for _, row in sorted(singletons):
+            verdict = classify_bin(stats, row)
+            if row in touched:
+                alone = [row]
+                verdict = classify_bin(
+                    bin_statistics(bank.rows[alone], stages[alone], bins[alone], plan, constellation),
+                    0,
+                )
+                if verdict.kind is not VerdictKind.SINGLETON:
+                    continue
+            if verdict.support in recovered:
+                continue
+            recovered.add(verdict.support)
+            events.append(
+                (passes, int(stages[row]), int(bins[row]), verdict.support, verdict.value)
+            )
+            bank.record_peel(verdict.support, verdict.value)
+            touched.update(o + verdict.support % f for o, f in zip(offsets, counts))
+        if not touched or passes == MAX_PASSES:
+            return events, passes
+
+
+class TestDecodeReference:
+    @pytest.mark.parametrize("snr_db", [0.0, 5.0])
+    def test_decode_matches_the_reference_decoder(self, snr_db):
+        """Recomputing every row's statistics, and re-reading a touched
+        candidate alone, gives the same events and pass count as the
+        decoder's incremental statistics, value for value."""
+        config = ExperimentConfig(preset="n504", k=7, snr_db=snr_db, seed=20260817)
+        plan = plan_for_config(config)
+        con = Constellation(config.rho)
+        for seed in range(2000, 2100):
+            truth = random_spectrum(plan.n, 7, con, seed)
+            bank = subsample_and_transform(add_noise(synthesize(truth), 1.0, seed), plan)
+            result = decode(bank, con)
+            events = [(e.pass_index, e.stage, e.bin, e.support, e.value) for e in result.events]
+            assert (events, result.passes) == _reference_decode(bank, con), seed
 
 
 def _philox_noisy_signal(truth, seed):
