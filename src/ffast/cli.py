@@ -25,6 +25,7 @@ import csv
 import sys
 import time
 from configparser import ConfigParser
+from configparser import Error as ConfigParserError
 from dataclasses import fields, replace
 
 from . import bench, metrics, oracle
@@ -63,17 +64,23 @@ def _apply_config_file(args: argparse.Namespace, path: str) -> None:
     such as `snr` for `snr_db`) is a configuration error.  Each value is
     converted the way its flag is: by the flag's type, or as a boolean
     for an on/off flag; a value that does not convert is a configuration
-    error.
+    error, and so is a file that is not UTF-8 INI (a key outside a
+    section, a repeated key or section, a bad %-interpolation).  A
+    missing or unreadable file is an I/O error.
     """
     cfg = ConfigParser()
-    if not cfg.read(path, encoding="utf-8"):
-        raise FormatError(f"unreadable config file {path}")
-    if not cfg.has_section("experiment"):
-        raise PlanningError(f"config file {path} lacks an [experiment] section")
-    section = cfg["experiment"]
+    try:
+        if not cfg.read(path, encoding="utf-8"):
+            raise FormatError(f"unreadable config file {path}")
+        if not cfg.has_section("experiment"):
+            raise PlanningError(f"config file {path} lacks an [experiment] section")
+        section = cfg["experiment"]
+        entries = dict(section)  # interpolates every value
+    except (ConfigParserError, UnicodeDecodeError) as exc:
+        raise PlanningError(f"malformed config file {path}: {exc}") from None
     known = set(vars(args)) - _NOT_CONFIG_KEYS
     actions = {a.dest: a for a in args.parser._actions if a.dest in known}
-    for name, raw in section.items():
+    for name, raw in entries.items():
         key = name.replace("-", "_")
         action = actions.get(key)
         if action is None:

@@ -119,11 +119,12 @@ def steering_vector(ell, plan: FrontendPlan) -> np.ndarray:
 def factored_is_cheaper(n: int, k: int, m: int) -> bool:
     """Whether m samples of a k-sparse n-point signal are cheaper factored.
 
-    The factored form costs about m*k multiply-adds.  Evaluating all n
-    samples costs about n*k (exp_sums' blocked product) or n*log2(n)
-    (its FFT), after which reading m of them is a gather.  A dense
-    spectrum read at more than n samples, such as k=170 at n=4845 with
-    m=37,972, therefore stays on the gather.
+    The factored form costs about m*k multiply-adds, and the dense view
+    about n*log2(n) for its inverse FFT, after which reading m of its
+    samples is a gather.  The factored form is also held to m*k <= n*k,
+    so it never evaluates more samples than the dense view holds.  A
+    dense spectrum read at more than n samples, such as k=170 at n=4845
+    with m=37,972, therefore stays on the gather.
     """
     return m * k <= n * min(k, math.log2(n))
 

@@ -12,12 +12,13 @@ MAX_PASSES).  Decoding converges when no bin's leftover energy exceeds
 the singleton residual cap: what is left is noise, not an unrecovered
 coefficient.
 
-The work follows the d bins each commit changes.  The first pass
-computes the statistics of the whole bank, and a later pass recomputes
-only the rows changed since.  Re-reads within a pass are batched over
-the changed candidates still ahead.  peel only records a subtraction on
-the bank, which applies every recorded one in a single batch when it is
-next read.
+The work follows the d bins each commit changes.  Every verdict is read
+from one table of statistics, computed for the whole bank once.  A row
+a commit touches is dirty until one refresh recomputes it, together with
+every other dirty row that is still needed: the dirty candidates of the
+pass when the walk reaches one of them, and the rest after the pass.
+peel only records a subtraction on the bank, which applies every
+recorded one in a single batch when it is next read.
 
 A result keeps its peel events as one packed record each (support,
 value, pass, stage; the bin is the support's residue in that stage),
@@ -33,7 +34,6 @@ import numpy as np
 from .frontend import BinBank, bin_index, row_energies, steering_vector
 from .planner import FrontendPlan
 from .singleton import (
-    BinStatistics,
     VerdictKind,
     bin_statistics,
     classify_bin,
@@ -137,63 +137,66 @@ def peel(bank: BinBank, support: int, value: complex) -> list[int]:
 def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeResult:
     """Run classify-and-peel passes until a pass commits nothing, or MAX_PASSES.
 
-    Within a pass, candidate singletons are ordered by residual energy,
-    a residual under EXACT_FIT_RESIDUAL counting as 0 (then stage, then
-    bin), and checked against the live bank just before being
-    committed: a candidate whose row an earlier commit of the pass has
-    peeled into is re-read, so a stale verdict (its coefficients now
-    removed, or its apparent support shifted) is dropped instead of
-    poisoning the output.  An untouched row holds what it held when the
-    pass began, so its verdict stands.  A support reported twice keeps
-    only its first sighting in this order.
-
-    A verdict depends on its row alone, so one set of statistics serves
-    every pass: a pass after the first recomputes only the rows that
-    commits have touched since.  A re-read covers every candidate still
-    ahead in the pass whose row has been touched, and a row's re-read
-    stands until another commit touches it.
+    Every verdict is read from one table of bin statistics, and a row a
+    commit has touched is dirty until its statistics are recomputed from
+    the live bank.  Within a pass, candidate singletons are ordered by
+    residual energy, a residual under EXACT_FIT_RESIDUAL counting as 0
+    (then stage, then bin).  When the walk reaches a dirty candidate,
+    every dirty candidate of the pass is refreshed at once and read
+    again from the table when reached, so a stale verdict (its
+    coefficients now removed, or its apparent support shifted) is
+    dropped instead of poisoning the output.  A clean row holds what it
+    held when the pass began, so its verdict stands.  A support reported
+    twice keeps only its first sighting in this order.  After the pass,
+    the rows still dirty are refreshed, so the next pass reads a table
+    that matches the bank.
     """
     bank = bank.copy()
     plan = bank.plan
     row_stage, row_bin = plan.row_stage, plan.row_bin
     stage_of = row_stage.tolist()
+    stats = bin_statistics(bank.rows, row_stage, row_bin, plan, constellation)
+    # rows a commit has touched since their statistics were computed
+    dirty: set[int] = set()
 
-    def statistics(rows) -> BinStatistics:
-        return bin_statistics(bank.rows[rows], row_stage[rows], row_bin[rows], plan, constellation)
+    def refresh(rows: list[int]) -> None:
+        fresh = bin_statistics(bank.rows[rows], row_stage[rows], row_bin[rows], plan, constellation)
+        for name in ("reason", "support", "value", "residual"):
+            column, update = getattr(stats, name), getattr(fresh, name)
+            for i, row in enumerate(rows):
+                column[row] = update[i]
+        dirty.difference_update(rows)
 
     recovered: set[int] = set()
     records = []
     # equal values share an entry, so a 0.0 and a -0.0 part are not told apart
     value_ids: dict[complex, int] = {}
-    stats = statistics(slice(None))
     passes = 0
 
     while True:
         passes += 1
-        candidates = []
+        committed = len(records)
+        scan = []
         for row in range(len(stage_of)):
             verdict = classify_bin(stats, row)
             if verdict.kind is VerdictKind.SINGLETON:
                 residual = verdict.residual_energy
                 if residual < EXACT_FIT_RESIDUAL:
                     residual = 0.0
-                candidates.append((residual, row, verdict))
+                scan.append((residual, row, verdict))
         # rows are stage-major, so row order is (stage, bin) order; rows
         # are distinct, so the sort never compares two verdicts
-        candidates.sort()
-        position = {row: at for at, (_, row, _) in enumerate(candidates)}
-        # candidate rows still ahead that a commit has touched since they were read
-        stale: set[int] = set()
-        reread: dict[int, tuple[BinStatistics, int]] = {}
-        touched: set[int] = set()
-        for at, (_, row, verdict) in enumerate(candidates):
-            if row in stale:
-                rows = sorted(stale)
-                fresh = statistics(rows)
-                reread.update((r, (fresh, i)) for i, r in enumerate(rows))
-                stale.clear()
-            if row in reread:
-                verdict = classify_bin(*reread[row])
+        scan.sort()
+        # a refreshed candidate's verdict is None: it is read from stats
+        candidates = {row: verdict for _, row, verdict in scan}
+        for row in candidates:
+            if row in dirty:
+                rows = sorted(dirty.intersection(candidates))
+                refresh(rows)
+                candidates.update(dict.fromkeys(rows))
+            verdict = candidates[row]
+            if verdict is None:
+                verdict = classify_bin(stats, row)
                 if verdict.kind is not VerdictKind.SINGLETON:
                     continue
             if verdict.support in recovered:
@@ -201,18 +204,11 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
             recovered.add(verdict.support)
             value_id = value_ids.setdefault(verdict.value, len(value_ids))
             records.append((verdict.support, value_id, passes, stage_of[row]))
-            for r in peel(bank, verdict.support, verdict.value):
-                touched.add(r)
-                if position.get(r, -1) > at:
-                    stale.add(r)
-        if not touched or passes == MAX_PASSES:
+            dirty.update(peel(bank, verdict.support, verdict.value))
+        if len(records) == committed or passes == MAX_PASSES:
             break
-        rows = sorted(touched)
-        fresh = statistics(rows)
-        for name in ("reason", "support", "value", "residual"):
-            column, update = getattr(stats, name), getattr(fresh, name)
-            for i, row in enumerate(rows):
-                column[row] = update[i]
+        if dirty:
+            refresh(sorted(dirty))
 
     cap = singleton_residual_threshold(plan.chain_count)
     left = row_energies(bank.rows) > cap

@@ -5,9 +5,7 @@ Conventions used throughout the package:
 * synthesis:  x[p] = sum_q X[l_q] * exp(+2j*pi*l_q*p/n), no 1/n factor.
   synthesize keeps the spectrum and evaluates nothing; the front end,
   which alone knows which samples it reads, evaluates only those, and
-  the dense view of all n samples comes from exp_sums: a blocked
-  O(n*k) product for sparse spectra, n * ifft of the dense spectrum
-  when k is large enough that the FFT is cheaper;
+  the dense view of all n samples is n * ifft of the dense spectrum;
 * analysis:   X[l] = (1/n) * sum_p x[p] * exp(-2j*pi*l*p/n);
 * roots of unity: exp(2j*pi*m/n) on the fast path comes from
   unit_roots, two gathers from one cached two-level table per n and a
@@ -207,8 +205,10 @@ class TimeSignal:
 
     @cached_property
     def clean(self) -> np.ndarray:
-        """The noiseless samples, all n of them."""
-        return exp_sums(self.n, self.spectrum.indices, self.spectrum.values)
+        """The noiseless samples, all n of them: n * ifft of the dense spectrum."""
+        dense = np.zeros(self.n, dtype=np.complex128)
+        dense[self.spectrum.indices] = self.spectrum.values
+        return np.fft.ifft(dense) * self.n
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -301,9 +301,9 @@ _BLOCK_ROWS = 128
 
 
 def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterator[np.ndarray]:
-    """Yield exp_sums(n, freqs, weights)[:stop] as consecutive 1-d runs.
+    """Yield x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n), p < stop, as consecutive 1-d runs.
 
-    With p = b*W + r and W = ceil(sqrt(n)), x[p] is entry (b, r) of the
+    Frequencies are integers, taken mod n; repeats add.  With p = b*W + r and W = ceil(sqrt(n)), x[p] is entry (b, r) of the
     product of a (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W)
     table exp(2j*pi*f_q*r/n), for the ceil(stop/W) rows that hold
     p < stop: O(stop*k) multiply-adds and O(k*sqrt(n)) roots of unity,
@@ -314,8 +314,8 @@ def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterat
     must outlive the next step of the iteration.
     The phase products are reduced mod n in exact integer arithmetic, as
     steering_vector does.  When 9*k**2 > n the length-n FFT is cheaper,
-    and the one run is n * ifft of the dense spectrum instead; for real
-    weights, x = conj(fft(dense)) is assembled from the half-length rfft.
+    and the one run is x = conj(fft(dense)) of the dense spectrum instead,
+    assembled from the half-length rfft, which needs the weights real.
     stop (n by default) must lie in [0, n]; one outside it raises
     ValueError at the call, before any run is computed.
     """
@@ -330,11 +330,7 @@ def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterat
 
 
 def _fft_sums(n: int, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """All n exp sums by one length-n FFT of the dense spectrum."""
-    if np.iscomplexobj(w):
-        dense = np.zeros(n, dtype=np.complex128)
-        np.add.at(dense, f, w)
-        return np.fft.ifft(dense) * n
+    """All n exp sums of real weights by one length-n FFT of the dense spectrum."""
     half = np.fft.rfft(np.bincount(f, weights=w, minlength=n))
     x = np.empty(n, dtype=np.complex128)
     np.conjugate(half, out=x[: half.size])
@@ -369,27 +365,12 @@ def _blocked_runs(n: int, f: np.ndarray, w: np.ndarray, stop: int) -> Iterator[n
         yield out.reshape(-1)[: stop - first * width]
 
 
-def exp_sums(n: int, freqs, weights) -> np.ndarray:
-    """x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p = 0..n-1.
-
-    Frequencies are integers, taken mod n; repeats add.  x is filled run
-    by run from exp_sum_blocks, which says how the sums are computed:
-    a blocked O(n*k) product, or the length-n FFT when 9*k**2 > n.
-    """
-    x = np.empty(n, dtype=np.complex128)
-    filled = 0
-    for run in exp_sum_blocks(n, freqs, weights):
-        x[filled : filled + run.size] = run
-        filled += run.size
-    return x
-
-
 def synthesize(spectrum: SparseSpectrum) -> TimeSignal:
     """The signal x[p] = sum_q X[l_q] exp(+2j*pi*l_q*p/n), p = 0..n-1.
 
     Returns the spectrum-backed form and evaluates nothing: a front end
     computes only the samples it reads, and the dense view computes all
-    n by exp_sums on first use.
+    n by one inverse FFT on first use.
     """
     return TimeSignal(spectrum.n, spectrum=spectrum)
 

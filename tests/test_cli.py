@@ -295,6 +295,25 @@ class TestErrors:
         assert main(["run", "--config", str(cfg), "--seed", "1"]) == EXIT_CONFIG
         assert "bad value for" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        b"k = 3\n[experiment]\n",
+        b"[experiment]\nk = 3\nk = 4\n",
+        b"[experiment]\nk = 3\n[experiment]\nseed = 2\n",
+        b"[experiment]\npreset = n\xe9504\n",
+        b"[experiment]\npreset = %(x)s\n",
+    ], ids=["no-section-header", "repeated-key", "repeated-section", "not-utf8",
+            "interpolation"])
+    def test_malformed_config_file_is_a_config_error(self, body, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(body)
+        assert main(["plan", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"malformed config file {cfg}" in capsys.readouterr().err
+
+    def test_missing_config_file_is_an_io_error(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.ini"
+        assert main(["plan", "--config", str(cfg)]) == EXIT_IO
+        assert f"unreadable config file {cfg}" in capsys.readouterr().err
+
     def test_unexpected_value_error_propagates(self, monkeypatch):
         def broken(args):
             raise ValueError("a bug, not a configuration error")

@@ -22,7 +22,6 @@ from ffast.spectral import (
     SparseSpectrum,
     TimeSignal,
     add_noise,
-    exp_sums,
     random_phase_spectrum,
     random_spectrum,
     synthesize,
@@ -180,7 +179,7 @@ class TestSampleSource:
         the synthesized samples stage by stage and transforming them."""
         plan = plan_for_config(ExperimentConfig(preset="n4845", k=170, snr_db=None, seed=3))
         truth = random_spectrum(plan.n, 170, Constellation(4.0), seed=11)
-        samples = exp_sums(plan.n, truth.indices, truth.values)
+        samples = np.fft.ifft(truth.values_at(np.arange(plan.n))) * plan.n
         bank = subsample_and_transform(synthesize(truth), plan)
         for f, stage in zip(plan.bin_counts, bank.stages):
             rows = (np.arange(f)[:, None] * (plan.n // f) + plan.shift_array) % plan.n

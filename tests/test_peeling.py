@@ -327,10 +327,11 @@ class TestDecodeStructure:
         """Support 1 alone in bin 1 of stage 1 and support 5 alone in bin
         1 of stage 0 (slightly noisy, so it sorts second) are both
         singletons at the start of the pass, but 1 also aliases into bin
-        1 of stage 0.  Committing 1 changes that row, so it is re-read,
-        now holds two tones' worth of leftover, and is dropped; it is
-        the pass's only re-read.  The second pass recomputes only the
-        two rows the commit touched."""
+        1 of stage 0.  Committing 1 makes both of its rows dirty.  When
+        the walk reaches bin 1 of stage 0, one refresh recomputes both
+        dirty candidates; the row now holds two tones' worth of leftover
+        and is dropped.  No row is dirty after the pass, so the second
+        pass recomputes nothing."""
         rows = np.zeros((sum(plan20.bin_counts), plan20.chain_count), complex)
         ripple = 0.3 * np.exp(2j * np.pi * np.arange(plan20.chain_count) / 7)
         rows[plan20.row_offsets[0] + 1] = 2 * math.sqrt(4) * steering_vector(5, plan20) + ripple
@@ -344,7 +345,7 @@ class TestDecodeStructure:
         monkeypatch.setattr(peeling, "bin_statistics", counted)
         result = decode(BinBank(plan20, rows))
         assert [(e.pass_index, e.stage, e.bin, e.support) for e in result.events] == [(1, 1, 1, 1)]
-        assert stacks == [len(rows), 1, plan20.d]
+        assert stacks == [len(rows), 2]
         assert result.multi_ton_bins == ((0, 1),) and not result.converged
 
     def test_noisy_sparse_5db_decodes_converge(self):
