@@ -301,11 +301,12 @@ _BLOCK_ROWS = 128
 
 
 def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterator[np.ndarray]:
-    """Yield x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n), p < stop, as consecutive 1-d runs.
+    """Yield x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p < stop, in 1-d runs.
 
-    Frequencies are integers, taken mod n; repeats add.  With p = b*W + r and W = ceil(sqrt(n)), x[p] is entry (b, r) of the
-    product of a (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W)
-    table exp(2j*pi*f_q*r/n), for the ceil(stop/W) rows that hold
+    Frequencies are integers, taken mod n; repeats add.  With p = b*W + r
+    and W = ceil(sqrt(n)), x[p] is entry (b, r) of the product of a
+    (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W) table
+    exp(2j*pi*f_q*r/n), for the ceil(stop/W) rows that hold
     p < stop: O(stop*k) multiply-adds and O(k*sqrt(n)) roots of unity,
     read from unit_roots' table.  Each run is _BLOCK_ROWS rows of it
     (the last run is cut at stop), computed by one matmul into a buffer

@@ -411,11 +411,9 @@ def _reference_decode(bank, constellation):
         for _, row in sorted(singletons):
             verdict = classify_bin(stats, row)
             if row in touched:
-                alone = [row]
-                verdict = classify_bin(
-                    bin_statistics(bank.rows[alone], stages[alone], bins[alone], plan, constellation),
-                    0,
-                )
+                one = slice(row, row + 1)
+                fresh = bin_statistics(bank.rows[one], stages[one], bins[one], plan, constellation)
+                verdict = classify_bin(fresh, 0)
                 if verdict.kind is not VerdictKind.SINGLETON:
                     continue
             if verdict.support in recovered:
