@@ -1,24 +1,25 @@
 """Iterative decoding over the bank of bin observations.
 
 Each pass reads every bin's verdict from one set of bin statistics
-(singleton.bin_statistics), then commits the singleton verdicts in
-ascending residual order, most confident first.  Fits below
-EXACT_FIT_RESIDUAL are exact and commit in row order, so the order of
-a noiseless decode does not hang on last-bit rounding.  A commit
-subtracts the coefficient's steering contribution from the one bin it
-aliases into in every stage, which can turn a multi-ton elsewhere into
-a fresh singleton, so passes repeat until a pass commits nothing (at most
-MAX_PASSES).  Decoding converges when no bin's leftover energy exceeds
-the singleton residual cap: what is left is noise, not an unrecovered
-coefficient.
+(singleton.bin_statistics) and peels its singletons in parallel, as
+FFAST's decoder does.  The candidates rank by residual, most confident
+first; fits below EXACT_FIT_RESIDUAL are exact and rank in row order, so
+the order of a noiseless decode does not hang on last-bit rounding.  A
+commit subtracts the coefficient's steering contribution from the one bin
+it aliases into in every stage, so a candidate commits only when no
+better-ranked one touches its own bin; the rest wait for the next pass.
+A subtraction can turn a multi-ton elsewhere into a fresh singleton, so
+passes repeat until a pass commits nothing (at most MAX_PASSES).
+Decoding converges when no bin's leftover energy exceeds the singleton
+residual cap: what is left is noise, not an unrecovered coefficient.
 
-The work follows the d bins each commit changes.  Every verdict is read
-from one table of statistics, computed for the whole bank once.  A row
-a commit touches is dirty until one refresh recomputes it, together with
-every other dirty row that is still needed: the dirty candidates of the
-pass when the walk reaches one of them, and the rest after the pass.
-peel only records a subtraction on the bank, which applies every
-recorded one in a single batch when it is next read.
+The work follows the d bins each commit changes.  The statistics are
+computed for the whole bank once; after that, one batch per pass
+recomputes the rows that pass's commits touched.  peel only records a
+subtraction on the bank, which applies every recorded one in a single
+batch when it is next read.  The per-row classify_bin scan and the
+per-commit peel calls stay because the benchmark's tracer rebinds and
+counts them; they can go once the decoder counts its own work.
 
 A result keeps its peel events as one packed record each (support,
 value, pass, stage; the bin is the support's residue in that stage),
@@ -28,10 +29,11 @@ PeelEvent objects from them when read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .frontend import BinBank, bin_index, row_energies, steering_vector
+from .frontend import BinBank, bin_index, row_energies
 from .planner import FrontendPlan
 from .singleton import (
     VerdictKind,
@@ -89,10 +91,11 @@ class DecodeResult:
 
     log holds one packed record per peel, in commit order, and values
     holds each distinct committed value once, as complex128 bytes (a
-    snapped decode has at most the constellation's points); spectrum and
-    events are built from them on every read.  multi_ton_bins lists the
-    (stage, bin) pairs whose leftover energy exceeds the singleton
-    residual cap; converged is true when there are none.
+    snapped decode holds its constellation's grid, one bytes object
+    shared by every such decode); spectrum and events are built from
+    them on every read.  multi_ton_bins lists the (stage, bin) pairs
+    whose leftover energy exceeds the singleton residual cap; converged
+    is true when there are none.
     """
 
     plan: FrontendPlan
@@ -122,6 +125,13 @@ class DecodeResult:
         )
 
 
+@cache
+def _grid_values(constellation: Constellation) -> tuple[bytes, dict[complex, int]]:
+    """The grid as a snapped decode's table of values, and each point's index."""
+    points = constellation.points()
+    return points.tobytes(), {point: i for i, point in enumerate(points.tolist())}
+
+
 def peel(bank: BinBank, support: int, value: complex) -> list[int]:
     """Subtract coefficient `value` at `support` from every stage.
 
@@ -137,82 +147,72 @@ def peel(bank: BinBank, support: int, value: complex) -> list[int]:
 def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeResult:
     """Run classify-and-peel passes until a pass commits nothing, or MAX_PASSES.
 
-    Every verdict is read from one table of bin statistics, and a row a
-    commit has touched is dirty until its statistics are recomputed from
-    the live bank.  Within a pass, candidate singletons are ordered by
-    residual energy, a residual under EXACT_FIT_RESIDUAL counting as 0
-    (then stage, then bin).  When the walk reaches a dirty candidate,
-    every dirty candidate of the pass is refreshed at once and read
-    again from the table when reached, so a stale verdict (its
-    coefficients now removed, or its apparent support shifted) is
-    dropped instead of poisoning the output.  A clean row holds what it
-    held when the pass began, so its verdict stands.  A support reported
-    twice keeps only its first sighting in this order.  After the pass,
-    the rows still dirty are refreshed, so the next pass reads a table
-    that matches the bank.
+    Each pass peels its singletons in parallel, as FFAST's decoder does.
+    The candidates are the singleton rows whose support is not yet
+    recovered, ranked by residual energy, a residual under
+    EXACT_FIT_RESIDUAL counting as 0 (then stage, then bin).  A candidate
+    touches the row its support aliases into in every stage, and commits
+    unless a better-ranked candidate touches its own row: a row no other
+    commit changes still holds what its verdict was read from.  The rest,
+    a second sighting of a committed support among them, wait for the next
+    pass.  After the commits, one bin_statistics batch recomputes the rows
+    they touched, so the next pass reads a table that matches the bank.
+    The scan reads every row through classify_bin and each commit goes
+    through peel, so that the benchmark's tracer can count both.
     """
     bank = bank.copy()
     plan = bank.plan
     row_stage, row_bin = plan.row_stage, plan.row_bin
     stage_of = row_stage.tolist()
+    counts, offsets = np.asarray(plan.bin_counts), np.asarray(plan.row_offsets)
     stats = bin_statistics(bank.rows, row_stage, row_bin, plan, constellation)
-    # rows a commit has touched since their statistics were computed
-    dirty: set[int] = set()
-
-    def refresh(rows: list[int]) -> None:
-        fresh = bin_statistics(bank.rows[rows], row_stage[rows], row_bin[rows], plan, constellation)
-        for name in ("reason", "support", "value", "residual"):
-            column, update = getattr(stats, name), getattr(fresh, name)
-            for i, row in enumerate(rows):
-                column[row] = update[i]
-        dirty.difference_update(rows)
-
     recovered: set[int] = set()
     records = []
-    # equal values share an entry, so a 0.0 and a -0.0 part are not told apart
-    value_ids: dict[complex, int] = {}
+    # equal values share an entry, so a 0.0 and a -0.0 part are not told
+    # apart; a snapped value is always a key of the grid's table already
+    values, value_ids = (None, {}) if constellation is None else _grid_values(constellation)
     passes = 0
 
     while True:
         passes += 1
-        committed = len(records)
         scan = []
         for row in range(len(stage_of)):
             verdict = classify_bin(stats, row)
-            if verdict.kind is VerdictKind.SINGLETON:
+            if verdict.kind is VerdictKind.SINGLETON and verdict.support not in recovered:
                 residual = verdict.residual_energy
-                if residual < EXACT_FIT_RESIDUAL:
-                    residual = 0.0
-                scan.append((residual, row, verdict))
+                scan.append((0.0 if residual < EXACT_FIT_RESIDUAL else residual, row, verdict))
         # rows are stage-major, so row order is (stage, bin) order; rows
         # are distinct, so the sort never compares two verdicts
         scan.sort()
-        # a refreshed candidate's verdict is None: it is read from stats
-        candidates = {row: verdict for _, row, verdict in scan}
-        for row in candidates:
-            if row in dirty:
-                rows = sorted(dirty.intersection(candidates))
-                refresh(rows)
-                candidates.update(dict.fromkeys(rows))
-            verdict = candidates[row]
-            if verdict is None:
-                verdict = classify_bin(stats, row)
-                if verdict.kind is not VerdictKind.SINGLETON:
-                    continue
-            if verdict.support in recovered:
-                continue
+        rank = np.arange(len(scan))
+        supports = np.array([verdict.support for _, _, verdict in scan], dtype=np.int64)
+        touched = supports[:, None] % counts + offsets
+        # each row's best-ranked toucher; a candidate commits when that is
+        # itself, since then no commit before it changes its row
+        best = np.full(len(stage_of), len(scan))
+        np.minimum.at(best, touched, rank[:, None])
+        commits = (best[[row for _, row, _ in scan]] == rank).nonzero()[0]
+        for i in commits.tolist():
+            _, row, verdict = scan[i]
             recovered.add(verdict.support)
             value_id = value_ids.setdefault(verdict.value, len(value_ids))
             records.append((verdict.support, value_id, passes, stage_of[row]))
-            dirty.update(peel(bank, verdict.support, verdict.value))
-        if len(records) == committed or passes == MAX_PASSES:
+            peel(bank, verdict.support, verdict.value)
+        if not commits.size or passes == MAX_PASSES:
             break
-        if dirty:
-            refresh(sorted(dirty))
+        stale = np.zeros(len(stage_of), dtype=bool)
+        stale[touched[commits]] = True
+        rows = stale.nonzero()[0]
+        fresh = bin_statistics(bank.rows[rows], row_stage[rows], row_bin[rows], plan, constellation)
+        for name in ("reason", "support", "value", "residual"):
+            column = getattr(stats, name)
+            for row, entry in zip(rows.tolist(), getattr(fresh, name)):
+                column[row] = entry
 
     cap = singleton_residual_threshold(plan.chain_count)
     left = row_energies(bank.rows) > cap
     leftover = tuple(zip(row_stage[left].tolist(), row_bin[left].tolist()))
     log = np.array(records, dtype=_record(plan.n, len(value_ids))).tobytes()
-    values = np.array(list(value_ids), dtype=np.complex128).tobytes()
+    if values is None:
+        values = np.array(list(value_ids), dtype=np.complex128).tobytes()
     return DecodeResult(plan, not leftover, passes, leftover, log, values)

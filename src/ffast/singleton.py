@@ -17,7 +17,8 @@ the n-th roots of unity, so classification evaluates no complex exp.
 bin_statistics runs these steps for a whole stack of bins at once, each
 step only on the rows that passed the one before, and classify_bin
 reads one row's verdict out of the result: every classification, of a
-full bank or of one re-read bin, goes through these two functions.
+full bank or of the bins a pass's commits changed, goes through these
+two functions.
 """
 from __future__ import annotations
 

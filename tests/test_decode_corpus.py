@@ -1,12 +1,15 @@
 """Frozen decode digests over the equivalence corpus.
 
-Five configurations (sparse-5db, stretch-x12, dense-noiseless, and n504
-k=7 at 5 dB and noiseless), plans at seed 20260817, trial seeds
+Six configurations (sparse-5db, stretch-x12, dense-noiseless, and n504
+k=7 at 5 dB, 0 dB and noiseless), plans at seed 20260817, trial seeds
 1000-1007, each run along the package's trial path with per-index
 noise.  Each configuration's SHA-256 covers every decode's (pass,
 stage, bin, support, value) events, values bit for bit, plus passes,
 converged and multi_ton_bins.  A change to the front end, the
-classifier or the decoder that moves any of them fails here.
+classifier or the decoder that moves any of them fails here.  At 0 dB
+n504 pins the schedule: a decoder that re-reads a candidate whose row an
+earlier commit of the same pass touched, instead of deferring it, gives
+another digest.
 """
 import hashlib
 
@@ -24,6 +27,7 @@ CORPUS = {
     "stretch-x12": dict(preset="paper-124950x12", k=40, snr_db=5.0, clusters=12, per_cluster=3),
     "dense-noiseless": dict(preset="n4845", k=170, snr_db=None),
     "n504-5db": dict(preset="n504", k=7, snr_db=5.0),
+    "n504-0db": dict(preset="n504", k=7, snr_db=0.0),
     "n504-noiseless": dict(preset="n504", k=7, snr_db=None),
 }
 DIGESTS = {
@@ -31,6 +35,7 @@ DIGESTS = {
     "stretch-x12": "2f62d541a2fd5ea18d4b0243ef859b1d6d4caad97dfedebc21f4b31c55bf9fab",
     "dense-noiseless": "780bca475972528ff493a6117328b633a3e35349d25f0a32ba2d9afab40a3d7b",
     "n504-5db": "24ee2529be495822053dd12979503a8ab9d5eec9d56c85ad95037fee136fa300",
+    "n504-0db": "9d51a9f1dc561b5205220ee0c17fb5597cc52760aa11f0a979df82142218db3f",
     "n504-noiseless": "cd0072ea37f7d777ab1eebc55f7a103a9e64ea89db08eb2bdb047b3c659974de",
 }
 

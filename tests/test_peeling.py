@@ -308,6 +308,22 @@ class TestDecodeLog:
         assert (truth.indices.max() < 1 << 16) == (plan.n <= 1 << 16)
 
 
+    def test_snapped_decodes_share_the_grid_as_their_values(self):
+        """A snapped value is a grid point, so every snapped decode with an
+        equal constellation holds one shared bytes object of the grid's
+        points, and its log indexes that."""
+        config = ExperimentConfig(preset="n504", k=7, snr_db=5.0, seed=20260817)
+        plan = plan_for_config(config)
+        results = []
+        for seed in (1, 2):
+            con = Constellation(config.rho)
+            truth = random_spectrum(plan.n, 7, con, seed)
+            results.append(decode(_bank_for(truth, plan), con))
+            assert results[-1].spectrum.max_abs_difference(truth) < 1e-9
+        assert results[0].values is results[1].values
+        assert results[0].values == Constellation(config.rho).points().tobytes()
+
+
 class TestDecodeStructure:
     def test_undecodable_four_cycle_reports_failure(self):
         """Two stages, four coefficients in a closed alias cycle: no bin is
@@ -325,13 +341,13 @@ class TestDecodeStructure:
 
     def test_a_commit_makes_only_the_rows_it_touched_stale(self, plan20, monkeypatch):
         """Support 1 alone in bin 1 of stage 1 and support 5 alone in bin
-        1 of stage 0 (slightly noisy, so it sorts second) are both
-        singletons at the start of the pass, but 1 also aliases into bin
-        1 of stage 0.  Committing 1 makes both of its rows dirty.  When
-        the walk reaches bin 1 of stage 0, one refresh recomputes both
-        dirty candidates; the row now holds two tones' worth of leftover
-        and is dropped.  No row is dirty after the pass, so the second
-        pass recomputes nothing."""
+        1 of stage 0 (slightly noisy, so it ranks second) are both
+        singletons when the first pass begins, but 1 also aliases into bin
+        1 of stage 0, so 5 waits.  Committing 1 makes its two rows stale,
+        and the one batch after the pass recomputes just those.  Bin 1 of
+        stage 0 now holds two tones' worth of leftover and is no
+        singleton, so the second pass commits nothing and recomputes
+        nothing."""
         rows = np.zeros((sum(plan20.bin_counts), plan20.chain_count), complex)
         ripple = 0.3 * np.exp(2j * np.pi * np.arange(plan20.chain_count) / 7)
         rows[plan20.row_offsets[0] + 1] = 2 * math.sqrt(4) * steering_vector(5, plan20) + ripple
@@ -381,59 +397,106 @@ class TestDecodeStructure:
         monkeypatch.setattr(peeling, "MAX_PASSES", 1)
         truth = random_spectrum(504, 7, Constellation(4.0), seed=2)
         result = decode(_bank_for(truth, plan504))
-        assert result.passes <= 1
+        assert result.passes == 1
+        assert result.events and all(e.pass_index == 1 for e in result.events)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3),
+            dict(preset="n4845", k=170, snr_db=None),
+        ],
+        ids=["sparse-5db", "dense-noiseless"],
+    )
+    def test_one_statistics_batch_per_pass_over_the_rows_its_commits_touched(
+        self, kw, monkeypatch
+    ):
+        """The first bin_statistics call covers the whole bank, then each
+        pass that commits is followed by exactly one call, over exactly
+        the rows its commits touched; the last pass commits nothing.  No
+        commit's support aliases into the row another commit of the same
+        pass was read from."""
+        config = ExperimentConfig(**kw, seed=20260817)
+        plan = plan_for_config(config)
+        con = Constellation(config.rho)
+        offsets, counts = plan.row_offsets, plan.bin_counts
+        calls = []
+
+        def counted(stack, stages, bins, *args):
+            calls.append((np.asarray(offsets)[stages] + bins).tolist())
+            return bin_statistics(stack, stages, bins, *args)
+
+        monkeypatch.setattr(peeling, "bin_statistics", counted)
+        for seed in range(1, 6):
+            signal = synthesize(random_spectrum(plan.n, config.k, con, seed))
+            if config.snr_db is not None:
+                signal = add_noise(signal, 1.0, seed)
+            calls.clear()
+            result = decode(subsample_and_transform(signal, plan), con)
+            assert 1 < result.passes < MAX_PASSES
+            assert len(calls) == result.passes
+            assert calls[0] == list(range(sum(counts)))
+            assert all(e.pass_index < result.passes for e in result.events)
+            for pass_index, rows in enumerate(calls[1:], 1):
+                commits = [e for e in result.events if e.pass_index == pass_index]
+                touched = {o + e.support % f for e in commits for o, f in zip(offsets, counts)}
+                assert commits and rows == sorted(touched)
+                for e in commits:
+                    assert all(
+                        other.support % counts[e.stage] != e.bin for other in commits if other != e
+                    )
 
 
 def _reference_decode(bank, constellation):
-    """Peeling as specified, without the decoder's incremental bookkeeping.
+    """Parallel peeling as specified, without the decoder's incremental bookkeeping.
 
-    Each pass computes the statistics of the whole live bank and walks
-    its singletons in decode's order (residual, an exact fit counting as
-    0, then row).  A candidate whose row a commit of the same pass has
-    touched is read again on its own just before its commit.  Returns
-    the (pass, stage, bin, support, value) events and the pass count.
+    Each pass computes the statistics of the whole live bank and ranks
+    the singletons whose support is not yet recovered in decode's order
+    (residual, an exact fit counting as 0, then row).  A candidate
+    commits when no better-ranked candidate's support aliases into its
+    row, checked pair by pair, and the commits peel in rank order.
+    Returns the (pass, stage, bin, support, value) events and the pass
+    count.
     """
     bank = bank.copy()
     plan = bank.plan
-    stages, bins = plan.row_stage, plan.row_bin
-    offsets, counts = plan.row_offsets, plan.bin_counts
+    stages, bins = plan.row_stage.tolist(), plan.row_bin.tolist()
+    counts = plan.bin_counts
     recovered, events, passes = set(), [], 0
     while True:
         passes += 1
-        stats = bin_statistics(bank.rows, stages, bins, plan, constellation)
+        stats = bin_statistics(bank.rows, plan.row_stage, plan.row_bin, plan, constellation)
         singletons = []
         for row in range(len(stages)):
             verdict = classify_bin(stats, row)
-            if verdict.kind is VerdictKind.SINGLETON:
+            if verdict.kind is VerdictKind.SINGLETON and verdict.support not in recovered:
                 residual = verdict.residual_energy
-                singletons.append((0.0 if residual < EXACT_FIT_RESIDUAL else residual, row))
-        touched = set()
-        for _, row in sorted(singletons):
-            verdict = classify_bin(stats, row)
-            if row in touched:
-                one = slice(row, row + 1)
-                fresh = bin_statistics(bank.rows[one], stages[one], bins[one], plan, constellation)
-                verdict = classify_bin(fresh, 0)
-                if verdict.kind is not VerdictKind.SINGLETON:
-                    continue
-            if verdict.support in recovered:
-                continue
-            recovered.add(verdict.support)
-            events.append(
-                (passes, int(stages[row]), int(bins[row]), verdict.support, verdict.value)
+                rank_key = 0.0 if residual < EXACT_FIT_RESIDUAL else residual
+                singletons.append((rank_key, row, verdict))
+        singletons.sort()
+        commits = [
+            (row, verdict)
+            for rank, (_, row, verdict) in enumerate(singletons)
+            if not any(
+                better.support % counts[stages[row]] == bins[row]
+                for _, _, better in singletons[:rank]
             )
+        ]
+        for row, verdict in commits:
+            recovered.add(verdict.support)
+            events.append((passes, stages[row], bins[row], verdict.support, verdict.value))
             bank.record_peel(verdict.support, verdict.value)
-            touched.update(o + verdict.support % f for o, f in zip(offsets, counts))
-        if not touched or passes == MAX_PASSES:
+        if not commits or passes == MAX_PASSES:
             return events, passes
 
 
 class TestDecodeReference:
     @pytest.mark.parametrize("snr_db", [0.0, 5.0])
     def test_decode_matches_the_reference_decoder(self, snr_db):
-        """Recomputing every row's statistics, and re-reading a touched
-        candidate alone, gives the same events and pass count as the
-        decoder's incremental statistics, value for value."""
+        """Recomputing every row's statistics each pass, and choosing the
+        commits by a pairwise alias check, gives the same events and pass
+        count as the decoder's incremental statistics and per-row best
+        ranks, value for value."""
         config = ExperimentConfig(preset="n504", k=7, snr_db=snr_db, seed=20260817)
         plan = plan_for_config(config)
         con = Constellation(config.rho)
