@@ -32,7 +32,7 @@ from . import bench, metrics, oracle
 from .formats import CSV_HEADER, FormatError, write_plan
 from .frontend import subsample_and_transform
 from .peeling import decode
-from .planner import C1, PRESETS, PlanningError, verify_incoherence
+from .planner import C1, MU_CEILING, PRESETS, PlanningError, verify_incoherence
 from .singleton import GAMMA
 from .spectral import M2, Constellation, random_spectrum, synthesize
 
@@ -143,6 +143,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         f"({plan.clusters} clusters x {plan.per_cluster}, base {plan.base})"
     )
     print(f"mu_max       {report.mu_max:.6f}  bound {report.bound:.6f}")
+    if report.bound > MU_CEILING:
+        print("             bound >= 1 and no mu exceeds 1: every shift draw passes")
     # chains whose shifts agree mod a stage's period read the same samples there
     distinct = "/".join(str(len({r % p for r in plan.shifts})) for p in plan.periods)
     print(f"distinct     {distinct} of D={plan.chain_count} chains per stage read distinct samples")

@@ -284,11 +284,22 @@ class IncoherenceReport:
     passed: bool
 
 
+# mu(l) is |a sum of D unit roots| / D, at most 1; a computed scan can
+# exceed 1 only by rounding, so a screening bound above MU_CEILING passes
+# every draw.
+MU_CEILING = 1.0 + 1e-9
+
+
+def incoherence_bound(n: int, d_chains: int) -> float:
+    """The screening bound 2*sqrt(ln(5n)/D) on max_l mu(l) for D chains."""
+    return 2.0 * math.sqrt(math.log(5.0 * n) / d_chains)
+
+
 def verify_incoherence(plan: FrontendPlan) -> IncoherenceReport:
     """Worst pairwise column coherence of the shift pattern.
 
     mu(l) = |sum_s exp(2j*pi*l*r_s/n)| / D for l = 1..n-1; the report
-    compares max_l mu(l) against 2*sqrt(ln(5n)/D).  The sums come from
+    compares max_l mu(l) against incoherence_bound(n, D).  The sums come from
     spectral.exp_sum_blocks with unit weights on the shifts, one block
     at a time, and a running max of their magnitudes is kept in one
     reused buffer, so the scan holds O(D*sqrt(n)) values and never all
@@ -309,7 +320,7 @@ def verify_incoherence(plan: FrontendPlan) -> IncoherenceReport:
         peak = max(peak, float(np.abs(run, out=magnitudes[: run.size])[start:].max()))
         start = 0
     mu_max = peak / d_chains
-    bound = 2.0 * math.sqrt(math.log(5.0 * plan.n) / d_chains)
+    bound = incoherence_bound(plan.n, d_chains)
     return IncoherenceReport(mu_max=mu_max, bound=bound, passed=mu_max < bound)
 
 
@@ -324,7 +335,9 @@ def build_plan(
     """Assemble and screen a complete plan.
 
     Cluster heads are drawn until verify_incoherence passes, up to
-    MAX_SHIFT_DRAWS attempts.  Explicit clusters/per_cluster override the
+    MAX_SHIFT_DRAWS attempts.  Where incoherence_bound exceeds MU_CEILING
+    (D below 4*ln(5n)), no draw can fail, so the first draw is kept
+    without the O(n*D) scan.  Explicit clusters/per_cluster override the
     defaults from choose_cluster_params.
     """
     entry = preset_by_name(preset)
@@ -336,7 +349,8 @@ def build_plan(
     for draw in range(MAX_SHIFT_DRAWS):
         heads = draw_heads(n, C, seed + draw)
         plan = FrontendPlan(n=n, bin_counts=bins, per_cluster=N, heads=heads)
-        if verify_incoherence(plan).passed:
+        # after the plan checks C and N, so D is positive here
+        if incoherence_bound(n, plan.chain_count) > MU_CEILING or verify_incoherence(plan).passed:
             return plan
     raise PlanningError(
         f"no shift pattern passed incoherence screening in {MAX_SHIFT_DRAWS} draws at n={n}"

@@ -85,21 +85,24 @@ def refine(estimates, base: int):
     """Fuse per-cluster estimates into one frequency in [0, 2*pi).
 
     estimates[..., i] is omega modulo 2*pi/base**i; leading axes are
-    independent bins, and the result has their shape.  Each step lifts
-    the next estimate onto its grid of period 2*pi/base**i at the lift
-    nearest the running estimate (for base 2 this is the usual pick
-    between the flooring and ceiling lifts; larger bases compare all
-    lifts at once via rounding).  The final interval width is
-    2*pi/base**(C-1) times the last cluster's accuracy.
+    independent bins, and the result has their shape.  Each cluster's
+    estimate is lifted onto its grid of period 2*pi/base**i at the lift
+    nearest the one before.  In turns, u_i = estimates_i * base**i / 2pi
+    mod 1, so lift i adds the carry c_i = rint(base * u_(i-1) - u_i) to
+    base times the running cell count, and the last lift lands in cell
+    K = sum_i c_i * base**(C-1-i) of width 2*pi/base**(C-1): one dot
+    product, exact in float64 while base**(C-1) < 2**53.  The final
+    interval width is 2*pi/base**(C-1) times the last cluster's accuracy.
     """
     est = np.asarray(estimates, dtype=np.float64)
     if est.ndim == 0 or est.shape[-1] == 0:
         raise ValueError("need at least one cluster estimate")
-    prev = est[..., 0] % (2.0 * np.pi)
-    for i in range(1, est.shape[-1]):
-        grid = 2.0 * np.pi / base**i
-        prev = est[..., i] + np.rint((prev - est[..., i]) / grid) * grid
-    return prev % (2.0 * np.pi)
+    powers = np.array([base**i for i in range(est.shape[-1])], dtype=np.float64)
+    turns = est * powers / (2.0 * np.pi)
+    u = turns - np.floor(turns)  # mod 1; numpy's float % is several times slower
+    carries = np.rint(base * u[..., :-1] - u[..., 1:])
+    cells = (carries @ powers[-2::-1]) % powers[-1]
+    return (2.0 * np.pi * (cells + u[..., -1]) / powers[-1]) % (2.0 * np.pi)
 
 
 class VerdictKind(str, enum.Enum):

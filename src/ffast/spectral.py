@@ -99,18 +99,18 @@ class SparseSpectrum:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError(f"n must be positive, got {self.n}")
-        idx = np.atleast_1d(np.asarray(self.indices, dtype=np.int64)).copy()
-        val = np.atleast_1d(np.asarray(self.values, dtype=np.complex128)).copy()
+        idx = np.atleast_1d(np.asarray(self.indices, dtype=np.int64))
+        val = np.atleast_1d(np.asarray(self.values, dtype=np.complex128))
         if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
             raise ValueError("indices and values must be 1-d arrays of equal length")
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.n:
-                raise ValueError("indices must lie in [0, n)")
-            order = np.argsort(idx, kind="stable")
-            idx = idx[order]
-            val = val[order]
-            if np.any(np.diff(idx) == 0):
-                raise ValueError("indices must be distinct")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise ValueError("indices must lie in [0, n)")
+        # the reorder is a fancy-index copy, so the stored arrays are never the caller's
+        order = np.argsort(idx, kind="stable")
+        idx = idx[order]
+        val = val[order]
+        if np.any(np.diff(idx) == 0):
+            raise ValueError("indices must be distinct")
         idx.flags.writeable = False
         val.flags.writeable = False
         object.__setattr__(self, "indices", idx)

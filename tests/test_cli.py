@@ -41,6 +41,13 @@ class TestPlanCommand:
         out = capsys.readouterr().out
         assert f"distinct     {distinct} chains per stage read distinct samples" in out
 
+    @pytest.mark.parametrize("preset,k,vacuous", [("n504", 4, True), ("n4845", 170, False)])
+    def test_says_when_every_draw_passes(self, preset, k, vacuous, capsys):
+        """n504's bound is 1.40, above any mu; n4845's is 0.96."""
+        assert main(["plan", "--preset", preset, "--k", str(k)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert ("bound >= 1 and no mu exceeds 1: every shift draw passes" in out) == vacuous
+
     def test_written_plan_round_trips(self, tmp_path, capsys):
         out = tmp_path / "plan.ini"
         code = main(["plan", "--preset", "n504", "--k", "4", "--seed", "17",

@@ -3,20 +3,26 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ffast import planner
 from ffast.oracle import coherence_profile
 from ffast.planner import (
     C1,
     MAX_SHIFT_DRAWS,
+    MU_CEILING,
     PRESETS,
     FrontendPlan,
     PlanningError,
     build_plan,
     choose_cluster_params,
     draw_heads,
+    incoherence_bound,
     plan_stages,
     preset_by_name,
     smallest_coprime_base,
@@ -189,6 +195,7 @@ class TestIncoherence:
                             heads=(0, 2, 4, 6, 8, 10))
         rep = verify_incoherence(plan)
         assert rep.bound == pytest.approx(2 * math.sqrt(math.log(5 * 1430) / 12))
+        assert rep.bound == incoherence_bound(1430, 12)
         assert rep.passed == (rep.mu_max < rep.bound)
 
     def test_ensemble_pass_fraction(self):
@@ -198,6 +205,57 @@ class TestIncoherence:
                                 heads=draw_heads(1430, 6, seed))
             passing += verify_incoherence(plan).passed
         assert passing / 200 >= 0.2
+
+
+@st.composite
+def _shift_sets_under_a_vacuous_bound(draw):
+    """A plan-shaped (n, shifts) whose bound exceeds MU_CEILING.
+
+    The shifts lie in one coset r + step*Z_n of a subgroup of Z_n.  With
+    step > 1, mu(n / step) = 1 exactly, which only a shift set outside
+    the clustered layout can reach; step = 1 gives an arbitrary set."""
+    n = draw(st.integers(2, 20000))
+    d_max = max(d for d in range(2, 65) if incoherence_bound(n, d) > MU_CEILING)
+    d_chains = draw(st.integers(2, d_max))
+    step = draw(st.sampled_from([q for q in range(1, n) if n % q == 0]))
+    offset = draw(st.integers(0, n - 1))
+    cosets = draw(st.lists(st.integers(0, n // step - 1), min_size=d_chains, max_size=d_chains))
+    shifts = (offset + step * np.array(cosets, dtype=np.int64)) % n
+    return SimpleNamespace(n=n, shift_array=shifts, chain_count=d_chains), step
+
+
+class TestVacuousBound:
+    """Where incoherence_bound exceeds MU_CEILING, build_plan keeps the
+    first draw without the scan: no draw can fail it there."""
+
+    @pytest.mark.parametrize("preset,k,overrides,scans", [
+        ("paper-124950", 40, dict(clusters=12, per_cluster=3), False),
+        ("paper-124950x12", 40, dict(clusters=12, per_cluster=3), False),
+        ("n504", 4, {}, False),
+        ("n4845", 170, {}, True),
+    ])
+    def test_build_plan_scans_only_under_a_bound_below_one(
+            self, preset, k, overrides, scans, monkeypatch):
+        def scan(plan):
+            raise AssertionError("verify_incoherence called")
+
+        monkeypatch.setattr(planner, "verify_incoherence", scan)
+        if scans:
+            with pytest.raises(AssertionError, match="verify_incoherence called"):
+                build_plan(preset, k, seed=BENCH_PLAN_SEED, **overrides)
+        else:
+            plan = build_plan(preset, k, seed=BENCH_PLAN_SEED, **overrides)
+            assert plan.heads == draw_heads(plan.n, plan.clusters, BENCH_PLAN_SEED)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_shift_sets_under_a_vacuous_bound())
+    def test_the_full_scan_passes_every_shift_set(self, case):
+        plan, step = case
+        rep = verify_incoherence(plan)
+        assert rep.mu_max <= 1.0 + 1e-12
+        assert rep.passed
+        if step > 1:
+            assert rep.mu_max == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBlockedScan:
@@ -252,22 +310,24 @@ class TestBlockedScan:
 
 class TestPlanMemory:
     """The memory counterpart of acceptance 4: screening holds O(D*sqrt(n))
-    values, so a plan for 12x the length needs far less than 12x the
-    memory to build.  Traced allocations time nothing, so this holds on a
-    busy machine too."""
+    values, so screening a plan for 12x the length needs far less than
+    12x the memory.  build_plan skips the scan on both plans (their
+    bounds exceed 1), so the scan is measured on its own.  Traced
+    allocations time nothing, so this holds on a busy machine too."""
 
     @staticmethod
-    def _traced_build_peak(preset):
+    def _traced_scan_peak(preset):
+        plan = _bench_plan(preset)
         tracemalloc.start()
         try:
-            _bench_plan(preset)
+            verify_incoherence(plan)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_build_peak_grows_far_slower_than_n(self):
-        base = self._traced_build_peak("paper-124950")
-        stretched = self._traced_build_peak("paper-124950x12")
+    def test_scan_peak_grows_far_slower_than_n(self):
+        base = self._traced_scan_peak("paper-124950")
+        stretched = self._traced_scan_peak("paper-124950x12")
         assert stretched <= 4.5 * base, (base, stretched)
         assert stretched < 6e6, stretched
 
@@ -307,8 +367,7 @@ class TestBuildPlan:
         """build_plan keeps the first draw that an rfft scan passes."""
         n = PRESETS[name].n
         params = choose_cluster_params(n)
-        d_chains = params.clusters * params.per_cluster
-        bound = 2.0 * math.sqrt(math.log(5.0 * n) / d_chains)
+        bound = incoherence_bound(n, params.clusters * params.per_cluster)
         seed = 20260817
         base = smallest_coprime_base(n)
         for draw in range(MAX_SHIFT_DRAWS):

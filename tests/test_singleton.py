@@ -127,7 +127,39 @@ class TestClusterEstimate:
         assert abs(float(np.mean(ests)) - omega) < 3 * standard_error
 
 
+def _refine_by_lifts(estimates, base):
+    """refine as C - 1 successive lifts, each onto its grid at the lift
+    nearest the running estimate: the reference for its closed form."""
+    est = np.asarray(estimates, dtype=np.float64)
+    prev = est[..., 0] % (2.0 * np.pi)
+    for i in range(1, est.shape[-1]):
+        grid = 2.0 * np.pi / base**i
+        prev = est[..., i] + np.rint((prev - est[..., i]) / grid) * grid
+    return prev % (2.0 * np.pi)
+
+
+# Allowed circular distance between refine and the lift loop, in radians.
+REFINE_TOLERANCE = 1e-12
+
+
 class TestRefine:
+    @pytest.mark.parametrize("base", [2, 3, 5, 7, 11])
+    def test_matches_the_lift_loop(self, base):
+        """Estimates within the lock-in error of one omega, and arbitrary
+        ones, at every depth up to 12 clusters, as one batch per depth."""
+        rng = np.random.default_rng(base)
+        for depth in range(1, 13):
+            scale = base ** np.arange(depth)
+            omega = rng.uniform(0, 2 * np.pi, size=(300, 1))
+            err = rng.uniform(-1, 1, size=(300, depth)) * np.pi / (8.0 * scale)
+            locked = (omega + err) % (2 * np.pi / scale)
+            arbitrary = rng.uniform(-20, 20, size=(300, depth))
+            for ests in (locked, arbitrary):
+                out = refine(ests, base)
+                assert ((out >= 0) & (out < 2 * np.pi)).all()
+                diff = np.abs(out - _refine_by_lifts(ests, base))
+                assert np.minimum(diff, 2 * np.pi - diff).max() <= REFINE_TOLERANCE
+
     def test_single_estimate_identity(self):
         assert refine([1.234], 2) == pytest.approx(1.234)
 

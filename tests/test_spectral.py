@@ -111,6 +111,20 @@ class TestSparseSpectrum:
         with pytest.raises(ValueError):
             SparseSpectrum.from_pairs(10, [(10, 1.0)])
 
+    @pytest.mark.parametrize("indices", [[2, 5, 8], [8, 2, 5]], ids=["sorted", "unsorted"])
+    def test_stored_arrays_are_not_the_callers(self, indices):
+        """Arrays already of the stored dtypes, as random_spectrum passes them."""
+        idx = np.array(indices, dtype=np.int64)
+        val = np.array([1.0, 2j, -1.0], dtype=np.complex128)
+        s = SparseSpectrum(10, idx, val)
+        expected = dict(zip(indices, val.tolist()))
+        assert not np.shares_memory(s.indices, idx)
+        assert not np.shares_memory(s.values, val)
+        assert not s.indices.flags.writeable and not s.values.flags.writeable
+        idx[:] = 0
+        val[:] = 7.0
+        assert dict(zip(s.indices.tolist(), s.values.tolist())) == expected
+
     def test_max_abs_difference(self):
         a = SparseSpectrum.from_pairs(10, [(1, 1.0), (2, 1.0)])
         b = SparseSpectrum.from_pairs(10, [(1, 1.0), (3, 0.5)])
