@@ -151,11 +151,8 @@ def run_trial(plan: FrontendPlan, config: ExperimentConfig, trial: int) -> Trial
     )
 
 
-def run_experiment(
-    config: ExperimentConfig, plan: FrontendPlan | None = None
-) -> ExperimentResult:
-    if plan is None:
-        plan = plan_for_config(config)
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    plan = plan_for_config(config)
     rows = tuple(run_trial(plan, config, t) for t in range(config.trials))
     return ExperimentResult(config, plan, rows)
 

@@ -268,7 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             signal = synthesize(truth)
             bank = subsample_and_transform(signal, plan)
             decoded = decode(bank).spectrum
-            reference = oracle.dense_dft(signal)
+            reference = oracle.dense_dft(signal.clean)
             report = oracle.compare_spectra(decoded, reference, tolerance=1e-9)
             checked += 1
             if not report.matched:

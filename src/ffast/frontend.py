@@ -14,8 +14,8 @@ everywhere and the effective per-bin SNR is f_i times the time-domain
 SNR.
 
 The front end owns this sampling pattern: it reads the signal at
-plan.sample_index, laid out like the bank, and evaluates a
-spectrum-backed signal there only.
+plan.sample_index, laid out like the bank, and evaluates the signal's
+spectrum there only.
 """
 from __future__ import annotations
 
@@ -149,7 +149,7 @@ def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
 
     Reads the plan.sample_count samples at plan.sample_index, then takes
     each stage's DFT over its rows in place: column t is delay chain t,
-    and norm="ortho" scales by 1/sqrt(f).  A spectrum-backed signal is
+    and norm="ortho" scales by 1/sqrt(f).  The signal's spectrum is
     evaluated there in factored form when that is the cheaper way (see
     factored_is_cheaper):
 
@@ -165,7 +165,7 @@ def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
         raise ValueError(f"signal length {signal.n} does not match plan n={plan.n}")
     index = plan.sample_index
     spec = signal.spectrum
-    if spec is None or not factored_is_cheaper(plan.n, spec.k, index.size):
+    if not factored_is_cheaper(plan.n, spec.k, index.size):
         x = signal.clean[index]
     else:
         roots, periods, starts = _stage_roots(plan)

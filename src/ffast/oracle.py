@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .planner import FrontendPlan
-from .spectral import SparseSpectrum, TimeSignal
+from .spectral import SparseSpectrum
 
 _DROP_TOLERANCE = 1e-9
 
@@ -56,18 +56,22 @@ class OracleReport:
     detail: str = ""
 
 
-def dense_dft(signal: TimeSignal, drop_tolerance: float = _DROP_TOLERANCE) -> SparseSpectrum:
-    """Full analysis DFT by direct O(n^2) summation.
+def dense_dft(samples: np.ndarray, drop_tolerance: float = _DROP_TOLERANCE) -> SparseSpectrum:
+    """Full analysis DFT of the n samples x by direct O(n^2) summation.
 
-    X[l] = (1/n) * sum_p x[p] * exp(-2j*pi*l*p/n); entries with
-    |X[l]| < drop_tolerance are dropped.  Guarded at n <= ORACLE_MAX_N,
-    so the n-by-n matrix fits the memory budget; clarity over speed, no
-    fast transform involved.
+    samples is a 1-d array of all n samples, such as a noiseless
+    signal's clean view.  X[l] = (1/n) * sum_p x[p] * exp(-2j*pi*l*p/n);
+    entries with |X[l]| < drop_tolerance are dropped.  Guarded at
+    n <= ORACLE_MAX_N, so the n-by-n matrix fits the memory budget;
+    clarity over speed, no fast transform involved.
     """
-    n = signal.n
+    x = np.asarray(samples, dtype=np.complex128)
+    if x.ndim != 1:
+        raise ValueError(f"dense_dft takes a 1-d array of samples, got shape {x.shape}")
+    n = x.size
     if n > ORACLE_MAX_N:
         raise OracleSizeError(f"dense_dft is guarded at n <= {ORACLE_MAX_N}, got {n}")
-    out = _analysis_matrix(n) @ signal.samples
+    out = _analysis_matrix(n) @ x
     keep = np.abs(out) >= drop_tolerance
     return SparseSpectrum(n, np.nonzero(keep)[0], out[keep])
 
@@ -153,11 +157,17 @@ def noiseless_check(spectrum: SparseSpectrum, plan: FrontendPlan) -> bool:
 def compare_spectra(
     estimate: SparseSpectrum, reference: SparseSpectrum, tolerance: float
 ) -> OracleReport:
-    """Support equality plus per-coefficient value agreement."""
+    """Support equality plus per-coefficient value agreement.
+
+    max_abs_error is the largest |estimate[l] - reference[l]| over the
+    union of the supports, a missing coefficient counting as 0.
+    """
     if estimate.n != reference.n:
         return OracleReport(False, math.inf, "length mismatch")
-    same_support = bool(np.array_equal(estimate.indices, reference.indices))
-    err = estimate.max_abs_difference(reference)
-    if not same_support:
+    est = dict(zip(estimate.indices.tolist(), estimate.values.tolist()))
+    ref = dict(zip(reference.indices.tolist(), reference.values.tolist()))
+    diffs = np.array([est.get(i, 0j) - ref.get(i, 0j) for i in est.keys() | ref.keys()])
+    err = float(np.max(np.abs(diffs), initial=0.0))
+    if est.keys() != ref.keys():
         return OracleReport(False, err, "support mismatch")
     return OracleReport(err <= tolerance, err, f"tolerance {tolerance:g}")

@@ -3,9 +3,10 @@
 Conventions used throughout the package:
 
 * synthesis:  x[p] = sum_q X[l_q] * exp(+2j*pi*l_q*p/n), no 1/n factor.
-  synthesize keeps the spectrum and evaluates nothing; the front end,
-  which alone knows which samples it reads, evaluates only those, and
-  the dense view of all n samples is n * ifft of the dense spectrum;
+  A TimeSignal is a sparse spectrum plus noise seeds and holds no
+  samples: the front end, which alone knows which samples it reads,
+  evaluates only those.  Its noiseless part, all n samples, is
+  n * ifft of the dense spectrum;
 * analysis:   X[l] = (1/n) * sum_p x[p] * exp(-2j*pi*l*p/n);
 * roots of unity: exp(2j*pi*m/n) on the fast path comes from
   unit_roots, two gathers from one cached two-level table per n and a
@@ -116,20 +117,6 @@ class SparseSpectrum:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
-    @classmethod
-    def empty(cls, n: int) -> "SparseSpectrum":
-        return cls(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "SparseSpectrum":
-        """Build from a mapping or an iterable of (index, value) pairs."""
-        items = list(pairs.items() if isinstance(pairs, dict) else pairs)
-        if not items:
-            return cls.empty(n)
-        idx = np.array([i for i, _ in items], dtype=np.int64)
-        val = np.array([v for _, v in items], dtype=np.complex128)
-        return cls(n, idx, val)
-
     @property
     def k(self) -> int:
         return int(self.indices.size)
@@ -156,50 +143,22 @@ class SparseSpectrum:
         first[1:] = both[1:] != both[:-1]
         return both[first]
 
-    def max_abs_difference(self, other: "SparseSpectrum") -> float:
-        """Largest per-coefficient |difference| over the union of supports."""
-        if self.n != other.n:
-            raise ValueError("spectra have different lengths")
-        union = self.support_union(other)
-        if union.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.values_at(union) - other.values_at(union))))
-
 
 class TimeSignal:
-    """An n-point complex time signal: explicit samples or a sparse spectrum, plus noise.
+    """An n-point complex time signal: a sparse spectrum plus noise terms.
 
-    TimeSignal(n, samples) holds n explicit samples.  The spectrum-backed
-    form, TimeSignal(n, spectrum=s) as synthesize returns it, holds the k
-    coefficients and evaluates samples only where they are read.  Either
-    form carries a tuple of (variance, seed) noise terms; add_noise
-    appends one.  The noise at sample p is randomness.complex_normal at
+    TimeSignal(spectrum, noise), as synthesize and add_noise build it,
+    holds the k coefficients and a tuple of (variance, seed) noise terms,
+    and n is the spectrum's.  It holds no samples: a front end evaluates
+    the spectrum where it reads and adds the noise there with
+    add_noise_at.  The noise at sample p is randomness.complex_normal at
     index p, so it is the same value however many samples are read and
-    in what order.
-
-    samples is the dense view, all n samples, computed on first use, and
-    clean its noiseless part.  A front end that reads only some samples
-    evaluates the spectrum itself and adds the noise with add_noise_at.
+    in what order.  clean, the noiseless part at all n samples, is
+    computed on first use.
     """
 
-    def __init__(
-        self,
-        n: int,
-        samples=None,
-        *,
-        spectrum: SparseSpectrum | None = None,
-        noise: tuple[tuple[float, int], ...] = (),
-    ):
-        if (samples is None) == (spectrum is None):
-            raise ValueError("give either samples or a spectrum")
-        if spectrum is None:
-            s = np.asarray(samples, dtype=np.complex128)
-            if s.ndim != 1 or s.size != n:
-                raise ValueError(f"expected {n} samples, got shape {s.shape}")
-            self.clean = s
-        elif spectrum.n != n:
-            raise ValueError(f"spectrum length {spectrum.n} does not match n={n}")
-        self.n = n
+    def __init__(self, spectrum: SparseSpectrum, noise: tuple[tuple[float, int], ...] = ()):
+        self.n = spectrum.n
         self.spectrum = spectrum
         self.noise = tuple(noise)
 
@@ -209,12 +168,6 @@ class TimeSignal:
         dense = np.zeros(self.n, dtype=np.complex128)
         dense[self.spectrum.indices] = self.spectrum.values
         return np.fft.ifft(dense) * self.n
-
-    @cached_property
-    def samples(self) -> np.ndarray:
-        if not self.noise:
-            return self.clean
-        return self.add_noise_at(self.clean.copy(), np.arange(self.n))
 
     def add_noise_at(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Add the noise at each sample index to x, in place, and return x."""
@@ -300,7 +253,7 @@ def unit_roots(m, n: int, out: np.ndarray | None = None) -> np.ndarray:
 _BLOCK_ROWS = 128
 
 
-def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterator[np.ndarray]:
+def exp_sum_blocks(n: int, freqs, weights, *, stop: int) -> Iterator[np.ndarray]:
     """Yield x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p < stop, in 1-d runs.
 
     Frequencies are integers, taken mod n; repeats add.  With p = b*W + r
@@ -317,10 +270,9 @@ def exp_sum_blocks(n: int, freqs, weights, *, stop: int | None = None) -> Iterat
     steering_vector does.  When 9*k**2 > n the length-n FFT is cheaper,
     and the one run is x = conj(fft(dense)) of the dense spectrum instead,
     assembled from the half-length rfft, which needs the weights real.
-    stop (n by default) must lie in [0, n]; one outside it raises
-    ValueError at the call, before any run is computed.
+    stop must lie in [0, n]; one outside it raises ValueError at the
+    call, before any run is computed.
     """
-    stop = n if stop is None else stop
     if not 0 <= stop <= n:
         raise ValueError(f"stop must lie in [0, n={n}], got {stop}")
     f = np.asarray(freqs, dtype=np.int64) % n
@@ -369,11 +321,10 @@ def _blocked_runs(n: int, f: np.ndarray, w: np.ndarray, stop: int) -> Iterator[n
 def synthesize(spectrum: SparseSpectrum) -> TimeSignal:
     """The signal x[p] = sum_q X[l_q] exp(+2j*pi*l_q*p/n), p = 0..n-1.
 
-    Returns the spectrum-backed form and evaluates nothing: a front end
-    computes only the samples it reads, and the dense view computes all
-    n by one inverse FFT on first use.
+    Keeps the spectrum and evaluates nothing: a front end computes only
+    the samples it reads.
     """
-    return TimeSignal(spectrum.n, spectrum=spectrum)
+    return TimeSignal(spectrum)
 
 
 def add_noise(signal: TimeSignal, noise_variance: float, seed: int) -> TimeSignal:
@@ -387,10 +338,4 @@ def add_noise(signal: TimeSignal, noise_variance: float, seed: int) -> TimeSigna
         raise ValueError(f"noise_variance must be nonnegative, got {noise_variance}")
     if noise_variance == 0:
         return signal
-    spectrum = signal.spectrum
-    return TimeSignal(
-        signal.n,
-        None if spectrum is not None else signal.clean,
-        spectrum=spectrum,
-        noise=signal.noise + ((float(noise_variance), seed),),
-    )
+    return TimeSignal(signal.spectrum, signal.noise + ((float(noise_variance), seed),))

@@ -185,9 +185,9 @@ class TestSweepCommand:
         ran = []
         run_experiment = bench.run_experiment
 
-        def spy(config, plan=None):
+        def spy(config):
             ran.append((config.snr_db, config.snap, config.random_phases))
-            return run_experiment(config, plan)
+            return run_experiment(config)
 
         monkeypatch.setattr(bench, "run_experiment", spy)
         common = ["sweep", "--scales", "1", "--k", "8", "--trials", "2", "--seed", "1",

@@ -20,12 +20,13 @@ from ffast.planner import PRESETS, FrontendPlan, build_plan
 from ffast.spectral import (
     Constellation,
     SparseSpectrum,
-    TimeSignal,
     add_noise,
     random_phase_spectrum,
     random_spectrum,
     synthesize,
 )
+
+from conftest import bank_from_samples, dense_samples, spectrum
 
 SMALL_PRESETS = sorted(name for name, p in PRESETS.items() if p.n <= 4845)
 
@@ -74,15 +75,14 @@ class TestBinIndex:
 
 class TestSubsample:
     def test_zero_signal_gives_zero_bank(self, textbook_plan):
-        zero = TimeSignal(20, np.zeros(20, dtype=np.complex128))
+        zero = synthesize(spectrum(20, []))
         bank = subsample_and_transform(zero, textbook_plan)
         for stage in range(2):
             assert np.all(bank.stages[stage] == 0)
 
     def test_textbook_singleton_bin(self, textbook_plan):
         values = {1: 1.0 + 1j, 3: -2.0, 5: 0.5j, 10: 1.5 - 0.5j, 15: -1j}
-        spectrum = SparseSpectrum.from_pairs(20, values)
-        bank = subsample_and_transform(synthesize(spectrum), textbook_plan)
+        bank = subsample_and_transform(synthesize(spectrum(20, values)), textbook_plan)
         # support 10 sits alone in bin 2 of stage 0
         expected = math.sqrt(4) * values[10] * steering_vector(10, textbook_plan)
         np.testing.assert_allclose(bank.stages[0][2], expected, atol=1e-9)
@@ -106,8 +106,9 @@ class TestSubsample:
         b = random_spectrum(504, 5, Constellation(1.0), seed=4)
         bank_a = subsample_and_transform(synthesize(a), plan504)
         bank_b = subsample_and_transform(synthesize(b), plan504)
-        summed = TimeSignal(504, synthesize(a).samples + synthesize(b).samples)
-        bank_sum = subsample_and_transform(summed, plan504)
+        both = a.support_union(b)
+        summed = SparseSpectrum(504, both, a.values_at(both) + b.values_at(both))
+        bank_sum = subsample_and_transform(synthesize(summed), plan504)
         for stage in range(plan504.d):
             np.testing.assert_allclose(
                 bank_sum.stages[stage],
@@ -117,7 +118,7 @@ class TestSubsample:
 
     def test_length_mismatch_rejected(self, plan504):
         with pytest.raises(ValueError):
-            subsample_and_transform(TimeSignal(20, np.zeros(20, complex)), plan504)
+            subsample_and_transform(synthesize(spectrum(20, [])), plan504)
 
     def test_sample_count_accounting(self, plan_big):
         assert plan_big.sample_count == plan_big.chain_count * sum(plan_big.bin_counts)
@@ -156,7 +157,7 @@ class TestSampleSource:
         if noise is not None:
             signal = add_noise(signal, noise, seed)
         bank = subsample_and_transform(signal, plan)
-        reference = subsample_and_transform(TimeSignal(plan.n, signal.samples), plan)
+        reference = bank_from_samples(dense_samples(signal), plan)
         factored = factored_is_cheaper(plan.n, spectrum.k, plan.sample_count)
         tol = 1e-9 * max(float(np.abs(spectrum.values).sum()), 1.0)
         for ours, theirs in zip(bank.stages, reference.stages):
@@ -189,7 +190,7 @@ class TestSampleSource:
         truth = random_spectrum(plan_big.n, 40, Constellation(4.0), seed=2)
         signal = add_noise(synthesize(truth), 1.0, seed=2)
         subsample_and_transform(signal, plan_big)
-        assert "samples" not in vars(signal) and "clean" not in vars(signal)
+        assert "clean" not in vars(signal)
 
 
 class TestNoiseStatistics:
@@ -207,7 +208,7 @@ class TestNoiseStatistics:
         for period in plan.periods:
             assert len({r % period for r in plan.shifts}) == 16
         d = plan.chain_count
-        zero = TimeSignal(504, np.zeros(504, dtype=np.complex128))
+        zero = synthesize(spectrum(504, []))
         draws = np.empty(10_000)
         for t in range(10_000):
             noisy = add_noise(zero, 1.0, seed=50_000 + t)

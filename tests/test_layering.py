@@ -1,5 +1,6 @@
 """Import layering and reachability of the package, read from its source with ast."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,8 +43,7 @@ def test_the_source_is_found():
 
 def test_oracle_imports_only_the_shared_data_types():
     # the oracle checks the fast path, so it shares no code with it
-    allowed = {("planner", "FrontendPlan"), ("spectral", "SparseSpectrum"),
-               ("spectral", "TimeSignal")}
+    allowed = {("planner", "FrontendPlan"), ("spectral", "SparseSpectrum")}
     assert package_imports("oracle") <= allowed
 
 
@@ -92,6 +92,70 @@ def test_every_public_function_and_class_has_a_package_caller():
                        for m in MODULES for other in bodies[m] if other is not node):
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+def _module_aliases(tree: ast.AST) -> set[str]:
+    """Names a module binds to modules: `import numpy as np`, `from . import oracle`."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            aliases.update(alias.asname or alias.name for alias in node.names)
+    return aliases
+
+
+def _attribute_reads(node: ast.AST, aliases: set[str]) -> Counter:
+    """How often `node` reads each attribute `x.name`, where x is not a module
+    alias: `np.empty` is numpy's, not a read of a method called empty."""
+    return Counter(
+        sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and not (isinstance(sub.value, ast.Name) and sub.value.id in aliases)
+    )
+
+
+# Public members with no package caller, by design: tests and perfbench
+# read a decode's events, and so will a decode trace.
+MEMBERS_WITHOUT_A_PACKAGE_CALLER = {"DecodeResult.events"}
+
+
+def test_every_public_method_and_property_has_a_package_caller():
+    """A public method or property of a package class is read as an
+    attribute somewhere in the package outside its own class.  The oracle
+    is exempt both ways: its classes serve the tests, and its reads do not
+    count, since a member only the oracle reads serves the tests too."""
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text(encoding="utf-8"))
+             for m in MODULES if m != "oracle"}
+    aliases = {m: _module_aliases(tree) for m, tree in trees.items()}
+    reads = sum((_attribute_reads(tree, aliases[m]) for m, tree in trees.items()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                name = f"{cls.name}.{member.name}"
+                inside = _attribute_reads(cls, aliases[module])[member.name]
+                if reads[member.name] == inside and name not in MEMBERS_WITHOUT_A_PACKAGE_CALLER:
+                    unused.append(f"{module}.{name}")
+    assert unused == []
+
+
+def test_the_oracle_reads_a_spectrum_only_through_its_fields():
+    """The oracle calls no SparseSpectrum method: of its members it reads
+    n, indices, values and k alone, so no scoring helper of the fast path
+    checks the fast path."""
+    spectral = ast.parse((SRC / "spectral.py").read_text(encoding="utf-8"))
+    (cls,) = [node for node in spectral.body
+              if isinstance(node, ast.ClassDef) and node.name == "SparseSpectrum"]
+    members = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    members |= {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+    oracle = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    read = set(_attribute_reads(oracle, _module_aliases(oracle)))
+    assert "k" in members and read & members <= {"n", "indices", "values", "k"}
 
 
 def _numpy_exp_callers(module: str) -> list[str]:

@@ -22,7 +22,9 @@ from ffast.metrics import (
     value_error_bound,
     zeroton_bound,
 )
-from ffast.spectral import SparseSpectrum
+from ffast.oracle import compare_spectra
+
+from conftest import spectrum
 
 
 def _union_values(est, truth):
@@ -49,42 +51,42 @@ def spectrum_pairs(draw):
     truth = draw(st.dictionaries(st.integers(0, n - 1), values, max_size=12))
     est = {i: v for i, v in truth.items() if draw(st.booleans())}
     est.update(draw(st.dictionaries(st.integers(0, n - 1), values, max_size=4)))
-    return SparseSpectrum.from_pairs(n, est), SparseSpectrum.from_pairs(n, truth)
+    return spectrum(n, est), spectrum(n, truth)
 
 
 class TestSupportRecovery:
     def test_exact_recovery(self):
-        s = SparseSpectrum.from_pairs(20, [(1, 1.0 + 0j), (3, -2.0j)])
+        s = spectrum(20, [(1, 1.0 + 0j), (3, -2.0j)])
         assert support_recovery(s, s) == (True, 0.0)
 
     def test_wrong_support_still_scores_l1(self):
-        truth = SparseSpectrum.from_pairs(20, [(1, 1.0 + 0j), (3, -2.0j)])
-        est = SparseSpectrum.from_pairs(20, [(1, 1.0 + 0j), (4, 1.0j)])
+        truth = spectrum(20, [(1, 1.0 + 0j), (3, -2.0j)])
+        est = spectrum(20, [(1, 1.0 + 0j), (4, 1.0j)])
         success, l1 = support_recovery(est, truth)
         assert not success
         # misses |X[3]| = 2 and adds |1j| = 1, against truth l1 norm 3
         assert l1 == pytest.approx(1.0)
 
     def test_same_support_wrong_values(self):
-        truth = SparseSpectrum.from_pairs(10, [(2, 2.0 + 0j)])
-        est = SparseSpectrum.from_pairs(10, [(2, 1.0 + 0j)])
+        truth = spectrum(10, [(2, 2.0 + 0j)])
+        est = spectrum(10, [(2, 1.0 + 0j)])
         success, l1 = support_recovery(est, truth)
         assert success
         assert l1 == pytest.approx(0.5)
 
     def test_both_empty(self):
-        empty = SparseSpectrum.empty(10)
+        empty = spectrum(10, [])
         assert support_recovery(empty, empty) == (True, 0.0)
 
     def test_phantom_estimate_of_empty_truth(self):
-        est = SparseSpectrum.from_pairs(10, [(2, 1.0 + 0j)])
-        success, l1 = support_recovery(est, SparseSpectrum.empty(10))
+        est = spectrum(10, [(2, 1.0 + 0j)])
+        success, l1 = support_recovery(est, spectrum(10, []))
         assert not success
         assert math.isinf(l1)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            support_recovery(SparseSpectrum.empty(10), SparseSpectrum.empty(12))
+            support_recovery(spectrum(10, []), spectrum(12, []))
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(pair=spectrum_pairs())
@@ -97,7 +99,7 @@ class TestSupportRecovery:
         assert l1 == pytest.approx(ref_l1, rel=64 * np.finfo(float).eps, abs=0.0)
         pairs = np.array(_union_values(est, truth), dtype=complex).reshape(-1, 2)
         ref_max = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]), initial=0.0))
-        assert est.max_abs_difference(truth) == ref_max
+        assert compare_spectra(est, truth, 0.0).max_abs_error == ref_max
 
 
 

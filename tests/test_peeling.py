@@ -17,13 +17,13 @@ from ffast.randomness import generator
 from ffast.singleton import VerdictKind, bin_statistics, classify_bin, zero_ton_threshold
 from ffast.spectral import (
     Constellation,
-    SparseSpectrum,
-    TimeSignal,
     add_noise,
     random_phase_spectrum,
     random_spectrum,
     synthesize,
 )
+
+from conftest import bank_from_samples, spectrum
 
 # (pass, stage, bin, support, index into Constellation.points()) of every
 # peel event of three sparse-5db decodes (paper-124950, k=40, 5 dB, C=12,
@@ -94,8 +94,7 @@ def _bank_for(spectrum, plan):
 class TestPeel:
     def test_peeling_a_lone_tone_empties_its_bins(self, plan20):
         value = 1.5 - 0.5j
-        spectrum = SparseSpectrum.from_pairs(20, [(10, value)])
-        bank = _bank_for(spectrum, plan20).copy()
+        bank = _bank_for(spectrum(20, [(10, value)]), plan20).copy()
         peel(bank, 10, value)
         for stage in range(plan20.d):
             assert np.all(row_energies(bank.stages[stage]) < 1e-18)
@@ -161,12 +160,10 @@ class TestPeel:
 
     def test_peel_matches_aliasing_recomputation(self, plan20):
         values = {1: 1.5 + 0j, 3: 1.5j, 5: -1.5 + 0j, 10: 1.5 - 0.5j, 15: -1.5j}
-        full = SparseSpectrum.from_pairs(20, values)
+        full = spectrum(20, values)
         bank = _bank_for(full, plan20).copy()
         peel(bank, 10, values[10])
-        remaining = SparseSpectrum.from_pairs(
-            20, {l: v for l, v in values.items() if l != 10}
-        )
+        remaining = spectrum(20, {l: v for l, v in values.items() if l != 10})
         expected = _bank_for(remaining, plan20)
         for stage in range(plan20.d):
             assert np.max(np.abs(bank.stages[stage] - expected.stages[stage])) < 1e-9
@@ -174,7 +171,7 @@ class TestPeel:
 
 class TestDecodeNoiseless:
     def test_all_zero_bank_converges_immediately(self, plan20):
-        bank = _bank_for(SparseSpectrum.empty(20), plan20)
+        bank = _bank_for(spectrum(20, []), plan20)
         result = decode(bank)
         assert result.converged
         assert result.spectrum.k == 0
@@ -182,18 +179,18 @@ class TestDecodeNoiseless:
 
     def test_textbook_instance_recovers_exact_set(self, plan20):
         values = {1: 1.5 + 0j, 3: 1.5j, 5: -1.5 + 0j, 10: 1.5 - 0.5j, 15: -1.5j}
-        spectrum = SparseSpectrum.from_pairs(20, values)
-        result = decode(_bank_for(spectrum, plan20))
+        truth = spectrum(20, values)
+        result = decode(_bank_for(truth, plan20))
         assert result.converged
         assert set(result.spectrum.indices.tolist()) == set(values)
-        assert result.spectrum.max_abs_difference(spectrum) < 1e-9
+        assert oracle.compare_spectra(result.spectrum, truth, 1e-9).matched
         # the lone stage-0 singleton is uncovered in the first pass
         first_pass = [ev.support for ev in result.events if ev.pass_index == 1]
         assert 10 in first_pass
 
     def test_events_match_spectrum_one_to_one(self, plan504):
-        spectrum = random_spectrum(504, 7, Constellation(4.0), seed=14)
-        result = decode(_bank_for(spectrum, plan504))
+        truth = random_spectrum(504, 7, Constellation(4.0), seed=14)
+        result = decode(_bank_for(truth, plan504))
         supports = [ev.support for ev in result.events]
         assert len(supports) == len(set(supports))
         assert sorted(supports) == list(result.spectrum.indices)
@@ -247,7 +244,7 @@ class TestDecodeNoiseless:
             result = decode(_bank_for(truth, plan))
             recovered = (
                 result.converged
-                and result.spectrum.max_abs_difference(truth) < 1e-9
+                and oracle.compare_spectra(result.spectrum, truth, 1e-9).matched
             )
             assert recovered == decodable, f"{name} trial {trial} k={k}"
             checked += 1
@@ -263,7 +260,7 @@ class TestDecodeNoiseless:
         truth = random_phase_spectrum(plan.n, 260, 2.0, 5)
         result = decode(_bank_for(truth, plan))
         assert result.converged and len(result.events) == 260
-        assert result.spectrum.max_abs_difference(truth) < 1e-9
+        assert oracle.compare_spectra(result.spectrum, truth, 1e-9).matched
         by_support = {e.support: e.value for e in result.events}
         assert [by_support[l] for l in result.spectrum.indices.tolist()] == (
             result.spectrum.values.tolist()
@@ -303,7 +300,7 @@ class TestDecodeLog:
         assert result.converged
         assert len(result.log) == record_bytes * len(result.events) == record_bytes * k
         assert sorted(e.support for e in result.events) == truth.indices.tolist()
-        assert result.spectrum.max_abs_difference(truth) < 1e-9
+        assert oracle.compare_spectra(result.spectrum, truth, 1e-9).matched
         # the widest support fits the two-byte field only when n does
         assert (truth.indices.max() < 1 << 16) == (plan.n <= 1 << 16)
 
@@ -319,7 +316,7 @@ class TestDecodeLog:
             con = Constellation(config.rho)
             truth = random_spectrum(plan.n, 7, con, seed)
             results.append(decode(_bank_for(truth, plan), con))
-            assert results[-1].spectrum.max_abs_difference(truth) < 1e-9
+            assert oracle.compare_spectra(results[-1].spectrum, truth, 1e-9).matched
         assert results[0].values is results[1].values
         assert results[0].values == Constellation(config.rho).points().tobytes()
 
@@ -330,9 +327,7 @@ class TestDecodeStructure:
         ever a singleton, so decode must stop without converging."""
         plan = FrontendPlan(n=504, bin_counts=(7, 8), per_cluster=2,
                             heads=(0, 11, 37, 71, 113, 167, 229, 301))
-        cycle = SparseSpectrum.from_pairs(
-            504, [(0, 2.0 + 0j), (49, 2.0j), (8, -2.0 + 0j), (57, -2.0j)]
-        )
+        cycle = spectrum(504, [(0, 2.0 + 0j), (49, 2.0j), (8, -2.0 + 0j), (57, -2.0j)])
         assert not oracle.noiseless_check(cycle, plan)
         result = decode(_bank_for(cycle, plan))
         assert not result.converged
@@ -508,8 +503,8 @@ class TestDecodeReference:
             assert (events, result.passes) == _reference_decode(bank, con), seed
 
 
-def _philox_noisy_signal(truth, seed):
-    """The noisy signal the frozen events were recorded on.
+def _philox_noisy_samples(truth, seed):
+    """The noisy samples the frozen events were recorded on.
 
     Unit-variance noise from two standard_normal(n) draws of the Philox
     generator keyed by (seed, 0xA3), real parts first, as add_noise drew
@@ -519,7 +514,7 @@ def _philox_noisy_signal(truth, seed):
     rng = generator(seed, 0xA3)
     scale = math.sqrt(0.5)
     noise = scale * (rng.standard_normal(truth.n) + 1j * rng.standard_normal(truth.n))
-    return TimeSignal(truth.n, synthesize(truth).samples + noise)
+    return synthesize(truth).clean + noise
 
 
 class TestDecodeFrozen:
@@ -533,8 +528,8 @@ class TestDecodeFrozen:
         points = con.points()
         for seed, expected in FROZEN_SPARSE_5DB_EVENTS.items():
             truth = random_spectrum(plan.n, 40, con, seed)
-            signal = _philox_noisy_signal(truth, seed)
-            result = decode(subsample_and_transform(signal, plan), con)
+            samples = _philox_noisy_samples(truth, seed)
+            result = decode(bank_from_samples(samples, plan), con)
             events = [(e.pass_index, e.stage, e.bin, e.support) for e in result.events]
             assert events == [event[:4] for event in expected]
             values = [e.value for e in result.events]

@@ -6,7 +6,9 @@ import pytest
 
 from ffast.frontend import subsample_and_transform
 from ffast.randomness import complex_normal, index_bits, stream_key
-from ffast.spectral import _STREAM_NOISE, SparseSpectrum, add_noise, synthesize
+from ffast.spectral import _STREAM_NOISE, add_noise, synthesize
+
+from conftest import dense_samples, spectrum
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -92,17 +94,17 @@ class TestReadWhereUsed:
     def test_a_sample_shared_by_stages_has_one_value(self, plan504):
         """Row a = 0 of every stage reads x[r_t]: the same noise each time,
         and the value the dense view holds there."""
-        signal = add_noise(synthesize(SparseSpectrum.empty(504)), 1.0, seed=5)
+        signal = add_noise(synthesize(spectrum(504, [])), 1.0, seed=5)
         index = plan504.sample_index
         read = signal.add_noise_at(np.zeros(index.shape, dtype=np.complex128), index)
         for first in plan504.row_offsets:
             np.testing.assert_array_equal(index[first], plan504.shift_array)
             np.testing.assert_array_equal(read[first], read[0])
-        np.testing.assert_array_equal(read[0], signal.samples[plan504.shift_array])
+        np.testing.assert_array_equal(read[0], dense_samples(signal)[plan504.shift_array])
 
     def test_front_end_reads_the_dense_view(self, plan504):
-        signal = add_noise(synthesize(SparseSpectrum.empty(504)), 2.0, seed=8)
-        dense = signal.samples
+        signal = add_noise(synthesize(spectrum(504, [])), 2.0, seed=8)
+        dense = dense_samples(signal)
         bank = subsample_and_transform(signal, plan504)
         for f, stage in zip(plan504.bin_counts, bank.stages):
             rows = (np.arange(f)[:, None] * (504 // f) + plan504.shift_array) % 504

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, gammainccinv
 
-from conftest import classify_one, make_singleton_obs
+from conftest import classify_one, make_singleton_obs, spectrum
 from ffast import oracle
 from ffast.frontend import row_energies, steering_vector, subsample_and_transform
 from ffast.planner import build_plan
@@ -22,7 +22,7 @@ from ffast.singleton import (
     singleton_residual_threshold,
     zero_ton_threshold,
 )
-from ffast.spectral import Constellation, SparseSpectrum, synthesize
+from ffast.spectral import Constellation, synthesize
 
 
 class TestKayWeights:
@@ -263,8 +263,7 @@ class TestClassifyBin:
     def test_two_tone_bin_is_multi_ton(self, plan20):
         # supports 1 and 5 share bin 1 of stage 0
         values = {1: 1.5 + 0j, 5: 1.5j}
-        spectrum = SparseSpectrum.from_pairs(20, values)
-        bank = subsample_and_transform(synthesize(spectrum), plan20)
+        bank = subsample_and_transform(synthesize(spectrum(20, values)), plan20)
         v = classify_one(bank.stages[0][1], 0, 1, plan20)
         assert v.kind is VerdictKind.MULTI_TON
 
