@@ -97,11 +97,6 @@ def row_energies(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows.conj(), rows).real
 
 
-def bin_index(ell: int, stage: int, plan: FrontendPlan) -> int:
-    """Bin that frequency ell aliases into at the given stage."""
-    return int(ell % plan.bin_counts[stage])
-
-
 def steering_vector(ell, plan: FrontendPlan) -> np.ndarray:
     """exp(+2j*pi*ell*r/n) over the plan's shifts; squared norm is D.
 

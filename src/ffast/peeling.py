@@ -33,7 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from .frontend import BinBank, bin_index, row_energies
+from .frontend import BinBank, row_energies
 from .planner import FrontendPlan
 from .singleton import (
     VerdictKind,
@@ -132,16 +132,13 @@ def _grid_values(constellation: Constellation) -> tuple[bytes, dict[complex, int
     return points.tobytes(), {point: i for i, point in enumerate(points.tolist())}
 
 
-def peel(bank: BinBank, support: int, value: complex) -> list[int]:
+def peel(bank: BinBank, support: int, value: complex) -> None:
     """Subtract coefficient `value` at `support` from every stage.
 
     The bank records the subtraction and applies it, with any others
-    recorded since, on its next read.  Returns the bank rows it changes,
-    one per stage.
+    recorded since, on its next read.
     """
-    plan = bank.plan
     bank.record_peel(support, value)
-    return [o + bin_index(support, stage, plan) for stage, o in enumerate(plan.row_offsets)]
 
 
 def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeResult:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .randomness import generator
-from .spectral import exp_sum_blocks
+from .spectral import unit_roots
 
 _STREAM_HEADS = 0xB1
 
@@ -107,6 +107,11 @@ def plan_stages(preset: Preset, k: int) -> tuple[int, ...]:
         return tuple(sorted(factors))
 
     delta = sparsity_index(n, k)
+    if delta >= 1.0:
+        raise PlanningError(
+            f"k={k} at n={n} asks for unboundedly many stages (delta = 1) but preset "
+            f"{preset.name} offers {len(factors)} coprime factors"
+        )
     if delta <= 1.0 / 3.0:
         if len(factors) != 3:
             raise PlanningError(
@@ -295,31 +300,71 @@ def incoherence_bound(n: int, d_chains: int) -> float:
     return 2.0 * math.sqrt(math.log(5.0 * n) / d_chains)
 
 
+# Rows of the blocked scan that one matmul computes.  A block holds
+# _BLOCK_ROWS * ceil(sqrt(n)) sums, so a scan of any length holds
+# O(D * sqrt(n)) values at once.
+_BLOCK_ROWS = 128
+
+
+def _peak_exp_sum(n: int, f: np.ndarray) -> float:
+    """max |sum_q exp(2j*pi*f_q*l/n)| over l = 1..n//2, for f in [0, n).
+
+    Repeated frequencies add.  With p = b*W + r and W = ceil(sqrt(n)),
+    the sum at p is entry (b, r) of the product of a (rows x D) table
+    exp(2j*pi*f_q*W*b/n) and a (D x W) table exp(2j*pi*f_q*r/n), both read
+    from unit_roots' table with their phases reduced mod n in exact
+    integer arithmetic.  The product is computed _BLOCK_ROWS rows at a
+    time into one reused block, and a running max of the magnitudes is
+    kept, so the scan holds O(D*sqrt(n)) values.  When 9*D**2 > n one
+    length-n rfft of the frequency histogram is cheaper; its entry l is
+    the conjugate of the sum at l, of the same magnitude.
+    """
+    if 9 * f.size**2 > n:
+        return float(np.abs(np.fft.rfft(np.bincount(f, minlength=n)))[1:].max())
+    stop = n // 2 + 1
+    width = math.isqrt(n - 1) + 1
+    rows = -(-stop // width)
+    height = min(rows, _BLOCK_ROWS)
+    d_chains = f.size
+    # The two tables and the block share one allocation.  glibc hands
+    # freed heap back to the system once more than twice its largest
+    # recent allocation lies free, and the next call faults it in again.
+    # One allocation outweighs all else a scan holds (the integer phases,
+    # unit_roots' table indices and gathers, and the block of
+    # magnitudes), so repeated scans reuse their pages; as three
+    # buffers, each screening call at n = 124,950 took ~320 page faults
+    # and 25% longer.
+    tables = d_chains * (rows + width)
+    work = np.empty(tables + height * width, dtype=np.complex128)
+    table_b = work[: rows * d_chains].reshape(rows, d_chains)
+    table_r = work[rows * d_chains : tables].reshape(d_chains, width)
+    block = work[tables:].reshape(height, width)
+    unit_roots(np.arange(rows, dtype=np.int64)[:, None] * (f * width % n) % n, n, out=table_b)
+    unit_roots(f[:, None] * np.arange(width, dtype=np.int64) % n, n, out=table_r)
+    # allocated after the tables, so it never coexists with their phases
+    magnitudes = np.empty((height, width))
+    peak = 0.0
+    for first in range(0, rows, _BLOCK_ROWS):
+        last = min(first + _BLOCK_ROWS, rows)
+        sums = np.matmul(table_b[first:last], table_r, out=block[: last - first])
+        mags = np.abs(sums, out=magnitudes[: last - first]).reshape(-1)
+        # l = 0 (each column against itself) opens the first block, and
+        # the last block ends mid-row at l = n//2
+        peak = max(peak, float(mags[int(first == 0) : stop - first * width].max()))
+    return peak
+
+
 def verify_incoherence(plan: FrontendPlan) -> IncoherenceReport:
     """Worst pairwise column coherence of the shift pattern.
 
     mu(l) = |sum_s exp(2j*pi*l*r_s/n)| / D for l = 1..n-1; the report
-    compares max_l mu(l) against incoherence_bound(n, D).  The sums come from
-    spectral.exp_sum_blocks with unit weights on the shifts, one block
-    at a time, and a running max of their magnitudes is kept in one
-    reused buffer, so the scan holds O(D*sqrt(n)) values and never all
-    n/2 sums.  When D is large next to sqrt(n) the one block is the rfft
-    of the shift histogram.  Shifts are first translated so the first
-    one is zero; mu is invariant under translation.  With unit weights
-    mu(n - l) = mu(l), so only l <= n // 2 is evaluated.
+    compares max_l mu(l) against incoherence_bound(n, D).  mu is
+    invariant under translation of the shifts and mu(n - l) = mu(l), so
+    the peak is _peak_exp_sum of the shifts less the first, over l <= n//2.
     """
     shifts = plan.shift_array
     d_chains = plan.chain_count
-    runs = exp_sum_blocks(plan.n, shifts - shifts[0], np.ones(d_chains), stop=plan.n // 2 + 1)
-    peak = 0.0
-    magnitudes = np.empty(0)
-    start = 1  # l = 0: every column against itself
-    for run in runs:
-        if magnitudes.size < run.size:  # only the first run, the largest
-            magnitudes = np.empty(run.size)
-        peak = max(peak, float(np.abs(run, out=magnitudes[: run.size])[start:].max()))
-        start = 0
-    mu_max = peak / d_chains
+    mu_max = _peak_exp_sum(plan.n, (shifts - shifts[0]) % plan.n) / d_chains
     bound = incoherence_bound(plan.n, d_chains)
     return IncoherenceReport(mu_max=mu_max, bound=bound, passed=mu_max < bound)
 

@@ -23,7 +23,6 @@ unit noise the signal amplitude alone sets the operating point.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -245,77 +244,6 @@ def unit_roots(m, n: int, out: np.ndarray | None = None) -> np.ndarray:
     out = np.take(high, m >> bits, out=out, mode="wrap")
     out *= np.take(low, m & ((1 << bits) - 1), mode="wrap")
     return out
-
-
-# Rows of the blocked exp-sum product that one matmul computes.  A block
-# holds _BLOCK_ROWS * ceil(sqrt(n)) sums, so a scan of any length holds
-# O(k * sqrt(n)) values at once.
-_BLOCK_ROWS = 128
-
-
-def exp_sum_blocks(n: int, freqs, weights, *, stop: int) -> Iterator[np.ndarray]:
-    """Yield x[p] = sum_q w_q * exp(+2j*pi*f_q*p/n) for p < stop, in 1-d runs.
-
-    Frequencies are integers, taken mod n; repeats add.  With p = b*W + r
-    and W = ceil(sqrt(n)), x[p] is entry (b, r) of the product of a
-    (rows x k) table w_q * exp(2j*pi*f_q*W*b/n) and a (k x W) table
-    exp(2j*pi*f_q*r/n), for the ceil(stop/W) rows that hold
-    p < stop: O(stop*k) multiply-adds and O(k*sqrt(n)) roots of unity,
-    read from unit_roots' table.  Each run is _BLOCK_ROWS rows of it
-    (the last run is cut at stop), computed by one matmul into a buffer
-    the next run reuses, so the tables and one block are all that is
-    held, O(k*sqrt(n)) memory.  Copy a run that
-    must outlive the next step of the iteration.
-    The phase products are reduced mod n in exact integer arithmetic, as
-    steering_vector does.  When 9*k**2 > n the length-n FFT is cheaper,
-    and the one run is x = conj(fft(dense)) of the dense spectrum instead,
-    assembled from the half-length rfft, which needs the weights real.
-    stop must lie in [0, n]; one outside it raises ValueError at the
-    call, before any run is computed.
-    """
-    if not 0 <= stop <= n:
-        raise ValueError(f"stop must lie in [0, n={n}], got {stop}")
-    f = np.asarray(freqs, dtype=np.int64) % n
-    w = np.asarray(weights)
-    if 9 * f.size**2 > n:
-        return iter((_fft_sums(n, f, w)[:stop],))
-    return _blocked_runs(n, f, w, stop)
-
-
-def _fft_sums(n: int, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """All n exp sums of real weights by one length-n FFT of the dense spectrum."""
-    half = np.fft.rfft(np.bincount(f, weights=w, minlength=n))
-    x = np.empty(n, dtype=np.complex128)
-    np.conjugate(half, out=x[: half.size])
-    x[half.size :] = half[n - half.size : 0 : -1]
-    return x
-
-
-def _blocked_runs(n: int, f: np.ndarray, w: np.ndarray, stop: int) -> Iterator[np.ndarray]:
-    """exp_sum_blocks' blocked product, one _BLOCK_ROWS-row run at a time."""
-    width = math.isqrt(n - 1) + 1
-    rows = -(-stop // width)
-    height = min(rows, _BLOCK_ROWS)
-    k = f.size
-    # The two tables and the block share one allocation.  glibc hands
-    # freed heap back to the system once more than twice its largest
-    # recent allocation lies free, and the next call faults it in again.
-    # One allocation outweighs all else a scan holds (the integer phases,
-    # unit_roots' table indices and gathers, and a caller's block of
-    # magnitudes), so repeated scans reuse their pages; as three
-    # buffers, each screening call at n = 124,950 took ~320 page faults
-    # and 25% longer.
-    work = np.empty(k * (rows + width) + height * width, dtype=np.complex128)
-    table_b = work[: rows * k].reshape(rows, k)
-    table_r = work[rows * k : k * (rows + width)].reshape(k, width)
-    block = work[k * (rows + width) :].reshape(height, width)
-    unit_roots(np.arange(rows, dtype=np.int64)[:, None] * (f * width % n) % n, n, out=table_b)
-    np.multiply(w, table_b, out=table_b)
-    unit_roots(f[:, None] * np.arange(width, dtype=np.int64) % n, n, out=table_r)
-    for first in range(0, rows, _BLOCK_ROWS):
-        part = table_b[first : first + _BLOCK_ROWS]
-        out = np.matmul(part, table_r, out=block[: part.shape[0]])
-        yield out.reshape(-1)[: stop - first * width]
 
 
 def synthesize(spectrum: SparseSpectrum) -> TimeSignal:

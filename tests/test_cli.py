@@ -271,6 +271,10 @@ class TestErrors:
         ["bounds", "--preset", "paper-20", "--k", "2", "--snr-db", "-20"],
         ["run", "--preset", "paper-20", "--k", "2", "--seed", "1", "--snr-db", "nan"],
         ["sweep", "--scales", "1", "--seed", "1", "--trials", "0"],
+        # k = n, where a three-factor preset's d = 1/(1 - delta) diverges
+        ["plan", "--preset", "n504", "--k", "504"],
+        ["run", "--preset", "n504", "--k", "504", "--seed", "1"],
+        ["bounds", "--preset", "n504", "--k", "504"],
     ])
     def test_bad_flag_values_are_config_errors(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -10,7 +10,6 @@ from scipy import stats
 from ffast.bench import ExperimentConfig, plan_for_config
 from ffast.frontend import (
     BinBank,
-    bin_index,
     factored_is_cheaper,
     row_energies,
     steering_vector,
@@ -61,16 +60,6 @@ class TestSteeringVector:
         for t, r in enumerate(plan_big.shifts):
             exact = np.exp(2j * np.pi * ((ell * r) % plan_big.n) / plan_big.n)
             assert abs(s[t] - exact) < 1e-12
-
-
-class TestBinIndex:
-    def test_textbook_bins(self, textbook_plan):
-        assert bin_index(10, 0, textbook_plan) == 2
-        assert bin_index(10, 1, textbook_plan) == 0
-
-    def test_dc(self, textbook_plan):
-        assert bin_index(0, 0, textbook_plan) == 0
-        assert bin_index(0, 1, textbook_plan) == 0
 
 
 class TestSubsample:

@@ -29,7 +29,6 @@ from ffast.planner import (
     sparsity_index,
     verify_incoherence,
 )
-from ffast.spectral import _BLOCK_ROWS, exp_sum_blocks
 
 # The plan seed of the benchmark workloads and acceptance 3.
 BENCH_PLAN_SEED = 20260817
@@ -42,6 +41,7 @@ def _bench_plan(preset):
 class TestPlanStages:
     def test_forced_two_stage_fixture(self):
         assert plan_stages(PRESETS["paper-20"], 5) == (4, 5)
+        assert plan_stages(PRESETS["paper-20"], 20) == (4, 5)
 
     def test_three_coprime_stages(self):
         bins = plan_stages(PRESETS["paper-124950"], 40)
@@ -52,6 +52,13 @@ class TestPlanStages:
         # sparsity index ~2/3 pushes into the product-factor regime
         assert sparsity_index(1430, 127) == pytest.approx(2 / 3, abs=1e-3)
         assert plan_stages(PRESETS["paper-1430"], 127) == (110, 143, 130)
+
+    @pytest.mark.parametrize("preset", ["n504", "paper-124950"])
+    def test_k_equal_to_n_is_a_planning_error(self, preset):
+        """delta = 1 at k = n, where d = 1/(1 - delta) diverges."""
+        entry = PRESETS[preset]
+        with pytest.raises(PlanningError, match="unboundedly many stages"):
+            plan_stages(entry, entry.n)
 
     def test_pairwise_coprime_in_very_sparse_regime(self):
         bins = plan_stages(PRESETS["n2730"], 13)
@@ -166,6 +173,22 @@ def _rfft_mu_max(shifts, n):
     return float(np.abs(np.fft.rfft(hist))[1:].max() / shifts.size)
 
 
+@st.composite
+def _small_shift_sets(draw):
+    """A plan-shaped (n, shifts) at a small preset length, with D on both
+    sides of the 9*D**2 > n switch to the rfft and shifts that may repeat."""
+    n = draw(st.sampled_from(sorted({p.n for p in PRESETS.values() if p.n <= 4845})))
+    d_switch = math.isqrt(n // 9)  # the largest D on the blocked side
+    if draw(st.booleans()):
+        d_chains = draw(st.integers(1, d_switch))
+    else:
+        d_chains = draw(st.integers(d_switch + 1, 2 * d_switch + 2))
+    shifts = draw(st.lists(st.integers(0, n - 1), min_size=d_chains, max_size=d_chains))
+    if d_chains > 1 and draw(st.booleans()):
+        shifts[-1] = shifts[0]
+    return SimpleNamespace(n=n, shift_array=np.array(shifts, dtype=np.int64), chain_count=d_chains)
+
+
 class TestIncoherence:
     def test_full_shift_set_is_orthogonal(self):
         """These ten heads put the 20 shifts (h, h + 3**c) on all of Z_20."""
@@ -189,6 +212,12 @@ class TestIncoherence:
         plan = build_plan(preset, k, seed=seed)
         rep = verify_incoherence(plan)
         assert rep.mu_max == pytest.approx(_rfft_mu_max(plan.shifts, plan.n), abs=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_small_shift_sets())
+    def test_mu_max_is_the_direct_profile_max(self, plan):
+        direct = coherence_profile(plan, np.arange(1, plan.n))
+        assert verify_incoherence(plan).mu_max == pytest.approx(float(direct.max()), abs=1e-12)
 
     def test_bound_formula(self):
         plan = FrontendPlan(n=1430, bin_counts=(10, 11, 13), per_cluster=2,
@@ -263,49 +292,28 @@ class TestBlockedScan:
     whose n/2 cut falls mid-row and whose row count is not a multiple of
     the block height: paper-124950 has 177 rows of 354 sums."""
 
-    @pytest.fixture(scope="class")
-    def plan(self):
-        return _bench_plan("paper-124950")
-
-    @staticmethod
-    def _runs(plan):
-        shifts = plan.shift_array
-        ones = np.ones(plan.chain_count)
-        return exp_sum_blocks(plan.n, shifts - shifts[0], ones, stop=plan.n // 2 + 1)
-
-    def test_the_plan_has_a_short_last_block_and_a_mid_row_cut(self, plan):
+    def test_the_plan_has_a_short_last_block_and_a_mid_row_cut(self):
+        plan = _bench_plan("paper-124950")
         stop = plan.n // 2 + 1
         width = math.isqrt(plan.n - 1) + 1
         rows = -(-stop // width)
         assert 9 * plan.chain_count**2 <= plan.n  # the blocked product, not the FFT
         assert (rows, width) == (177, 354)
-        assert rows % _BLOCK_ROWS and stop % width
-        sizes = [run.size for run in self._runs(plan)]
-        assert sizes == [_BLOCK_ROWS * width, stop - _BLOCK_ROWS * width]
+        assert rows % planner._BLOCK_ROWS and stop % width
+        direct = max(
+            float(coherence_profile(plan, np.arange(first, min(first + 8192, plan.n))).max())
+            for first in range(1, plan.n, 8192)
+        )
+        assert verify_incoherence(plan).mu_max == pytest.approx(direct, abs=1e-12)
 
-    def test_scan_matches_the_direct_profile_at_every_l(self, plan):
-        d_chains = plan.chain_count
-        half = np.concatenate([np.abs(run) for run in self._runs(plan)]) / d_chains
-        # mu(n - l) = mu(l): the half scanned gives every l in 0..n-1
-        scanned = np.concatenate([half, half[1 : plan.n - half.size + 1][::-1]])
-        direct = np.concatenate([
-            coherence_profile(plan, np.arange(first, min(first + 8192, plan.n)))
-            for first in range(0, plan.n, 8192)
-        ])
-        np.testing.assert_allclose(scanned, direct, rtol=0, atol=1e-12)
-        mu_max = verify_incoherence(plan).mu_max
-        assert mu_max == pytest.approx(float(direct[1:].max()), abs=1e-12)
-
-    @pytest.mark.parametrize("preset", ["paper-124950", "paper-124950x12"])
-    def test_mu_max_is_the_dense_scan_bit_for_bit(self, preset):
-        """The sparse-5db and stretch-x12 benchmark plans."""
-        plan = _bench_plan(preset)
-        shifts = plan.shift_array
-        d_chains = plan.chain_count
-        runs = exp_sum_blocks(plan.n, shifts - shifts[0], np.ones(d_chains), stop=plan.n // 2 + 1)
-        # each run is overwritten by the next, so keep a copy of it
-        sums = np.concatenate([run.copy() for run in runs])
-        assert verify_incoherence(plan).mu_max == np.abs(sums[1:]).max() / d_chains
+    @pytest.mark.parametrize("preset,k,overrides", [
+        ("paper-124950", 40, dict(clusters=12, per_cluster=3)),  # sparse-5db
+        ("paper-124950x12", 40, dict(clusters=12, per_cluster=3)),  # stretch-x12
+        ("n4845", 170, {}),  # dense-noiseless, the one the rfft screens
+    ])
+    def test_the_benchmark_plans_pass_the_screen(self, preset, k, overrides):
+        plan = build_plan(preset, k, seed=BENCH_PLAN_SEED, **overrides)
+        assert verify_incoherence(plan).passed
 
 
 class TestPlanMemory:

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ffast.planner import PRESETS
 from ffast.randomness import complex_normal
@@ -15,7 +13,6 @@ from ffast.spectral import (
     Constellation,
     SparseSpectrum,
     add_noise,
-    exp_sum_blocks,
     random_phase_spectrum,
     random_spectrum,
     root_table,
@@ -24,8 +21,6 @@ from ffast.spectral import (
 )
 
 from conftest import dense_samples, spectrum
-
-SMALL_LENGTHS = sorted({p.n for p in PRESETS.values() if p.n <= 4845})
 
 
 class TestConstellation:
@@ -186,68 +181,9 @@ class TestSynthesize:
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
-def _ifft_sums(n, freqs, weights):
-    """The sums as n * ifft of the dense spectrum, repeated frequencies added."""
-    dense = np.zeros(n, dtype=np.complex128)
-    np.add.at(dense, np.asarray(freqs, dtype=np.int64) % n, weights)
-    return np.fft.ifft(dense) * n
-
-
-@st.composite
-def exp_sum_cases(draw):
-    """Lengths of the small presets, k on both sides of the 9*k**2 > n rule."""
-    n = draw(st.sampled_from(SMALL_LENGTHS))
-    k_switch = math.isqrt(n // 9)  # the largest k on the blocked side
-    if draw(st.booleans()):
-        k = draw(st.integers(0, k_switch))
-    else:
-        k = draw(st.integers(k_switch + 1, 2 * k_switch + 2))
-    # frequencies fall outside [0, n) too, and may repeat
-    freqs = draw(
-        st.lists(st.integers(-2 * n, 2 * n), min_size=k, max_size=k, unique=True)
-    )
-    if k > 1 and draw(st.booleans()):
-        freqs[-1] = freqs[0]
-    parts = st.floats(-4.0, 4.0)
-    # the FFT branch takes real weights only
-    if k > k_switch or draw(st.booleans()):
-        weights = np.array([draw(parts) for _ in range(k)], dtype=np.float64)
-    else:
-        weights = np.array([complex(draw(parts), draw(parts)) for _ in range(k)])
-    return n, np.array(freqs, dtype=np.int64), weights
-
-
 class TestExpSums:
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-    @given(case=exp_sum_cases())
-    def test_matches_inverse_fft(self, case):
-        n, freqs, weights = case
-        got = np.concatenate(list(exp_sum_blocks(n, freqs, weights, stop=n)))
-        assert got.shape == (n,)
-        tol = 1e-9 * max(float(np.abs(weights).sum()), 1.0)
-        assert np.max(np.abs(got - _ifft_sums(n, freqs, weights))) <= tol
-
-    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(case=exp_sum_cases(), data=st.data())
-    def test_stop_gives_the_leading_samples(self, case, data):
-        n, freqs, weights = case
-        stop = data.draw(st.integers(1, n))
-        got = np.concatenate(list(exp_sum_blocks(n, freqs, weights, stop=stop)))
-        assert got.shape == (stop,)
-        tol = 1e-9 * max(float(np.abs(weights).sum()), 1.0)
-        assert np.max(np.abs(got - _ifft_sums(n, freqs, weights)[:stop])) <= tol
-
-    @pytest.mark.parametrize("k", [6, 1])
-    @pytest.mark.parametrize("stop", [21, -1])
-    def test_stop_outside_the_signal_is_rejected(self, k, stop):
-        """n = 20 takes the FFT branch at k = 6 (9k^2 > n) and the blocked
-        one at k = 1; neither may read past the n samples there are."""
-        with pytest.raises(ValueError, match="stop must lie in"):
-            exp_sum_blocks(20, np.arange(k), np.ones(k), stop=stop)
-
     def test_dense_spectrum_synthesis_is_the_fft_bit_for_bit(self):
         s = random_spectrum(4845, 170, Constellation(4.0), seed=3)
-        assert 9 * s.k**2 > s.n
         np.testing.assert_array_equal(
             synthesize(s).clean, np.fft.ifft(s.values_at(np.arange(s.n))) * s.n
         )
