@@ -146,7 +146,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if report.bound > MU_CEILING:
         print("             bound >= 1 and no mu exceeds 1: every shift draw passes")
     # chains whose shifts agree mod a stage's period read the same samples there
-    distinct = "/".join(str(len({r % p for r in plan.shifts})) for p in plan.periods)
+    distinct = "/".join(str(len({r % p for r in plan.shift_array})) for p in plan.periods)
     print(f"distinct     {distinct} of D={plan.chain_count} chains per stage read distinct samples")
     print(f"samples m    {plan.sample_count}  (m/n = {plan.sample_count / plan.n:.6f})")
     if args.out:

@@ -28,7 +28,7 @@ def write_plan(path: str | Path, plan: FrontendPlan) -> None:
         "clusters": str(plan.clusters),
         "per_cluster": str(plan.per_cluster),
     }
-    cfg["delays"] = {"shifts": " ".join(str(r) for r in plan.shifts)}
+    cfg["delays"] = {"shifts": " ".join(str(r) for r in plan.shift_array)}
     for i, f in enumerate(plan.bin_counts):
         cfg[f"stage {i}"] = {"bins": str(f), "period": str(plan.n // f)}
     with open(path, "w", encoding="utf-8") as fh:

@@ -20,7 +20,6 @@ spectrum there only.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -124,21 +123,6 @@ def factored_is_cheaper(n: int, k: int, m: int) -> bool:
     return m * k <= n * min(k, math.log2(n))
 
 
-@lru_cache(maxsize=16)
-def _stage_roots(plan: FrontendPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each stage's f roots of unity, stacked like the bank rows (read-only).
-
-    Returns the sum(f_i) roots, and for each row (as a column) its
-    stage's f and the row that stage starts at.
-    """
-    periods = np.repeat(plan.bin_counts, plan.bin_counts)
-    roots = unit_roots(plan.row_bin * (plan.n // periods), plan.n)
-    tables = (roots, periods[:, None], (np.arange(periods.size) - plan.row_bin)[:, None])
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
     """Run the delay-chain subsampling front end over all stages.
 
@@ -150,9 +134,10 @@ def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
 
         x[a*n/f + r] = sum_q e^{2j*pi*(a*l_q mod f)/f} * X_q s_{l_q}[r],
 
-    a (sum f x k) table looked up among each stage's f-th roots of unity
-    (e^{2j*pi*j/f} is the n-th root at j*n/f),
-    times the (k x D) table of steering vectors scaled by the values.
+    a (sum f x k) table of n-th roots of unity read from unit_roots:
+    e^{2j*pi*(a*l mod f)/f} is the root at (a*n/f)*l mod n, with a*n/f
+    the row's plan.row_start, times the (k x D) table of steering
+    vectors scaled by the values.
     Otherwise the samples are gathered from the noiseless view.  The
     noise is then added at the indices read.
     """
@@ -163,10 +148,9 @@ def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
     if not factored_is_cheaper(plan.n, spec.k, index.size):
         x = signal.clean[index]
     else:
-        roots, periods, starts = _stage_roots(plan)
         ells = spec.indices
         steer = spec.values[:, None] * steering_vector(ells, plan)
-        x = roots[(plan.row_bin[:, None] * ells) % periods + starts] @ steer
+        x = unit_roots(plan.row_start[:, None] * ells % plan.n, plan.n) @ steer
     bank = BinBank(plan, signal.add_noise_at(x, index))
     for stage in bank.stages:
         stage[...] = np.fft.fft(stage, axis=0, norm="ortho")

@@ -29,7 +29,7 @@ PeelEvent objects from them when read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,10 +125,10 @@ class DecodeResult:
         )
 
 
-@cache
+@lru_cache(maxsize=64)
 def _grid_values(constellation: Constellation) -> tuple[bytes, dict[complex, int]]:
     """The grid as a snapped decode's table of values, and each point's index."""
-    points = constellation.points()
+    points = constellation.points
     return points.tobytes(), {point: i for i, point in enumerate(points.tolist())}
 
 
@@ -207,7 +207,8 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
                 column[row] = entry
 
     cap = singleton_residual_threshold(plan.chain_count)
-    left = row_energies(bank.rows) > cap
+    # not <= rather than >, so a NaN row is left over too
+    left = ~(row_energies(bank.rows) <= cap)
     leftover = tuple(zip(row_stage[left].tolist(), row_bin[left].tolist()))
     log = np.array(records, dtype=_record(plan.n, len(value_ids))).tobytes()
     if values is None:

@@ -121,8 +121,6 @@ def plan_stages(preset: Preset, k: int) -> tuple[int, ...]:
         return tuple(sorted(factors))
 
     d = round(1.0 / (1.0 - delta))
-    if d < 2:
-        d = 2
     if d != len(factors):
         raise PlanningError(
             f"k={k} at n={n} asks for d={d} stages but preset {preset.name} "
@@ -166,7 +164,7 @@ def choose_cluster_params(n: int) -> ClusterParams:
     while power * C1 <= n:
         power *= base
         c_minus_1 += 1
-    clusters = max(1, c_minus_1 + 1)
+    clusters = c_minus_1 + 1
     per_cluster = max(2, round(2.0 * math.log(n) ** (1.0 / 3.0)))
     return ClusterParams(clusters, per_cluster)
 
@@ -253,10 +251,6 @@ class FrontendPlan:
         return _read_only((grid % self.n).ravel())
 
     @cached_property
-    def shifts(self) -> tuple[int, ...]:
-        return tuple(self.shift_array.tolist())
-
-    @cached_property
     def row_offsets(self) -> tuple[int, ...]:
         """First row of each stage in the stage-major bank of all sum(f_i) bins."""
         return tuple(int(o) for o in np.cumsum((0,) + self.bin_counts[:-1]))
@@ -272,14 +266,18 @@ class FrontendPlan:
         return _read_only(np.concatenate([np.arange(f) for f in self.bin_counts]))
 
     @cached_property
+    def row_start(self) -> np.ndarray:
+        """Sample a * n/f each bank row starts at: row a of a stage with f bins (read-only)."""
+        return _read_only(self.row_bin * np.repeat(self.periods, self.bin_counts))
+
+    @cached_property
     def sample_index(self) -> np.ndarray:
         """Time index each bank row reads under each shift (read-only).
 
-        Row a of a stage with f bins reads (a * n/f + r_t) mod n under
-        shift r_t: a (sum f_i, D) int64 array, laid out like the bank.
+        Row a of a stage reads (row_start[a] + r_t) mod n under shift
+        r_t: a (sum f_i, D) int64 array, laid out like the bank.
         """
-        periods = np.repeat(self.periods, self.bin_counts)
-        return _read_only(((self.row_bin * periods)[:, None] + self.shift_array) % self.n)
+        return _read_only((self.row_start[:, None] + self.shift_array) % self.n)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,8 @@ class Constellation:
 
     Magnitudes are sqrt(rho)/2 + i*sqrt(rho)/M1 for i = 0..M1, giving
     M1+1 strictly increasing positive levels; phases are the M2 evenly
-    spaced angles 2*pi*i/M2.  The grid holds (M1+1)*M2 points.
+    spaced angles 2*pi*j/M2.  points holds the (M1+1)*M2 grid points
+    magnitude-major: point i*M2 + j is magnitude i at phase j.
 
     rho is the linear-scale design SNR.  Note the mean point energy
     exceeds rho (the lowest magnitude is sqrt(rho)/2, the highest
@@ -57,30 +58,22 @@ class Constellation:
     rho: float
 
     def __post_init__(self) -> None:
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-
-    def magnitudes(self) -> np.ndarray:
-        a = math.sqrt(self.rho)
-        return a / 2.0 + np.arange(M1 + 1) * (a / M1)
-
-    def phases(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(M2) / M2
-
-    def points(self) -> np.ndarray:
-        mags = self.magnitudes()
-        phasors = np.exp(1j * self.phases())
-        return (mags[:, None] * phasors[None, :]).ravel()
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
     @cached_property
-    def _grid(self) -> np.ndarray:
-        pts = self.points()
+    def points(self) -> np.ndarray:
+        """The grid, magnitude-major (read-only)."""
+        a = math.sqrt(self.rho)
+        mags = a / 2.0 + np.arange(M1 + 1) * (a / M1)
+        phasors = np.exp(1j * (2.0 * np.pi * np.arange(M2) / M2))
+        pts = (mags[:, None] * phasors[None, :]).ravel()
         pts.flags.writeable = False
         return pts
 
     def snap(self, value):
         """Nearest grid point to value, entry by entry (Euclidean distance in C)."""
-        pts = self._grid
+        pts = self.points
         return pts[np.argmin(np.abs(pts - np.asarray(value)[..., None]), axis=-1)]
 
 
@@ -188,12 +181,12 @@ def _random_support(n: int, k: int, seed: int) -> np.ndarray:
 
 
 def random_spectrum(n: int, k: int, constellation: Constellation, seed: int) -> SparseSpectrum:
-    """Draw k distinct support points uniformly and values uniformly from the grid."""
+    """Draw k distinct support points uniformly and values uniformly from constellation.points."""
     support = _random_support(n, k, seed)
     vrng = generator(seed, _STREAM_VALUES)
-    mags = constellation.magnitudes()[vrng.integers(0, M1 + 1, size=k)]
-    phis = constellation.phases()[vrng.integers(0, M2, size=k)]
-    return SparseSpectrum(n, support, mags * np.exp(1j * phis))
+    magnitude = vrng.integers(0, M1 + 1, size=k)
+    phase = vrng.integers(0, M2, size=k)
+    return SparseSpectrum(n, support, constellation.points[magnitude * M2 + phase])
 
 
 def random_phase_spectrum(n: int, k: int, amplitude: float, seed: int) -> SparseSpectrum:
@@ -202,8 +195,8 @@ def random_phase_spectrum(n: int, k: int, amplitude: float, seed: int) -> Sparse
     The support is random_spectrum's for the same seed, so the two value
     models are comparable instance by instance.
     """
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    if not 0 < amplitude < math.inf:
+        raise ValueError(f"amplitude must be positive and finite, got {amplitude}")
     support = _random_support(n, k, seed)
     prng = generator(seed, _STREAM_PHASES)
     values = amplitude * np.exp(1j * prng.uniform(0.0, 2.0 * np.pi, size=k))
@@ -262,8 +255,8 @@ def add_noise(signal: TimeSignal, noise_variance: float, seed: int) -> TimeSigna
     sample p is randomness.complex_normal(seed, _STREAM_NOISE, p,
     variance), evaluated wherever p is read.
     """
-    if noise_variance < 0:
-        raise ValueError(f"noise_variance must be nonnegative, got {noise_variance}")
+    if not 0 <= noise_variance < math.inf:
+        raise ValueError(f"noise_variance must be nonnegative and finite, got {noise_variance}")
     if noise_variance == 0:
         return signal
     return TimeSignal(signal.spectrum, signal.noise + ((float(noise_variance), seed),))

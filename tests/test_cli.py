@@ -59,7 +59,7 @@ class TestPlanCommand:
         assert dict(ini["plan"]) == {"n": str(plan.n), "base": str(plan.base),
                                      "clusters": str(plan.clusters),
                                      "per_cluster": str(plan.per_cluster)}
-        assert ini["delays"]["shifts"].split() == [str(r) for r in plan.shifts]
+        assert ini["delays"]["shifts"].split() == [str(r) for r in plan.shift_array]
         stages = [s for s in ini.sections() if s.startswith("stage ")]
         assert stages == [f"stage {i}" for i in range(plan.d)]
         for name, f, period in zip(stages, plan.bin_counts, plan.periods):

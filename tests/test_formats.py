@@ -46,7 +46,7 @@ def _read_back(path) -> FrontendPlan:
         heads=shifts[::per_cluster],
     )
     # the file's base, cluster count and shifts are the ones the heads give
-    assert (plan.base, plan.clusters, plan.shifts) == (
+    assert (plan.base, plan.clusters, tuple(plan.shift_array.tolist())) == (
         int(head["base"]), int(head["clusters"]), shifts)
     return plan
 

@@ -57,7 +57,7 @@ class TestSteeringVector:
         # phase products reduced in integer arithmetic before any float math
         ell = plan_big.n - 1
         s = steering_vector(ell, plan_big)
-        for t, r in enumerate(plan_big.shifts):
+        for t, r in enumerate(plan_big.shift_array.tolist()):
             exact = np.exp(2j * np.pi * ((ell * r) % plan_big.n) / plan_big.n)
             assert abs(s[t] - exact) < 1e-12
 
@@ -195,7 +195,7 @@ class TestNoiseStatistics:
         plan = FrontendPlan(n=504, bin_counts=(7, 8, 9), per_cluster=2,
                             heads=(0, 7, 14, 21, 28, 35, 42, 49))
         for period in plan.periods:
-            assert len({r % period for r in plan.shifts}) == 16
+            assert len({r % period for r in plan.shift_array}) == 16
         d = plan.chain_count
         zero = synthesize(spectrum(504, []))
         draws = np.empty(10_000)

@@ -187,7 +187,7 @@ def test_the_fast_path_evaluates_no_exp(module):
 
 
 def test_spectral_uses_exp_only_for_the_table_and_the_value_model():
-    allowed = {"root_table", "Constellation.points", "random_spectrum", "random_phase_spectrum"}
+    allowed = {"root_table", "Constellation.points", "random_phase_spectrum"}
     callers = _numpy_exp_callers("spectral")
     assert "root_table" in callers
     assert set(callers) <= allowed

@@ -25,7 +25,7 @@ from ffast.spectral import (
 
 from conftest import bank_from_samples, spectrum
 
-# (pass, stage, bin, support, index into Constellation.points()) of every
+# (pass, stage, bin, support, index into Constellation.points) of every
 # peel event of three sparse-5db decodes (paper-124950, k=40, 5 dB, C=12,
 # N=3, plan seed 20260817), keyed by trial seed.  A refactor of the
 # classifier or the decoder must leave these unchanged.
@@ -323,7 +323,7 @@ class TestDecodeLog:
             results.append(decode(_bank_for(truth, plan), con))
             assert oracle.compare_spectra(results[-1].spectrum, truth, 1e-9).matched
         assert results[0].values is results[1].values
-        assert results[0].values == Constellation(config.rho).points().tobytes()
+        assert results[0].values == Constellation(config.rho).points.tobytes()
 
 
 class TestDecodeStructure:
@@ -338,6 +338,18 @@ class TestDecodeStructure:
         assert not result.converged
         assert result.spectrum.k == 0
         assert len(result.multi_ton_bins) > 0
+
+    # the frequency estimate of a NaN row casts NaN to an integer, which warns
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    def test_a_nan_bank_does_not_converge(self, plan504):
+        """NaN rows fail every comparison, so no verdict commits; the
+        leftover test must still list each of them rather than pass them."""
+        rows = np.full((sum(plan504.bin_counts), plan504.chain_count), np.nan, complex)
+        result = decode(BinBank(plan504, rows))
+        assert result.converged is False
+        assert result.spectrum.k == 0
+        assert result.multi_ton_bins == tuple(
+            (stage, b) for stage, f in enumerate(plan504.bin_counts) for b in range(f))
 
     def test_a_commit_makes_only_the_rows_it_touched_stale(self, plan20, monkeypatch):
         """Support 1 alone in bin 1 of stage 1 and support 5 alone in bin
@@ -530,7 +542,7 @@ class TestDecodeFrozen:
         kw = dict(preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3)
         plan = plan_for_config(ExperimentConfig(**kw, seed=20260817))
         con = Constellation(ExperimentConfig(**kw).rho)
-        points = con.points()
+        points = con.points
         for seed, expected in FROZEN_SPARSE_5DB_EVENTS.items():
             truth = random_spectrum(plan.n, 40, con, seed)
             samples = _philox_noisy_samples(truth, seed)
@@ -548,7 +560,7 @@ class TestDenseNoiselessFrozen:
         kw = dict(preset="n4845", k=170, snr_db=None)
         plan = plan_for_config(ExperimentConfig(**kw, seed=20260817))
         con = Constellation(ExperimentConfig(**kw).rho)
-        points = con.points()
+        points = con.points
         frozen = json.loads(FROZEN_DENSE_NOISELESS_EVENTS.read_text())
         for seed, expected in frozen.items():
             truth = random_spectrum(plan.n, 170, con, int(seed))

@@ -106,11 +106,11 @@ class TestShifts:
     def test_cluster_shift_expansion(self):
         plan = FrontendPlan(n=1430, bin_counts=(10, 11, 13), per_cluster=2, heads=(5, 100))
         assert plan.base == 3
-        assert plan.shifts == (5, 6, 100, 103)
+        assert plan.shift_array.tolist() == [5, 6, 100, 103]
 
     def test_single_cluster_consecutive(self):
         plan = FrontendPlan(n=20, bin_counts=(4, 5), per_cluster=3, heads=(0,))
-        assert plan.shifts == (0, 1, 2)
+        assert plan.shift_array.tolist() == [0, 1, 2]
 
     def test_draw_heads_shape_and_determinism(self):
         a = draw_heads(1430, 4, seed=9)
@@ -134,7 +134,6 @@ class TestShifts:
         expected = [(h + j * 11**c) % n for c, h in enumerate(heads) for j in range(3)]
         assert plan.shift_array.dtype == np.int64
         assert plan.shift_array.tolist() == expected
-        assert plan.shifts == tuple(expected)
 
 
 class TestFrontendPlan:
@@ -142,11 +141,21 @@ class TestFrontendPlan:
         assert plan20.d == 2
         assert plan20.base == 3
         assert plan20.clusters == len(plan20.heads)
-        assert plan20.chain_count == plan20.clusters * plan20.per_cluster == len(plan20.shifts)
+        assert plan20.chain_count == plan20.clusters * plan20.per_cluster
+        assert plan20.shift_array.size == plan20.chain_count
         assert plan20.periods == (5, 4)
         assert plan20.sample_count == plan20.chain_count * sum(plan20.bin_counts)
-        assert plan20.shifts == tuple(plan20.shift_array.tolist())
         assert not plan20.shift_array.flags.writeable
+
+    @pytest.mark.parametrize("fixture", ["plan20", "plan504", "plan990", "plan_big"])
+    def test_sample_index_starts_each_row_at_its_row_start(self, fixture, request):
+        plan = request.getfixturevalue(fixture)
+        starts = [a * (plan.n // f) for f in plan.bin_counts for a in range(f)]
+        assert plan.row_start.tolist() == starts
+        np.testing.assert_array_equal(
+            plan.sample_index, (plan.row_start[:, None] + plan.shift_array) % plan.n)
+        for table in (plan.row_start, plan.sample_index):
+            assert table.dtype == np.int64 and not table.flags.writeable
 
     def test_fields_are_the_whole_plan(self):
         assert [f.name for f in dataclasses.fields(FrontendPlan)] == [
@@ -194,7 +203,7 @@ class TestIncoherence:
         """These ten heads put the 20 shifts (h, h + 3**c) on all of Z_20."""
         plan = FrontendPlan(n=20, bin_counts=(4, 5), per_cluster=2,
                             heads=(0, 2, 3, 4, 7, 10, 6, 9, 18, 14))
-        assert sorted(plan.shifts) == list(range(20))
+        assert sorted(plan.shift_array.tolist()) == list(range(20))
         rep = verify_incoherence(plan)
         assert rep.mu_max < 1e-9
 
@@ -211,7 +220,7 @@ class TestIncoherence:
     def test_mu_max_matches_the_histogram_rfft(self, preset, k, seed):
         plan = build_plan(preset, k, seed=seed)
         rep = verify_incoherence(plan)
-        assert rep.mu_max == pytest.approx(_rfft_mu_max(plan.shifts, plan.n), abs=1e-12)
+        assert rep.mu_max == pytest.approx(_rfft_mu_max(plan.shift_array, plan.n), abs=1e-12)
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(_small_shift_sets())
@@ -344,8 +353,8 @@ class TestBuildPlan:
     def test_emitted_plan_is_screened_and_clustered(self):
         plan = build_plan("n990", 9, seed=5)
         N, b = plan.per_cluster, plan.base
-        assert plan.shifts == tuple((h + j * b**c) % plan.n
-                                    for c, h in enumerate(plan.heads) for j in range(N))
+        assert plan.shift_array.tolist() == [(h + j * b**c) % plan.n
+                                             for c, h in enumerate(plan.heads) for j in range(N)]
         assert verify_incoherence(plan).passed
 
     def test_deterministic(self):
@@ -386,7 +395,7 @@ class TestBuildPlan:
                 break
         plan = build_plan(name, 2, seed=seed)
         assert plan.heads == heads
-        assert plan.shifts == tuple(shifts)
+        assert plan.shift_array.tolist() == shifts
 
     def test_retry_cap_constant(self):
         assert MAX_SHIFT_DRAWS == 200
@@ -405,7 +414,7 @@ def _plan_digest(named_plans):
     digest = hashlib.sha256()
     for name, seed, plan in named_plans:
         record = (name, seed, plan.bin_counts, plan.clusters, plan.per_cluster, plan.base,
-                  plan.shifts)
+                  tuple(plan.shift_array.tolist()))
         digest.update(repr(record).encode())
     return digest.hexdigest()
 

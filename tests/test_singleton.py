@@ -238,7 +238,7 @@ class TestClassifyBin:
 
     def test_snapped_value_is_exact_grid_point(self, plan20):
         con = Constellation(16.0)  # magnitudes 2 and 6
-        value = complex(con.points()[9])
+        value = complex(con.points[9])
         rng = np.random.default_rng(4)
         obs = make_singleton_obs(plan20, 13, value, rng=rng)
         v = classify_one(*obs, plan20, con)
@@ -271,7 +271,7 @@ class TestClassifyBin:
         plan = build_plan("n4845", 10, seed=17)
         rng = np.random.default_rng(1234)
         con = Constellation(4.0)
-        pts = con.points()
+        pts = con.points
         for _ in range(1000):
             ell = int(rng.integers(plan.n))
             value = complex(pts[rng.integers(pts.size)])

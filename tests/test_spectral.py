@@ -26,32 +26,40 @@ from conftest import dense_samples, spectrum
 class TestConstellation:
     def test_magnitude_levels(self):
         con = Constellation(4.0)
-        np.testing.assert_allclose(con.magnitudes(), [1.0, 3.0])
+        np.testing.assert_allclose(np.abs(con.points[::M2]), [1.0, 3.0])
 
     def test_magnitudes_strictly_increasing(self):
         con = Constellation(2.5)
-        mags = con.magnitudes()
-        assert mags[0] == pytest.approx(math.sqrt(2.5) / 2)
-        assert np.all(np.diff(mags) > 0)
+        # magnitude-major: each row of M2 points shares one magnitude
+        mags = np.abs(con.points).reshape(M1 + 1, M2)
+        np.testing.assert_allclose(mags, np.repeat(mags[:, :1], M2, axis=1), rtol=1e-15)
+        assert mags[0, 0] == pytest.approx(math.sqrt(2.5) / 2)
+        assert np.all(np.diff(mags[:, 0]) > 0)
 
     def test_phase_count_and_range(self):
-        con = Constellation(1.0)
-        phases = con.phases()
-        assert len(phases) == 8
-        assert np.all((phases >= 0) & (phases < 2 * np.pi))
-        assert len(np.unique(phases)) == 8
+        # row i holds magnitude i at the M2 = 8 phases 2*pi*j/M2, in order
+        rows = Constellation(1.0).points.reshape(M1 + 1, M2)
+        phasors = np.exp(2j * np.pi * np.arange(8) / 8)
+        np.testing.assert_allclose(rows / np.abs(rows), np.tile(phasors, (M1 + 1, 1)), atol=1e-15)
 
     def test_grid_size(self):
-        assert Constellation(1.0).points().size == (M1 + 1) * M2 == 16
+        assert Constellation(1.0).points.size == (M1 + 1) * M2 == 16
+
+    def test_points_are_cached_and_read_only(self):
+        con = Constellation(2.0)
+        assert con.points is con.points
+        assert not con.points.flags.writeable
+        with pytest.raises(ValueError):
+            con.points[0] = 0
 
     def test_mean_energy(self):
         # magnitudes sqrt(rho)/2 and 3*sqrt(rho)/2: mean square is 1.25*rho
         con = Constellation(2.0)
-        assert np.mean(np.abs(con.points()) ** 2) == pytest.approx(2.5)
+        assert np.mean(np.abs(con.points) ** 2) == pytest.approx(2.5)
 
     def test_snap_is_identity_on_grid_points(self):
         con = Constellation(3.0)
-        for pt in con.points():
+        for pt in con.points:
             assert con.snap(complex(pt)) == complex(pt)
 
     def test_snap_returns_shared_grid_values(self):
@@ -61,7 +69,7 @@ class TestConstellation:
 
     def test_snap_recovers_perturbed_point(self):
         con = Constellation(4.0)
-        pt = con.points()[5]
+        pt = con.points[5]
         assert con.snap(pt + 0.05 - 0.03j) == complex(pt)
 
     @pytest.mark.parametrize("rho", [4.0, 10 ** 0.5, 0.7])
@@ -69,11 +77,11 @@ class TestConstellation:
         con = Constellation(rho)
         reach = 2.0 * math.sqrt(rho)
         axis = np.linspace(-reach, reach, 41)
+        pts = con.points
         for value in (axis[:, None] + 1j * axis[None, :]).ravel():
-            pts = con.points()
             assert con.snap(value) == complex(pts[np.argmin(np.abs(pts - value))])
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rho_must_be_positive(self, bad):
         with pytest.raises(ValueError):
             Constellation(bad)
@@ -132,9 +140,9 @@ class TestRandomSpectrum:
         con = Constellation(10 ** 0.5)
         s = random_spectrum(124950, 40, con, seed=1)
         assert s.k == 40
-        pts = con.points()
-        for v in s.values:
-            assert np.min(np.abs(pts - v)) < 1e-12
+        # bit for bit: each value is an entry of points, not recomputed
+        grid = {pt.tobytes() for pt in con.points}
+        assert all(v.tobytes() in grid for v in s.values)
 
     def test_deterministic(self):
         a = random_spectrum(504, 8, Constellation(2.0), seed=42)
@@ -150,6 +158,11 @@ class TestRandomSpectrum:
         s = random_phase_spectrum(504, 12, 2.0, seed=9)
         assert s.k == 12
         np.testing.assert_allclose(np.abs(s.values), 2.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
+    def test_random_phase_amplitude_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="amplitude"):
+            random_phase_spectrum(504, 4, bad, seed=0)
 
 
 class TestSynthesize:
@@ -253,6 +266,11 @@ class TestAddNoise:
         )
         np.testing.assert_array_equal(both, parts)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_variance_must_be_nonnegative_and_finite(self, bad):
+        with pytest.raises(ValueError, match="noise_variance"):
+            add_noise(synthesize(spectrum(16, [])), bad, seed=0)
+
     def test_zero_variance_is_identity(self):
         x = synthesize(random_spectrum(100, 3, Constellation(1.0), seed=0))
         y = add_noise(x, 0.0, seed=5)
@@ -290,5 +308,5 @@ def test_empirical_snr_tracks_grid_mean_energy():
         signal_energy = float(np.mean(np.abs(s.values) ** 2))
         noise_energy = float(np.sum(np.abs(z) ** 2) / 4845)
         ratios.append(signal_energy / noise_energy)
-    grid_energy = float(np.mean(np.abs(con.points()) ** 2))
+    grid_energy = float(np.mean(np.abs(con.points) ** 2))
     assert np.mean(ratios) == pytest.approx(grid_energy, rel=0.05)
