@@ -32,15 +32,8 @@ class BinBank:
 
     rows is a (sum f_i, D) complex array: row plan.row_offsets[i] + j is
     bin j of stage i, and stages[i] is the (f_i, D) view of stage i's
-    rows.  record_peel notes the subtraction of one coefficient's
-    contribution without doing it; the next read of rows or stages
-    applies every subtraction noted so far in one batch, in the order
-    they were noted, so a reader always sees the fully peeled bank,
-    bit for bit what subtracting one coefficient at a time gives.  A
-    peel's steering vector is recomputed by steering_vector, a few
-    microseconds per flush, rather than carried from its fit.  The
-    bank a decoder mutates should be a copy(); readers treat banks as
-    frozen.
+    rows.  Reading a bank never changes it; subtract_batch writes to
+    rows in place, so the bank a decoder mutates should be a copy().
     """
 
     def __init__(self, plan: FrontendPlan, rows: np.ndarray):
@@ -50,45 +43,36 @@ class BinBank:
                 f"bank shape {rows.shape} != ({sum(plan.bin_counts)}, {plan.chain_count})"
             )
         self.plan = plan
-        self._rows = rows
-        self._stages = [rows[o : o + f] for o, f in zip(plan.row_offsets, plan.bin_counts)]
-        self._peels: list[tuple[int, complex]] = []
-
-    @property
-    def rows(self) -> np.ndarray:
-        if self._peels:
-            self._apply_peels()
-        return self._rows
-
-    @property
-    def stages(self) -> list[np.ndarray]:
-        if self._peels:
-            self._apply_peels()
-        return self._stages
+        self.rows = rows
+        self.stages = [rows[o : o + f] for o, f in zip(plan.row_offsets, plan.bin_counts)]
 
     def copy(self) -> "BinBank":
         return BinBank(self.plan, self.rows.copy())
 
-    def record_peel(self, support: int, value: complex) -> None:
-        """Note that value * sqrt(f_i) * s_support leaves bin support mod f_i of each stage."""
-        self._peels.append((support, value))
 
-    def _apply_peels(self) -> None:
-        plan = self.plan
-        supports = np.array([support for support, _ in self._peels], dtype=np.int64)
-        values = np.array([value for _, value in self._peels], dtype=np.complex128)
-        self._peels.clear()
-        counts = np.asarray(plan.bin_counts)
-        d_chains = plan.chain_count
-        targets = supports[:, None] % counts + np.asarray(plan.row_offsets)
-        # the same products, in the same order, as one peel at a time:
-        # (sqrt(f) * value) * steering vector
-        scaled = np.sqrt(counts)[:, None] * values[:, None, None]
-        deltas = scaled * steering_vector(supports, plan)[:, None, :]
-        # subtract.at applies repeated entries one after another, in peel
-        # order; on the flat bank each entry is one sample, not one row
-        entries = targets[:, :, None] * d_chains + np.arange(d_chains)
-        np.subtract.at(self._rows.reshape(-1), entries.ravel(), deltas.ravel())
+def subtract_batch(bank: BinBank, peels: list[tuple[int, complex]]) -> None:
+    """Subtract value * sqrt(f_i) * s_support from bin support mod f_i of each stage.
+
+    peels lists (support, value) pairs.  One batch applies them in list
+    order, bit for bit what subtracting one at a time gives; each
+    steering vector is recomputed rather than carried from its fit.
+    """
+    if not peels:
+        return
+    plan = bank.plan
+    supports = np.array([support for support, _ in peels], dtype=np.int64)
+    values = np.array([value for _, value in peels], dtype=np.complex128)
+    counts = np.asarray(plan.bin_counts)
+    d_chains = plan.chain_count
+    targets = supports[:, None] % counts + np.asarray(plan.row_offsets)
+    # the same products, in the same order, as one peel at a time:
+    # (sqrt(f) * value) * steering vector
+    scaled = np.sqrt(counts)[:, None] * values[:, None, None]
+    deltas = scaled * steering_vector(supports, plan)[:, None, :]
+    # subtract.at applies repeated entries one after another, in peel
+    # order; on the flat bank each entry is one sample, not one row
+    entries = targets[:, :, None] * d_chains + np.arange(d_chains)
+    np.subtract.at(bank.rows.reshape(-1), entries.ravel(), deltas.ravel())
 
 
 def row_energies(rows: np.ndarray) -> np.ndarray:

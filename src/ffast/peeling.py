@@ -15,11 +15,10 @@ residual cap: what is left is noise, not an unrecovered coefficient.
 
 The work follows the d bins each commit changes.  The statistics are
 computed for the whole bank once; after that, one batch per pass
-recomputes the rows that pass's commits touched.  peel only records a
-subtraction on the bank, which applies every recorded one in a single
-batch when it is next read.  The per-row classify_bin scan and the
-per-commit peel calls stay because the benchmark's tracer rebinds and
-counts them; they can go once the decoder counts its own work.
+subtracts that pass's commits and recomputes the rows they touched.
+The per-row classify_bin scan and the per-commit peel calls stay
+because the benchmark's tracer rebinds and counts them; they can go
+once the decoder counts its own work.
 
 A result keeps its peel events as one packed record each (support,
 value, pass, stage; the bin is the support's residue in that stage),
@@ -33,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frontend import BinBank, row_energies
+from .frontend import BinBank, row_energies, subtract_batch
 from .planner import FrontendPlan
 from .singleton import (
     VerdictKind,
@@ -132,13 +131,9 @@ def _grid_values(constellation: Constellation) -> tuple[bytes, dict[complex, int
     return points.tobytes(), {point: i for i, point in enumerate(points.tolist())}
 
 
-def peel(bank: BinBank, support: int, value: complex) -> None:
-    """Subtract coefficient `value` at `support` from every stage.
-
-    The bank records the subtraction and applies it, with any others
-    recorded since, on its next read.
-    """
-    bank.record_peel(support, value)
+def peel(batch: list[tuple[int, complex]], support: int, value: complex) -> None:
+    """Append one commit to its pass's batch: the call the benchmark's tracer counts."""
+    batch.append((support, value))
 
 
 def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeResult:
@@ -152,10 +147,9 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     unless a better-ranked candidate touches its own row: a row no other
     commit changes still holds what its verdict was read from.  The rest,
     a second sighting of a committed support among them, wait for the next
-    pass.  After the commits, one bin_statistics batch recomputes the rows
-    they touched, so the next pass reads a table that matches the bank.
-    The scan reads every row through classify_bin and each commit goes
-    through peel, so that the benchmark's tracer can count both.
+    pass.  After the commits, subtract_batch removes them from the bank in
+    one batch, and one bin_statistics batch recomputes the rows they
+    touched, so the next pass reads a table that matches the bank.
     """
     bank = bank.copy()
     plan = bank.plan
@@ -189,12 +183,14 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         best = np.full(len(stage_of), len(scan))
         np.minimum.at(best, touched, rank[:, None])
         commits = (best[[row for _, row, _ in scan]] == rank).nonzero()[0]
+        batch: list[tuple[int, complex]] = []
         for i in commits.tolist():
             _, row, verdict = scan[i]
             recovered.add(verdict.support)
             value_id = value_ids.setdefault(verdict.value, len(value_ids))
             records.append((verdict.support, value_id, passes, stage_of[row]))
-            peel(bank, verdict.support, verdict.value)
+            peel(batch, verdict.support, verdict.value)
+        subtract_batch(bank, batch)
         if not commits.size or passes == MAX_PASSES:
             break
         stale = np.zeros(len(stage_of), dtype=bool)

@@ -119,7 +119,7 @@ class VerdictReason(enum.IntEnum):
     """
 
     ENERGY_GATE = 0  # energy under the zero-ton gate
-    ZERO_SAMPLE = 1  # a chain sample is exactly zero: a phase is undefined
+    ZERO_SAMPLE = 1  # a chain sample is zero or not finite: a phase is undefined
     OFF_RESIDUE_CLASS = 2  # the estimate does not round into the bin's class
     RESIDUAL_CAP = 3  # the fit's residual reaches the noise-level cap
     EXPLAINED_FRACTION = 4  # the fit explains under MIN_EXPLAINED_FRACTION
@@ -263,8 +263,8 @@ def bin_statistics(
     value = np.zeros(len(rows), dtype=np.complex128)
     residual = energy.copy()
     live = (~(energy < zero_ton_threshold(plan))).nonzero()[0]
-    # a zero sample leaves a phase difference undefined
-    zero = ~rows[live].all(axis=1)
+    # a zero or non-finite sample leaves a phase difference undefined
+    zero = ~(np.isfinite(energy[live]) & rows[live].all(axis=1))
     reason[live[zero]] = _ZERO_SAMPLE
     est = live[~zero]
     if est.size:

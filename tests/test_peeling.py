@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 
 from ffast import oracle, peeling
 from ffast.bench import ExperimentConfig, plan_for_config
-from ffast.frontend import BinBank, row_energies, steering_vector, subsample_and_transform
-from ffast.peeling import EXACT_FIT_RESIDUAL, MAX_PASSES, decode, peel
+from ffast.frontend import (
+    BinBank,
+    row_energies,
+    steering_vector,
+    subsample_and_transform,
+    subtract_batch,
+)
+from ffast.peeling import EXACT_FIT_RESIDUAL, MAX_PASSES, decode
 from ffast.planner import FrontendPlan, build_plan
 from ffast.randomness import generator
 from ffast.singleton import VerdictKind, bin_statistics, classify_bin, zero_ton_threshold
@@ -96,11 +102,17 @@ def _rows_of(support, plan):
     return [o + support % f for o, f in zip(plan.row_offsets, plan.bin_counts)]
 
 
+def _peeled(bank, peels):
+    """A copy of bank with the (support, value) pairs peels subtracted in one batch."""
+    bank = bank.copy()
+    subtract_batch(bank, peels)
+    return bank
+
+
 class TestPeel:
     def test_peeling_a_lone_tone_empties_its_bins(self, plan20):
         value = 1.5 - 0.5j
-        bank = _bank_for(spectrum(20, [(10, value)]), plan20).copy()
-        peel(bank, 10, value)
+        bank = _peeled(_bank_for(spectrum(20, [(10, value)]), plan20), [(10, value)])
         for stage in range(plan20.d):
             assert np.all(row_energies(bank.stages[stage]) < 1e-18)
 
@@ -110,15 +122,14 @@ class TestPeel:
         value=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
     )
     def test_peel_and_unpeel_restore_the_bank(self, plan504, support, value):
-        """peel changes one row per stage, the row the support aliases
+        """A peel changes one row per stage, the row the support aliases
         into, and peeling -value afterwards puts the bank back."""
         bank = _bank_for(random_spectrum(504, 7, Constellation(2.0), seed=6), plan504)
-        work = bank.copy()
-        peel(work, support, value)
+        work = _peeled(bank, [(support, value)])
         rows = _rows_of(support, plan504)
         untouched = np.setdiff1d(np.arange(len(bank.rows)), rows)
         np.testing.assert_array_equal(work.rows[untouched], bank.rows[untouched])
-        peel(work, support, -value)
+        work = _peeled(work, [(support, -value)])
         np.testing.assert_allclose(work.rows, bank.rows, rtol=0, atol=1e-12)
 
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -128,27 +139,21 @@ class TestPeel:
                 # multiples of 7 share stage 0's bin 0, so rows take several peels
                 st.one_of(st.integers(0, 503), st.integers(0, 71).map(lambda j: 7 * j)),
                 st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-                st.sampled_from(["none", "rows", "stages"]),
             ),
             min_size=1,
             max_size=16,
         )
     )
-    def test_recorded_peels_read_back_as_eager_subtraction(self, plan504, peels):
-        """peel only records; whenever the bank is read, every recorded
-        peel is applied, and the bank is bit for bit what subtracting
-        each peel on its own, in order, gives."""
-        bank = _bank_for(random_spectrum(504, 7, Constellation(2.0), seed=6), plan504).copy()
+    def test_a_batch_of_peels_is_eager_subtraction(self, plan504, peels):
+        """One subtract_batch call over a list of peels leaves the bank
+        bit for bit what subtracting each peel on its own, in order,
+        gives."""
+        bank = _bank_for(random_spectrum(504, 7, Constellation(2.0), seed=6), plan504)
         eager = bank.rows.copy()
         gains = np.sqrt(plan504.bin_counts)[:, None]
-        for support, value, read in peels:
-            peel(bank, support, value)
+        for support, value in peels:
             eager[_rows_of(support, plan504)] -= gains * value * steering_vector(support, plan504)
-            if read == "rows":
-                assert bank.rows.tobytes() == eager.tobytes()
-            elif read == "stages":
-                assert np.concatenate(bank.stages).tobytes() == eager.tobytes()
-        assert bank.rows.tobytes() == eager.tobytes()
+        assert _peeled(bank, peels).rows.tobytes() == eager.tobytes()
 
     def test_a_bank_over_a_strided_array_applies_its_peels(self, plan504):
         """Peels are applied to the flattened bank, so a bank built from a
@@ -156,7 +161,7 @@ class TestPeel:
         rows = _bank_for(random_spectrum(504, 7, Constellation(2.0), seed=6), plan504).rows
         bank = BinBank(plan504, np.asfortranarray(rows))
         value = 1.5 - 0.5j
-        peel(bank, 10, value)
+        subtract_batch(bank, [(10, value)])
         expected = rows.copy()
         expected[_rows_of(10, plan504)] -= (
             np.sqrt(plan504.bin_counts)[:, None] * value * steering_vector(10, plan504)
@@ -166,8 +171,7 @@ class TestPeel:
     def test_peel_matches_aliasing_recomputation(self, plan20):
         values = {1: 1.5 + 0j, 3: 1.5j, 5: -1.5 + 0j, 10: 1.5 - 0.5j, 15: -1.5j}
         full = spectrum(20, values)
-        bank = _bank_for(full, plan20).copy()
-        peel(bank, 10, values[10])
+        bank = _peeled(_bank_for(full, plan20), [(10, values[10])])
         remaining = spectrum(20, {l: v for l, v in values.items() if l != 10})
         expected = _bank_for(remaining, plan20)
         for stage in range(plan20.d):
@@ -339,8 +343,6 @@ class TestDecodeStructure:
         assert result.spectrum.k == 0
         assert len(result.multi_ton_bins) > 0
 
-    # the frequency estimate of a NaN row casts NaN to an integer, which warns
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
     def test_a_nan_bank_does_not_converge(self, plan504):
         """NaN rows fail every comparison, so no verdict commits; the
         leftover test must still list each of them rather than pass them."""
@@ -466,7 +468,8 @@ def _reference_decode(bank, constellation):
     the singletons whose support is not yet recovered in decode's order
     (residual, an exact fit counting as 0, then row).  A candidate
     commits when no better-ranked candidate's support aliases into its
-    row, checked pair by pair, and the commits peel in rank order.
+    row, checked pair by pair, and the commits peel in rank order, each
+    subtracted from the bank on its own.
     Returns the (pass, stage, bin, support, value) events and the pass
     count.
     """
@@ -497,7 +500,9 @@ def _reference_decode(bank, constellation):
         for row, verdict in commits:
             recovered.add(verdict.support)
             events.append((passes, stages[row], bins[row], verdict.support, verdict.value))
-            bank.record_peel(verdict.support, verdict.value)
+            bank.rows[_rows_of(verdict.support, plan)] -= (
+                np.sqrt(counts)[:, None] * verdict.value * steering_vector(verdict.support, plan)
+            )
         if not commits or passes == MAX_PASSES:
             return events, passes
 
