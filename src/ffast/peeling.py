@@ -13,12 +13,13 @@ passes repeat until a pass commits nothing (at most MAX_PASSES).
 Decoding converges when no bin's leftover energy exceeds the singleton
 residual cap: what is left is noise, not an unrecovered coefficient.
 
-The work follows the d bins each commit changes.  The statistics are
-computed for the whole bank once; after that, one batch per pass
-subtracts that pass's commits and recomputes the rows they touched.
-The per-row classify_bin scan and the per-commit peel calls stay
-because the benchmark's tracer rebinds and counts them; they can go
-once the decoder counts its own work.
+The work follows the d bins each commit changes.  The statistics, a
+reason code and a verdict per row, are computed for the whole bank
+once; after that, one batch per pass subtracts that pass's commits and
+rebuilds the codes and verdicts of the rows they touched.  A pass picks
+its candidates from the codes with one mask.  Its classify_bin list
+reads of every row and its per-commit peel calls stay because the
+benchmark's tracer rebinds and counts them.
 
 A result keeps its peel events as one packed record each (support,
 value, pass, stage; the bin is the support's residue in that stage),
@@ -29,13 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .frontend import BinBank, row_energies, subtract_batch
 from .planner import FrontendPlan
 from .singleton import (
-    VerdictKind,
+    VerdictReason,
     bin_statistics,
     classify_bin,
     singleton_residual_threshold,
@@ -148,13 +150,15 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     commit changes still holds what its verdict was read from.  The rest,
     a second sighting of a committed support among them, wait for the next
     pass.  After the commits, subtract_batch removes them from the bank in
-    one batch, and one bin_statistics batch recomputes the rows they
-    touched, so the next pass reads a table that matches the bank.
+    one batch, and one bin_statistics batch recomputes the codes and
+    verdicts of the rows they touched, so the next pass reads a table
+    that matches the bank.
     """
     bank = bank.copy()
     plan = bank.plan
     row_stage, row_bin = plan.row_stage, plan.row_bin
     stage_of = row_stage.tolist()
+    bank_rows = len(stage_of)
     counts, offsets = np.asarray(plan.bin_counts), np.asarray(plan.row_offsets)
     stats = bin_statistics(bank.rows, row_stage, row_bin, plan, constellation)
     recovered: set[int] = set()
@@ -166,10 +170,12 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
 
     while True:
         passes += 1
+        # looked up each pass, so a rebound classify_bin sees every call
+        verdicts = list(map(classify_bin, repeat(stats, bank_rows), range(bank_rows)))
         scan = []
-        for row in range(len(stage_of)):
-            verdict = classify_bin(stats, row)
-            if verdict.kind is VerdictKind.SINGLETON and verdict.support not in recovered:
+        for row in (stats.reason == VerdictReason.SINGLETON).nonzero()[0].tolist():
+            verdict = verdicts[row]
+            if verdict.support not in recovered:
                 residual = verdict.residual_energy
                 scan.append((0.0 if residual < EXACT_FIT_RESIDUAL else residual, row, verdict))
         # rows are stage-major, so row order is (stage, bin) order; rows
@@ -180,7 +186,7 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         touched = supports[:, None] % counts + offsets
         # each row's best-ranked toucher; a candidate commits when that is
         # itself, since then no commit before it changes its row
-        best = np.full(len(stage_of), len(scan))
+        best = np.full(bank_rows, len(scan))
         np.minimum.at(best, touched, rank[:, None])
         commits = (best[[row for _, row, _ in scan]] == rank).nonzero()[0]
         batch: list[tuple[int, complex]] = []
@@ -193,14 +199,13 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         subtract_batch(bank, batch)
         if not commits.size or passes == MAX_PASSES:
             break
-        stale = np.zeros(len(stage_of), dtype=bool)
+        stale = np.zeros(bank_rows, dtype=bool)
         stale[touched[commits]] = True
         rows = stale.nonzero()[0]
         fresh = bin_statistics(bank.rows[rows], row_stage[rows], row_bin[rows], plan, constellation)
-        for name in ("reason", "support", "value", "residual"):
-            column = getattr(stats, name)
-            for row, entry in zip(rows.tolist(), getattr(fresh, name)):
-                column[row] = entry
+        stats.reason[rows] = fresh.reason
+        for row, verdict in zip(rows.tolist(), fresh.verdicts):
+            stats.verdicts[row] = verdict
 
     cap = singleton_residual_threshold(plan.chain_count)
     # not <= rather than >, so a NaN row is left over too

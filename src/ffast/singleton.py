@@ -15,10 +15,11 @@ frontend.steering_vector, a lookup in spectral.unit_roots' table of
 the n-th roots of unity, so classification evaluates no complex exp.
 
 bin_statistics runs these steps for a whole stack of bins at once, each
-step only on the rows that passed the one before, and classify_bin
-reads one row's verdict out of the result: every classification, of a
-full bank or of the bins a pass's commits changed, goes through these
-two functions.
+step only on the rows that passed the one before, and builds each row's
+BinVerdict once, in bulk.  classify_bin is a list read of one of them,
+kept as a call of its own because the benchmark's tracer counts it:
+every classification, of a full bank or of the bins a pass's commits
+changed, goes through these two functions.
 """
 from __future__ import annotations
 
@@ -149,21 +150,16 @@ class BinVerdict(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class BinStatistics:
-    """Classification figures of a stack of bins, one entry per row.
+    """Classification of a stack of bins, one entry per row.
 
-    reason holds VerdictReason codes.  support is the residue-class
-    candidate of every row that reached the class test (-1 elsewhere),
-    value the fitted (and snapped) value of every row that reached the
-    fit (0 elsewhere), and residual the fit's residual energy, or the
-    row's energy where no fit was made.  The fields are Python lists,
-    because classify_bin reads them one row at a time and the decoder
+    reason holds each row's VerdictReason code as an int8 array, so a
+    decoder can pick its singleton rows with one mask, and verdicts the
+    row's BinVerdict, built once when the row is classified.  A decoder
     overwrites the entries of the rows it recomputes.
     """
 
-    reason: list[int]
-    support: list[int]
-    value: list[complex]
-    residual: list[float]
+    reason: np.ndarray
+    verdicts: list[BinVerdict]
 
 
 def zero_ton_threshold(plan: FrontendPlan) -> float:
@@ -253,14 +249,16 @@ def bin_statistics(
     satisfy l = j mod f_i).  When a constellation is supplied the fitted
     value snaps to the nearest grid point before the residual test.  A
     singleton needs the residual to pass both the noise-level quantile
-    cap and the explained-energy fraction.
+    cap and the explained-energy fraction.  Each row's verdict is built
+    here, once; residual_energy is the row's energy where no fit was made.
     """
     rows = np.asarray(rows)
     n, d_chains = plan.n, plan.chain_count
     energy = row_energies(rows)
     reason = np.zeros(len(rows), dtype=np.int8)  # VerdictReason.ENERGY_GATE
-    support = np.full(len(rows), -1, dtype=np.int64)
-    value = np.zeros(len(rows), dtype=np.complex128)
+    # support and value stay None off the singleton rows
+    support = np.full(len(rows), None, dtype=object)
+    value = np.full(len(rows), None, dtype=object)
     residual = energy.copy()
     live = (~(energy < zero_ton_threshold(plan))).nonzero()[0]
     # a zero or non-finite sample leaves a phase difference undefined
@@ -274,7 +272,6 @@ def bin_statistics(
         estimates = cluster_estimate(y.reshape(-1, plan.clusters, plan.per_cluster), spacing)
         target = refine(estimates, plan.base) * n / (2.0 * np.pi)
         q = _project_to_residue_class(target, np.asarray(bins)[est], f, n)
-        support[est] = q
         in_class = _consistent_with_bin(target, q, n)
         reason[est[~in_class]] = _OFF_RESIDUE_CLASS
         fit = est[in_class]
@@ -288,21 +285,27 @@ def bin_statistics(
             left = row_energies(y - (gain * fitted)[:, None] * columns)
             cap = singleton_residual_threshold(d_chains)
             explained = left <= (1.0 - MIN_EXPLAINED_FRACTION) * energy[fit]
-            reason[fit] = np.where(
+            code = np.where(
                 ~(left < cap),
                 _RESIDUAL_CAP,
                 np.where(explained, _SINGLETON, _EXPLAINED_FRACTION),
             )
-            value[fit] = fitted
+            reason[fit] = code
+            single = code == _SINGLETON
+            # an object array holds the entries as Python ints and complexes
+            support[fit[single]] = q[single]
+            value[fit[single]] = fitted[single]
             residual[fit] = left
-    return BinStatistics(reason.tolist(), support.tolist(), value.tolist(), residual.tolist())
+    codes = reason.tolist()
+    kinds, reasons = map(_KINDS.__getitem__, codes), map(_REASONS.__getitem__, codes)
+    fields = zip(kinds, support.tolist(), value.tolist(), residual.tolist(), reasons)
+    return BinStatistics(reason, list(map(BinVerdict._make, fields)))
 
 
 def classify_bin(stats: BinStatistics, i: int) -> BinVerdict:
-    """The verdict on row i of a bin_statistics result."""
-    reason = _REASONS[stats.reason[i]]
-    if reason is VerdictReason.SINGLETON:
-        return BinVerdict(
-            VerdictKind.SINGLETON, stats.support[i], stats.value[i], stats.residual[i], reason
-        )
-    return BinVerdict(_KINDS[reason], None, None, stats.residual[i], reason)
+    """The verdict on row i of a bin_statistics result.
+
+    A list read: bin_statistics built the verdict.  It stays a call of
+    its own because the benchmark's tracer rebinds and counts it.
+    """
+    return stats.verdicts[i]

@@ -81,8 +81,11 @@ class Constellation:
 class SparseSpectrum:
     """k nonzero DFT coefficients of an n-point signal.
 
-    Entries are stored sorted by index; indices are distinct and lie in
-    [0, n).  Construction normalizes dtype and ordering.
+    Entries are stored sorted by index; indices are distinct integers in
+    [0, n).  Construction normalizes ordering and dtype: values are
+    complex128, and indices the narrowest signed type holding n - 1 of
+    int16, int32 and int64 (int16 up to n = 2**15), so a caller that
+    multiplies them widens to int64 first.
     """
 
     n: int
@@ -92,18 +95,23 @@ class SparseSpectrum:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError(f"n must be positive, got {self.n}")
-        idx = np.atleast_1d(np.asarray(self.indices, dtype=np.int64))
+        idx = np.atleast_1d(np.asarray(self.indices))
         val = np.atleast_1d(np.asarray(self.values, dtype=np.complex128))
         if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
             raise ValueError("indices and values must be 1-d arrays of equal length")
+        if idx.dtype.kind == "f" and not np.all(np.isfinite(idx) & (np.floor(idx) == idx)):
+            raise ValueError("indices must be integers")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError("indices must lie in [0, n)")
+        idx = idx.astype(np.int64, copy=False)
         # the reorder is a fancy-index copy, so the stored arrays are never the caller's
         order = np.argsort(idx, kind="stable")
         idx = idx[order]
         val = val[order]
         if np.any(np.diff(idx) == 0):
             raise ValueError("indices must be distinct")
+        narrow = np.int16 if self.n <= 1 << 15 else np.int32 if self.n <= 1 << 31 else np.int64
+        idx = idx.astype(narrow, copy=False)
         idx.flags.writeable = False
         val.flags.writeable = False
         object.__setattr__(self, "indices", idx)

@@ -1,6 +1,7 @@
 """Peeling decoder tests: peel arithmetic, convergence, graph decodability."""
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,26 @@ class TestDecodeStructure:
         assert first == second
         assert first.events == second.events and len(first.events) > 0
 
+    def test_every_pass_reads_every_row_through_the_module_names(self, monkeypatch):
+        """A rebound classify_bin sees exactly passes x rows calls and a
+        rebound peel one call per event: the counts a tracer reads."""
+        kw = dict(preset="n4845", k=170, snr_db=None)
+        plan = plan_for_config(ExperimentConfig(**kw, seed=20260817))
+        con = Constellation(ExperimentConfig(**kw).rho)
+        calls = {"classify_bin": 0, "peel": 0}
+        for name in calls:
+            original = getattr(peeling, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(peeling, name, counted)
+        result = decode(_bank_for(random_spectrum(plan.n, 170, con, 3), plan), con)
+        assert result.passes > 2
+        assert calls == {"classify_bin": result.passes * sum(plan.bin_counts),
+                         "peel": len(result.events)}
+
     def test_max_passes_cap_respected(self, plan504, monkeypatch):
         monkeypatch.setattr(peeling, "MAX_PASSES", 1)
         truth = random_spectrum(504, 7, Constellation(4.0), seed=2)
@@ -459,6 +480,51 @@ class TestDecodeStructure:
                     assert all(
                         other.support % counts[e.stage] != e.bin for other in commits if other != e
                     )
+
+
+class TestDecodeInvariants:
+    """Properties every decode keeps, whatever the bank: random signals on
+    n504 and n990, noiseless or noisy, snapped or not, with some entries
+    replaced by NaN or an infinity."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        use990=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(0, 16),
+        noise=st.sampled_from([0.0, 1.0, 4.0]),
+        snap=st.booleans(),
+        bad=st.integers(0, 6),
+        bad_value=st.sampled_from(
+            [complex(np.nan, 0), complex(np.inf, 0), complex(-np.inf, 1), complex(1, np.nan)]
+        ),
+    )
+    def test_decode_invariants(self, plan504, plan990, use990, seed, k, noise, snap, bad, bad_value):
+        plan = plan990 if use990 else plan504
+        con = Constellation(4.0)
+        signal = synthesize(random_spectrum(plan.n, k, con, seed))
+        if noise:
+            signal = add_noise(signal, noise, seed)
+        bank = subsample_and_transform(signal, plan)
+        flat = bank.rows.reshape(-1)
+        flat[generator(seed, 0x7E57).choice(flat.size, size=bad, replace=False)] = bad_value
+        before = bank.rows.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = decode(bank, con if snap else None)
+            again = decode(bank, con if snap else None)
+        assert bank.rows.tobytes() == before
+        assert result == again and result.events == again.events
+        assert 1 <= result.passes <= MAX_PASSES
+        assert result.converged == (not result.multi_ton_bins)
+        events = result.events
+        supports = [e.support for e in events]
+        assert len(set(supports)) == len(supports)
+        assert all(0 <= s < plan.n for s in supports)
+        assert [e.pass_index for e in events] == sorted(e.pass_index for e in events)
+        assert all(1 <= e.pass_index <= result.passes for e in events)
+        assert all(e.bin == e.support % plan.bin_counts[e.stage] for e in events)
+        assert np.isfinite(result.spectrum.values).all()
 
 
 def _reference_decode(bank, constellation):

@@ -14,6 +14,7 @@ from ffast.planner import build_plan
 from ffast.singleton import (
     VerdictKind,
     VerdictReason,
+    _consistent_with_bin,
     bin_statistics,
     classify_bin,
     cluster_estimate,
@@ -218,6 +219,32 @@ class TestThresholds:
     def test_residual_cap_floor(self):
         # with one chain there is no residual dof; the gate is the floor
         assert singleton_residual_threshold(1) == pytest.approx(1.2)
+
+    def test_residual_cap_floor_binds_from_378_chains(self):
+        """The cap is max((1 + GAMMA) * D, Gamma(D-1) quantile).  The
+        quantile wins below D = 378 (61.4 against 43.2 at D = 36) and the
+        floor from there on: 480 at D = 400, where the quantile is 477.6."""
+        assert singleton_residual_threshold(36) == pytest.approx(
+            float(gammainccinv(35, 1e-4)), rel=1e-13)
+        assert singleton_residual_threshold(400) == pytest.approx(480.0, rel=1e-15)
+        for d_chains in range(300, 421):
+            cap = singleton_residual_threshold(d_chains)
+            quantile = float(gammainccinv(d_chains - 1, 1e-4))
+            if d_chains >= 378:
+                assert cap == 1.2 * d_chains > quantile, d_chains
+            else:
+                assert cap == pytest.approx(quantile, rel=1e-13) and cap > 1.2 * d_chains, d_chains
+
+
+class TestConsistentWithBin:
+    def test_half_an_index_is_the_width(self):
+        """An estimate within 0.5 of its projected index rounds to it,
+        one further away does not, on either side and across the wrap
+        at n, where index 0 sits 0.49 above n - 0.49."""
+        n = 504
+        q = np.array([100, 100, 100, 100, 0, 0, 0, 0])
+        target = np.array([100.49, 99.51, 100.51, 99.49, n - 0.49, 0.49, n - 0.51, 0.51])
+        assert _consistent_with_bin(target, q, n).tolist() == [True, True, False, False] * 2
 
 
 class TestClassifyBin:

@@ -102,7 +102,31 @@ class TestSparseSpectrum:
     def test_empty(self):
         s = SparseSpectrum(7, [], [])
         assert s.k == 0 and s.n == 7
-        assert s.indices.dtype == np.int64 and s.values.dtype == np.complex128
+        assert s.indices.dtype == np.int16 and s.values.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[1.5], np.array([2.7]), [3.0, np.nan], [np.inf], np.array([-np.inf, 2.0])],
+        ids=["list", "array", "nan", "inf", "-inf"],
+    )
+    def test_non_integral_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="integers"):
+            SparseSpectrum(10, indices, np.ones(len(indices)))
+
+    def test_integral_float_indices_construct(self):
+        s = SparseSpectrum(10, [8.0, 2.0], [1.0, 2.0])
+        assert s.indices.tolist() == [2, 8] and s.values.tolist() == [2.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "n,dtype",
+        [(7, np.int16), (2**15, np.int16), (2**15 + 1, np.int32), (1_499_400, np.int32),
+         (2**31, np.int32), (2**31 + 1, np.int64), (2**40, np.int64)],
+    )
+    def test_indices_are_as_narrow_as_n_allows(self, n, dtype):
+        """The narrowest of int16, int32 and int64 that holds n - 1."""
+        s = SparseSpectrum(n, [n - 1, 0], [1.0, 2.0])
+        assert s.indices.dtype == dtype
+        assert s.indices.tolist() == [0, n - 1]
 
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -114,17 +138,19 @@ class TestSparseSpectrum:
 
     @pytest.mark.parametrize("indices", [[2, 5, 8], [8, 2, 5]], ids=["sorted", "unsorted"])
     def test_stored_arrays_are_not_the_callers(self, indices):
-        """Arrays already of the stored dtypes, as random_spectrum passes them."""
-        idx = np.array(indices, dtype=np.int64)
-        val = np.array([1.0, 2j, -1.0], dtype=np.complex128)
-        s = SparseSpectrum(10, idx, val)
-        expected = dict(zip(indices, val.tolist()))
-        assert not np.shares_memory(s.indices, idx)
-        assert not np.shares_memory(s.values, val)
-        assert not s.indices.flags.writeable and not s.values.flags.writeable
-        idx[:] = 0
-        val[:] = 7.0
-        assert dict(zip(s.indices.tolist(), s.values.tolist())) == expected
+        """Arrays of the dtypes random_spectrum passes, which at n = 2**40
+        are the stored dtypes too."""
+        for n in (10, 2**40):
+            idx = np.array(indices, dtype=np.int64)
+            val = np.array([1.0, 2j, -1.0], dtype=np.complex128)
+            s = SparseSpectrum(n, idx, val)
+            expected = dict(zip(indices, val.tolist()))
+            assert not np.shares_memory(s.indices, idx)
+            assert not np.shares_memory(s.values, val)
+            assert not s.indices.flags.writeable and not s.values.flags.writeable
+            idx[:] = 0
+            val[:] = 7.0
+            assert dict(zip(s.indices.tolist(), s.values.tolist())) == expected
 
 
 class TestRandomSpectrum:
