@@ -103,7 +103,7 @@ def coherence_profile(plan: FrontendPlan, ells: np.ndarray) -> np.ndarray:
     """mu(l) for the requested frequencies by direct summation.
 
     Reference for planner.verify_incoherence, which takes the peak of the
-    same sums over l = 1..n//2 from a blocked product or an rfft.
+    same sums over l = 1..n//2 from one rfft of the shift histogram.
     """
     ells = np.asarray(ells, dtype=np.int64)
     phases = (ells[:, None] * plan.shift_array[None, :]) % plan.n

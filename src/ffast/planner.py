@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .randomness import generator
-from .spectral import unit_roots
 
 _STREAM_HEADS = 0xB1
 
@@ -298,71 +297,20 @@ def incoherence_bound(n: int, d_chains: int) -> float:
     return 2.0 * math.sqrt(math.log(5.0 * n) / d_chains)
 
 
-# Rows of the blocked scan that one matmul computes.  A block holds
-# _BLOCK_ROWS * ceil(sqrt(n)) sums, so a scan of any length holds
-# O(D * sqrt(n)) values at once.
-_BLOCK_ROWS = 128
-
-
-def _peak_exp_sum(n: int, f: np.ndarray) -> float:
-    """max |sum_q exp(2j*pi*f_q*l/n)| over l = 1..n//2, for f in [0, n).
-
-    Repeated frequencies add.  With p = b*W + r and W = ceil(sqrt(n)),
-    the sum at p is entry (b, r) of the product of a (rows x D) table
-    exp(2j*pi*f_q*W*b/n) and a (D x W) table exp(2j*pi*f_q*r/n), both read
-    from unit_roots' table with their phases reduced mod n in exact
-    integer arithmetic.  The product is computed _BLOCK_ROWS rows at a
-    time into one reused block, and a running max of the magnitudes is
-    kept, so the scan holds O(D*sqrt(n)) values.  When 9*D**2 > n one
-    length-n rfft of the frequency histogram is cheaper; its entry l is
-    the conjugate of the sum at l, of the same magnitude.
-    """
-    if 9 * f.size**2 > n:
-        return float(np.abs(np.fft.rfft(np.bincount(f, minlength=n)))[1:].max())
-    stop = n // 2 + 1
-    width = math.isqrt(n - 1) + 1
-    rows = -(-stop // width)
-    height = min(rows, _BLOCK_ROWS)
-    d_chains = f.size
-    # The two tables and the block share one allocation.  glibc hands
-    # freed heap back to the system once more than twice its largest
-    # recent allocation lies free, and the next call faults it in again.
-    # One allocation outweighs all else a scan holds (the integer phases,
-    # unit_roots' table indices and gathers, and the block of
-    # magnitudes), so repeated scans reuse their pages; as three
-    # buffers, each screening call at n = 124,950 took ~320 page faults
-    # and 25% longer.
-    tables = d_chains * (rows + width)
-    work = np.empty(tables + height * width, dtype=np.complex128)
-    table_b = work[: rows * d_chains].reshape(rows, d_chains)
-    table_r = work[rows * d_chains : tables].reshape(d_chains, width)
-    block = work[tables:].reshape(height, width)
-    unit_roots(np.arange(rows, dtype=np.int64)[:, None] * (f * width % n) % n, n, out=table_b)
-    unit_roots(f[:, None] * np.arange(width, dtype=np.int64) % n, n, out=table_r)
-    # allocated after the tables, so it never coexists with their phases
-    magnitudes = np.empty((height, width))
-    peak = 0.0
-    for first in range(0, rows, _BLOCK_ROWS):
-        last = min(first + _BLOCK_ROWS, rows)
-        sums = np.matmul(table_b[first:last], table_r, out=block[: last - first])
-        mags = np.abs(sums, out=magnitudes[: last - first]).reshape(-1)
-        # l = 0 (each column against itself) opens the first block, and
-        # the last block ends mid-row at l = n//2
-        peak = max(peak, float(mags[int(first == 0) : stop - first * width].max()))
-    return peak
-
-
 def verify_incoherence(plan: FrontendPlan) -> IncoherenceReport:
     """Worst pairwise column coherence of the shift pattern.
 
     mu(l) = |sum_s exp(2j*pi*l*r_s/n)| / D for l = 1..n-1; the report
     compares max_l mu(l) against incoherence_bound(n, D).  mu is
     invariant under translation of the shifts and mu(n - l) = mu(l), so
-    the peak is _peak_exp_sum of the shifts less the first, over l <= n//2.
+    the peak is taken over l = 1..n//2 from one length-n rfft of the
+    histogram of the shifts less the first: its entry l is the conjugate
+    of the sum at l, and repeated shifts add.
     """
     shifts = plan.shift_array
     d_chains = plan.chain_count
-    mu_max = _peak_exp_sum(plan.n, (shifts - shifts[0]) % plan.n) / d_chains
+    hist = np.bincount((shifts - shifts[0]) % plan.n, minlength=plan.n)
+    mu_max = float(np.abs(np.fft.rfft(hist))[1:].max()) / d_chains
     bound = incoherence_bound(plan.n, d_chains)
     return IncoherenceReport(mu_max=mu_max, bound=bound, passed=mu_max < bound)
 
@@ -380,7 +328,7 @@ def build_plan(
     Cluster heads are drawn until verify_incoherence passes, up to
     MAX_SHIFT_DRAWS attempts.  Where incoherence_bound exceeds MU_CEILING
     (D below 4*ln(5n)), no draw can fail, so the first draw is kept
-    without the O(n*D) scan.  Explicit clusters/per_cluster override the
+    without the length-n scan.  Explicit clusters/per_cluster override the
     defaults from choose_cluster_params.
     """
     entry = preset_by_name(preset)

@@ -141,11 +141,14 @@ _KINDS = (VerdictKind.ZERO_TON,) + (VerdictKind.MULTI_TON,) * 4 + (VerdictKind.S
 class BinVerdict(NamedTuple):
     """One bin's verdict; support and value are None unless it is a singleton."""
 
-    kind: VerdictKind
     support: int | None
     value: complex | None
     residual_energy: float
     reason: VerdictReason
+
+    @property
+    def kind(self) -> VerdictKind:
+        return _KINDS[self.reason]
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,9 +299,8 @@ def bin_statistics(
             support[fit[single]] = q[single]
             value[fit[single]] = fitted[single]
             residual[fit] = left
-    codes = reason.tolist()
-    kinds, reasons = map(_KINDS.__getitem__, codes), map(_REASONS.__getitem__, codes)
-    fields = zip(kinds, support.tolist(), value.tolist(), residual.tolist(), reasons)
+    reasons = map(_REASONS.__getitem__, reason.tolist())
+    fields = zip(support.tolist(), value.tolist(), residual.tolist(), reasons)
     return BinStatistics(reason, list(map(BinVerdict._make, fields)))
 
 
