@@ -334,8 +334,8 @@ class TestRetainedBytes:
     DecodeResult, its 883 B log and the list slot)."""
 
     @staticmethod
-    def _bytes_per_object(make, count, rounds=3):
-        """Traced bytes per object kept, the least over `rounds` rounds of
+    def _bytes_per_object(make, count):
+        """Traced bytes per object kept, the least over three rounds of
         `count` objects each, plus the one pointer its list slot takes.
 
         A first, uncounted round takes what the first calls allocate once
@@ -344,7 +344,7 @@ class TestRetainedBytes:
         least round drops a one-off allocation that lands in another (a
         full suite run has read 965, 1,557 and 966 B per decode result in
         its three rounds, before the slot)."""
-        kept = [None] * ((rounds + 1) * count)
+        kept = [None] * (4 * count)
         tracemalloc.start()
         try:
             for i in range(count):
