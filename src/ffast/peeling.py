@@ -13,12 +13,12 @@ passes repeat until a pass commits nothing (at most MAX_PASSES).
 Decoding converges when no bin's leftover energy exceeds the singleton
 residual cap: what is left is noise, not an unrecovered coefficient.
 
-The work follows the d bins each commit changes.  The statistics, a
-reason code and a verdict per row, are computed for the whole bank
-once; after that, one batch per pass subtracts that pass's commits and
-rebuilds the codes and verdicts of the rows they touched.  A pass picks
-its candidates from the codes with one mask.  Its classify_bin list
-reads of every row and its per-commit peel calls stay because the
+The work follows the d bins each commit changes.  The statistics, four
+arrays over the rows, are computed for the whole bank once; after that,
+one batch per pass subtracts that pass's commits and rewrites the rows
+they touched.  A pass takes its candidates with one mask and ranks them
+with one sort, with no Python object per row.  Its classify_bin map over
+every row's code and its per-commit peel calls stay because the
 benchmark's tracer rebinds and counts them.
 
 A result keeps its peel events as one packed record each (support,
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -150,18 +149,20 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     commit changes still holds what its verdict was read from.  The rest,
     a second sighting of a committed support among them, wait for the next
     pass.  After the commits, subtract_batch removes them from the bank in
-    one batch, and one bin_statistics batch recomputes the codes and
-    verdicts of the rows they touched, so the next pass reads a table
-    that matches the bank.
+    one batch, and one bin_statistics batch recomputes the rows they
+    touched, so the next pass reads a table that matches the bank.
+
+    Range: float64 rounding in a singleton's estimate and fit grows with
+    |X|, so an |X| of about 1e16 gives no support; entries past about
+    1e154 overflow a row's energy to inf, a zero-sample multi-ton.
     """
     bank = bank.copy()
     plan = bank.plan
     row_stage, row_bin = plan.row_stage, plan.row_bin
-    stage_of = row_stage.tolist()
-    bank_rows = len(stage_of)
+    bank_rows = len(row_stage)
     counts, offsets = np.asarray(plan.bin_counts), np.asarray(plan.row_offsets)
     stats = bin_statistics(bank.rows, row_stage, row_bin, plan, constellation)
-    recovered: set[int] = set()
+    recovered = np.zeros(plan.n, dtype=bool)
     records = []
     # equal values share an entry, so a 0.0 and a -0.0 part are not told
     # apart; a snapped value is always a key of the grid's table already
@@ -171,31 +172,31 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     while True:
         passes += 1
         # looked up each pass, so a rebound classify_bin sees every call
-        verdicts = list(map(classify_bin, repeat(stats, bank_rows), range(bank_rows)))
-        scan = []
-        for row in (stats.reason == VerdictReason.SINGLETON).nonzero()[0].tolist():
-            verdict = verdicts[row]
-            if verdict.support not in recovered:
-                residual = verdict.residual_energy
-                scan.append((0.0 if residual < EXACT_FIT_RESIDUAL else residual, row, verdict))
-        # rows are stage-major, so row order is (stage, bin) order; rows
-        # are distinct, so the sort never compares two verdicts
-        scan.sort()
-        rank = np.arange(len(scan))
-        supports = np.array([verdict.support for _, _, verdict in scan], dtype=np.int64)
+        list(map(classify_bin, stats.reason.tolist()))
+        scan = (stats.reason == VerdictReason.SINGLETON).nonzero()[0]
+        scan = scan[~recovered[stats.support[scan]]]
+        residual = stats.residual[scan]
+        # ties rank in row order; rows are stage-major, so that is (stage, bin) order
+        scan = scan[np.lexsort((scan, np.where(residual < EXACT_FIT_RESIDUAL, 0.0, residual)))]
+        rank = np.arange(scan.size)
+        supports = stats.support[scan]
         touched = supports[:, None] % counts + offsets
         # each row's best-ranked toucher; a candidate commits when that is
         # itself, since then no commit before it changes its row
-        best = np.full(bank_rows, len(scan))
+        best = np.full(bank_rows, scan.size)
         np.minimum.at(best, touched, rank[:, None])
-        commits = (best[[row for _, row, _ in scan]] == rank).nonzero()[0]
+        commits = (best[scan] == rank).nonzero()[0]
+        committed = scan[commits]
+        recovered[supports[commits]] = True
         batch: list[tuple[int, complex]] = []
-        for i in commits.tolist():
-            _, row, verdict = scan[i]
-            recovered.add(verdict.support)
-            value_id = value_ids.setdefault(verdict.value, len(value_ids))
-            records.append((verdict.support, value_id, passes, stage_of[row]))
-            peel(batch, verdict.support, verdict.value)
+        for support, value, stage in zip(
+            supports[commits].tolist(),
+            stats.value[committed].tolist(),
+            row_stage[committed].tolist(),
+        ):
+            value_id = value_ids.setdefault(value, len(value_ids))
+            records.append((support, value_id, passes, stage))
+            peel(batch, support, value)
         subtract_batch(bank, batch)
         if not commits.size or passes == MAX_PASSES:
             break
@@ -203,9 +204,8 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         stale[touched[commits]] = True
         rows = stale.nonzero()[0]
         fresh = bin_statistics(bank.rows[rows], row_stage[rows], row_bin[rows], plan, constellation)
-        stats.reason[rows] = fresh.reason
-        for row, verdict in zip(rows.tolist(), fresh.verdicts):
-            stats.verdicts[row] = verdict
+        for field, update in zip(stats, fresh):
+            field[rows] = update
 
     cap = singleton_residual_threshold(plan.chain_count)
     # not <= rather than >, so a NaN row is left over too

@@ -15,17 +15,16 @@ frontend.steering_vector, a lookup in spectral.unit_roots' table of
 the n-th roots of unity, so classification evaluates no complex exp.
 
 bin_statistics runs these steps for a whole stack of bins at once, each
-step only on the rows that passed the one before, and builds each row's
-BinVerdict once, in bulk.  classify_bin is a list read of one of them,
-kept as a call of its own because the benchmark's tracer counts it:
-every classification, of a full bank or of the bins a pass's commits
-changed, goes through these two functions.
+step only on the rows that passed the one before, and returns the
+verdicts as four parallel arrays, with no Python object per row.
+classify_bin turns one row's reason code into its VerdictReason, kept as
+a call of its own because the benchmark's tracer counts it: a decoder
+maps it over every row's code once per pass.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -126,6 +125,10 @@ class VerdictReason(enum.IntEnum):
     EXPLAINED_FRACTION = 4  # the fit explains under MIN_EXPLAINED_FRACTION
     SINGLETON = 5
 
+    @property
+    def kind(self) -> VerdictKind:
+        return _KINDS[self]
+
 
 _REASONS = tuple(VerdictReason)
 # The codes as plain ints for bin_statistics' array writes: numpy probes an
@@ -138,31 +141,21 @@ _SINGLETON = int(VerdictReason.SINGLETON)
 _KINDS = (VerdictKind.ZERO_TON,) + (VerdictKind.MULTI_TON,) * 4 + (VerdictKind.SINGLETON,)
 
 
-class BinVerdict(NamedTuple):
-    """One bin's verdict; support and value are None unless it is a singleton."""
+class BinStatistics(NamedTuple):
+    """Classification of a stack of bins: four parallel arrays, one entry per row.
 
-    support: int | None
-    value: complex | None
-    residual_energy: float
-    reason: VerdictReason
-
-    @property
-    def kind(self) -> VerdictKind:
-        return _KINDS[self.reason]
-
-
-@dataclass(frozen=True, slots=True)
-class BinStatistics:
-    """Classification of a stack of bins, one entry per row.
-
-    reason holds each row's VerdictReason code as an int8 array, so a
-    decoder can pick its singleton rows with one mask, and verdicts the
-    row's BinVerdict, built once when the row is classified.  A decoder
-    overwrites the entries of the rows it recomputes.
+    reason holds each row's VerdictReason code (int8).  support (int64)
+    and value (complex128) hold the fitted support and value, a verdict
+    only where reason is SINGLETON and 0 elsewhere.  residual (float64)
+    is the fit's residual energy, or the row's energy where no fit was
+    made.  A decoder overwrites the entries of the rows it recomputes,
+    one field at a time.
     """
 
     reason: np.ndarray
-    verdicts: list[BinVerdict]
+    support: np.ndarray
+    value: np.ndarray
+    residual: np.ndarray
 
 
 def zero_ton_threshold(plan: FrontendPlan) -> float:
@@ -252,16 +245,14 @@ def bin_statistics(
     satisfy l = j mod f_i).  When a constellation is supplied the fitted
     value snaps to the nearest grid point before the residual test.  A
     singleton needs the residual to pass both the noise-level quantile
-    cap and the explained-energy fraction.  Each row's verdict is built
-    here, once; residual_energy is the row's energy where no fit was made.
+    cap and the explained-energy fraction.
     """
     rows = np.asarray(rows)
     n, d_chains = plan.n, plan.chain_count
     energy = row_energies(rows)
     reason = np.zeros(len(rows), dtype=np.int8)  # VerdictReason.ENERGY_GATE
-    # support and value stay None off the singleton rows
-    support = np.full(len(rows), None, dtype=object)
-    value = np.full(len(rows), None, dtype=object)
+    support = np.zeros(len(rows), dtype=np.int64)
+    value = np.zeros(len(rows), dtype=np.complex128)
     residual = energy.copy()
     live = (~(energy < zero_ton_threshold(plan))).nonzero()[0]
     # a zero or non-finite sample leaves a phase difference undefined
@@ -295,19 +286,12 @@ def bin_statistics(
             )
             reason[fit] = code
             single = code == _SINGLETON
-            # an object array holds the entries as Python ints and complexes
             support[fit[single]] = q[single]
             value[fit[single]] = fitted[single]
             residual[fit] = left
-    reasons = map(_REASONS.__getitem__, reason.tolist())
-    fields = zip(support.tolist(), value.tolist(), residual.tolist(), reasons)
-    return BinStatistics(reason, list(map(BinVerdict._make, fields)))
+    return BinStatistics(reason, support, value, residual)
 
 
-def classify_bin(stats: BinStatistics, i: int) -> BinVerdict:
-    """The verdict on row i of a bin_statistics result.
-
-    A list read: bin_statistics built the verdict.  It stays a call of
-    its own because the benchmark's tracer rebinds and counts it.
-    """
-    return stats.verdicts[i]
+def classify_bin(code: int) -> VerdictReason:
+    """The VerdictReason of a reason code: a call the benchmark's tracer counts."""
+    return _REASONS[code]

@@ -41,8 +41,10 @@ def make_singleton_obs(plan, ell, value, rng=None, stage=0):
 
 
 def classify_one(y, stage, bin, plan, constellation=None):
-    """Verdict on one bin row, through the batched statistics."""
-    return classify_bin(bin_statistics(y[None, :], [stage], [bin], plan, constellation), 0)
+    """(reason, support, value, residual) of one bin row, through the batched statistics."""
+    stats = bin_statistics(y[None, :], [stage], [bin], plan, constellation)
+    code, support, value, residual = (field[0].item() for field in stats)
+    return classify_bin(code), support, value, residual
 
 
 def spectrum(n, pairs):

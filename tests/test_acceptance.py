@@ -23,7 +23,7 @@ from ffast.planner import (
     draw_heads,
     verify_incoherence,
 )
-from ffast.singleton import VerdictKind, bin_statistics, classify_bin, cluster_estimate
+from ffast.singleton import VerdictKind, VerdictReason, bin_statistics, cluster_estimate
 from ffast.spectral import Constellation, SparseSpectrum, random_spectrum, synthesize
 
 
@@ -94,18 +94,11 @@ def test_02_worked_small_instance():
     bank = subsample_and_transform(signal, plan)
 
     stats = bin_statistics(bank.rows, plan.row_stage, plan.row_bin, plan)
-    kinds = {
-        (stage, j): classify_bin(stats, plan.row_offsets[stage] + j)
-        for stage in range(plan.d)
-        for j in range(plan.bin_counts[stage])
-    }
-    roles_ok = (
-        kinds[(0, 0)].kind is VerdictKind.ZERO_TON
-        and kinds[(0, 1)].kind is VerdictKind.MULTI_TON
-        and kinds[(0, 2)].kind is VerdictKind.SINGLETON
-        and kinds[(0, 2)].support == 10
-        and kinds[(0, 3)].kind is VerdictKind.MULTI_TON
-    )
+    # stage 0's bins are the bank's first rows
+    kinds = [VerdictReason(code).kind for code in stats.reason[:4].tolist()]
+    roles_ok = kinds == [
+        VerdictKind.ZERO_TON, VerdictKind.MULTI_TON, VerdictKind.SINGLETON, VerdictKind.MULTI_TON
+    ] and stats.support[2] == 10
 
     first = decode(bank)
     second = decode(bank)

@@ -86,6 +86,16 @@ class TestRunCommand:
         assert body[-1][0] == "summary"
         assert [row[2] for row in body[:-1]] == ["1", "1"]
 
+    def test_snr_is_capped_at_the_ceiling(self, tmp_path, capsys):
+        """The ceiling itself decodes every trial; 1 dB above it is a
+        configuration error, not a run that quietly recovers nothing."""
+        argv = ["run", "--preset", "n504", "--k", "7", "--trials", "4", "--seed", "1",
+                "--out", str(tmp_path / "run.csv"), "--snr-db"]
+        assert main(argv + [f"{bench.SNR_DB_CEILING:g}"]) == EXIT_OK
+        assert "4/4 trials recovered the support" in capsys.readouterr().out
+        assert main(argv + [f"{bench.SNR_DB_CEILING + 1:g}"]) == EXIT_CONFIG
+        assert f"snr_db must be at most {bench.SNR_DB_CEILING:g} dB" in capsys.readouterr().err
+
     def test_seed_is_required(self, capsys):
         code = main(["run", "--preset", "paper-20", "--k", "2", "--trials", "1"])
         assert code == EXIT_CONFIG

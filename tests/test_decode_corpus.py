@@ -1,7 +1,8 @@
 """Frozen decode digests over the equivalence corpus.
 
-Six configurations (sparse-5db, stretch-x12, dense-noiseless, and n504
-k=7 at 5 dB, 0 dB and noiseless), plans at seed 20260817, trial seeds
+Seven configurations (sparse-5db, stretch-x12, dense-noiseless, n504
+k=7 at 5 dB, 0 dB and noiseless, and sparse-5db with random phases,
+decoded with no constellation), plans at seed 20260817, trial seeds
 1000-1007, each run along the package's trial path with per-index
 noise.  Each configuration's SHA-256 covers every decode's (pass,
 stage, bin, support, value) events, values bit for bit, plus passes,
@@ -9,16 +10,24 @@ converged and multi_ton_bins.  A change to the front end, the
 classifier or the decoder that moves any of them fails here.  At 0 dB
 n504 pins the schedule: a decoder that re-reads a candidate whose row an
 earlier commit of the same pass touched, instead of deferring it, gives
-another digest.
+another digest.  The random-phase configuration keeps every fitted value
+as it is, so it pins the unsnapped value table bit for bit.
 """
 import hashlib
+import math
 
 import pytest
 
 from ffast.bench import ExperimentConfig, plan_for_config
 from ffast.frontend import subsample_and_transform
 from ffast.peeling import decode
-from ffast.spectral import Constellation, add_noise, random_spectrum, synthesize
+from ffast.spectral import (
+    Constellation,
+    add_noise,
+    random_phase_spectrum,
+    random_spectrum,
+    synthesize,
+)
 
 PLAN_SEED = 20260817
 TRIAL_SEEDS = range(1000, 1008)
@@ -29,6 +38,9 @@ CORPUS = {
     "n504-5db": dict(preset="n504", k=7, snr_db=5.0),
     "n504-0db": dict(preset="n504", k=7, snr_db=0.0),
     "n504-noiseless": dict(preset="n504", k=7, snr_db=None),
+    "sparse-5db-random-phases": dict(
+        preset="paper-124950", k=40, snr_db=5.0, clusters=12, per_cluster=3, random_phases=True
+    ),
 }
 DIGESTS = {
     "sparse-5db": "32857938a0ce662ffdd537cc5acd7e31cb1e702e12ce666fe261f6cc802dc00e",
@@ -37,6 +49,7 @@ DIGESTS = {
     "n504-5db": "24ee2529be495822053dd12979503a8ab9d5eec9d56c85ad95037fee136fa300",
     "n504-0db": "9d51a9f1dc561b5205220ee0c17fb5597cc52760aa11f0a979df82142218db3f",
     "n504-noiseless": "cd0072ea37f7d777ab1eebc55f7a103a9e64ea89db08eb2bdb047b3c659974de",
+    "sparse-5db-random-phases": "79ef3b02d3bf529f690e054a4703ea2356b9755ce63dfe5d22f14d7a74b5dce7",
 }
 
 
@@ -46,10 +59,16 @@ def corpus_digest(name: str) -> str:
     constellation = Constellation(config.rho)
     digest = hashlib.sha256()
     for seed in TRIAL_SEEDS:
-        signal = synthesize(random_spectrum(plan.n, config.k, constellation, seed))
+        if config.random_phases:
+            truth = random_phase_spectrum(plan.n, config.k, math.sqrt(config.rho), seed)
+        else:
+            truth = random_spectrum(plan.n, config.k, constellation, seed)
+        signal = synthesize(truth)
         if config.snr_db is not None:
             signal = add_noise(signal, 1.0, seed)
-        result = decode(subsample_and_transform(signal, plan), constellation)
+        result = decode(
+            subsample_and_transform(signal, plan), constellation if config.snap else None
+        )
         events = [
             (e.pass_index, e.stage, e.bin, e.support, e.value.real.hex(), e.value.imag.hex())
             for e in result.events

@@ -21,7 +21,7 @@ from ffast.frontend import (
 from ffast.peeling import EXACT_FIT_RESIDUAL, MAX_PASSES, decode
 from ffast.planner import FrontendPlan, build_plan
 from ffast.randomness import generator
-from ffast.singleton import VerdictKind, bin_statistics, classify_bin, zero_ton_threshold
+from ffast.singleton import VerdictReason, bin_statistics, zero_ton_threshold
 from ffast.spectral import (
     Constellation,
     add_noise,
@@ -547,27 +547,26 @@ def _reference_decode(bank, constellation):
     while True:
         passes += 1
         stats = bin_statistics(bank.rows, plan.row_stage, plan.row_bin, plan, constellation)
+        reasons, supports, values, residuals = (field.tolist() for field in stats)
         singletons = []
-        for row in range(len(stages)):
-            verdict = classify_bin(stats, row)
-            if verdict.kind is VerdictKind.SINGLETON and verdict.support not in recovered:
-                residual = verdict.residual_energy
+        for row, reason in enumerate(reasons):
+            if reason == VerdictReason.SINGLETON and supports[row] not in recovered:
+                residual = residuals[row]
                 rank_key = 0.0 if residual < EXACT_FIT_RESIDUAL else residual
-                singletons.append((rank_key, row, verdict))
+                singletons.append((rank_key, row, supports[row], values[row]))
         singletons.sort()
         commits = [
-            (row, verdict)
-            for rank, (_, row, verdict) in enumerate(singletons)
+            (row, support, value)
+            for rank, (_, row, support, value) in enumerate(singletons)
             if not any(
-                better.support % counts[stages[row]] == bins[row]
-                for _, _, better in singletons[:rank]
+                better % counts[stages[row]] == bins[row] for _, _, better, _ in singletons[:rank]
             )
         ]
-        for row, verdict in commits:
-            recovered.add(verdict.support)
-            events.append((passes, stages[row], bins[row], verdict.support, verdict.value))
-            bank.rows[_rows_of(verdict.support, plan)] -= (
-                np.sqrt(counts)[:, None] * verdict.value * steering_vector(verdict.support, plan)
+        for row, support, value in commits:
+            recovered.add(support)
+            events.append((passes, stages[row], bins[row], support, value))
+            bank.rows[_rows_of(support, plan)] -= (
+                np.sqrt(counts)[:, None] * value * steering_vector(support, plan)
             )
         if not commits or passes == MAX_PASSES:
             return events, passes

@@ -12,6 +12,7 @@ from ffast import oracle
 from ffast.frontend import row_energies, steering_vector, subsample_and_transform
 from ffast.planner import build_plan
 from ffast.singleton import (
+    BinStatistics,
     VerdictKind,
     VerdictReason,
     _consistent_with_bin,
@@ -249,30 +250,32 @@ class TestConsistentWithBin:
 
 class TestClassifyBin:
     def test_zero_observation_is_zero_ton(self, plan20):
-        v = classify_one(np.zeros(plan20.chain_count, complex), 0, 0, plan20)
-        assert v.kind is VerdictKind.ZERO_TON
-        assert v.residual_energy == 0.0
-        assert v.support is None and v.value is None
+        reason, support, value, residual = classify_one(
+            np.zeros(plan20.chain_count, complex), 0, 0, plan20
+        )
+        assert reason.kind is VerdictKind.ZERO_TON
+        assert residual == 0.0
+        assert support == 0 and value == 0
 
     def test_noiseless_singleton_exact(self, plan20):
         value = 1.5 * np.exp(1j * np.pi / 4 * 7)
         obs = make_singleton_obs(plan20, 10, value)
-        v = classify_one(*obs, plan20)
-        assert v.kind is VerdictKind.SINGLETON
-        assert v.support == 10
-        assert abs(v.value - value) < 1e-12
-        assert v.residual_energy < 1e-18
+        reason, support, fitted, residual = classify_one(*obs, plan20)
+        assert reason.kind is VerdictKind.SINGLETON
+        assert support == 10
+        assert abs(fitted - value) < 1e-12
+        assert residual < 1e-18
 
     def test_snapped_value_is_exact_grid_point(self, plan20):
         con = Constellation(16.0)  # magnitudes 2 and 6
         value = complex(con.points[9])
         rng = np.random.default_rng(4)
         obs = make_singleton_obs(plan20, 13, value, rng=rng)
-        v = classify_one(*obs, plan20, con)
-        assert v.kind is VerdictKind.SINGLETON
-        assert v.value == value  # snapping returns the grid point bit-exactly
-        unsnapped = classify_one(*obs, plan20)
-        assert unsnapped.value != value  # noise keeps the raw fit off-grid
+        reason, _, snapped, _ = classify_one(*obs, plan20, con)
+        assert reason.kind is VerdictKind.SINGLETON
+        assert snapped == value  # snapping returns the grid point bit-exactly
+        _, _, unsnapped, _ = classify_one(*obs, plan20)
+        assert unsnapped != value  # noise keeps the raw fit off-grid
 
     def test_zero_chain_sample_is_multi_ton(self, plan20):
         """A bin that clears the energy gate but holds one exactly-zero
@@ -283,16 +286,16 @@ class TestClassifyBin:
         y, stage, j = make_singleton_obs(plan20, 0, 1.5)
         y[1] = 0
         assert np.vdot(y, y).real >= zero_ton_threshold(plan20)
-        v = classify_one(y, stage, j, plan20)
-        assert v.kind is VerdictKind.MULTI_TON
-        assert v.support is None and v.value is None
+        reason, support, value, _ = classify_one(y, stage, j, plan20)
+        assert reason.kind is VerdictKind.MULTI_TON
+        assert support == 0 and value == 0
 
     def test_two_tone_bin_is_multi_ton(self, plan20):
         # supports 1 and 5 share bin 1 of stage 0
         values = {1: 1.5 + 0j, 5: 1.5j}
         bank = subsample_and_transform(synthesize(spectrum(20, values)), plan20)
-        v = classify_one(bank.stages[0][1], 0, 1, plan20)
-        assert v.kind is VerdictKind.MULTI_TON
+        reason, _, _, _ = classify_one(bank.stages[0][1], 0, 1, plan20)
+        assert reason.kind is VerdictKind.MULTI_TON
 
     def test_zero_noise_exactness_over_random_supports(self):
         plan = build_plan("n4845", 10, seed=17)
@@ -304,10 +307,10 @@ class TestClassifyBin:
             value = complex(pts[rng.integers(pts.size)])
             stage = int(rng.integers(plan.d))
             obs = make_singleton_obs(plan, ell, value, stage=stage)
-            v = classify_one(*obs, plan)
-            assert v.kind is VerdictKind.SINGLETON
-            assert v.support == ell
-            assert abs(v.value - value) < 1e-12
+            reason, support, fitted, _ = classify_one(*obs, plan)
+            assert reason.kind is VerdictKind.SINGLETON
+            assert support == ell
+            assert abs(fitted - value) < 1e-12
 
     def test_agreement_with_exhaustive_matcher(self, plan504):
         """When both declare a singleton they agree on the support
@@ -322,12 +325,12 @@ class TestClassifyBin:
             ell = int(rng.integers(plan504.n))
             value = math.sqrt(rho_b / f) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             obs = make_singleton_obs(plan504, ell, value, rng=rng, stage=stage)
-            v = classify_one(*obs, plan504)
-            if v.kind is not VerdictKind.SINGLETON:
+            reason, support, _, _ = classify_one(*obs, plan504)
+            if reason.kind is not VerdictKind.SINGLETON:
                 continue
             brute_ell, _, _ = oracle.brute_singleton(*obs, plan504)
             both += 1
-            agree += brute_ell == v.support
+            agree += brute_ell == support
         assert both > 5000
         assert agree / both >= 0.999
 
@@ -344,15 +347,16 @@ class TestClassifyBin:
             ell = int(rng.integers(plan_big.n))
             value = amp * np.exp(1j * rng.uniform(0, 2 * np.pi))
             obs = make_singleton_obs(plan_big, ell, value, rng=rng, stage=stage)
-            v = classify_one(*obs, plan_big)
-            if v.kind is not VerdictKind.SINGLETON or v.support != ell:
+            reason, support, _, _ = classify_one(*obs, plan_big)
+            if reason.kind is not VerdictKind.SINGLETON or support != ell:
                 bad += 1
         assert bad / trials <= 1e-3
 
 
 def _mixed_rows(plan, seed, count):
     """count bin rows of every kind: empty, noise, lone tones, two-tone
-    mixtures, rows with a zero sample; with a (stage, bin) each."""
+    mixtures, rows with a zero sample or a NaN sample; with a (stage, bin)
+    each."""
     rng = np.random.default_rng(seed)
     d = plan.chain_count
     rows, stages, bins = [], [], []
@@ -362,7 +366,7 @@ def _mixed_rows(plan, seed, count):
         ell = int(rng.integers(plan.n))
         y = math.sqrt(f) * rng.uniform(0.5, 3.0) * np.exp(2j * np.pi * rng.uniform()) \
             * steering_vector(ell, plan)
-        kind = int(rng.integers(5))
+        kind = int(rng.integers(6))
         if kind == 2:
             y = y + math.sqrt(f) * 1.5j * steering_vector(ell + f, plan)
         y = y + (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * rng.uniform(0, 1)
@@ -370,6 +374,8 @@ def _mixed_rows(plan, seed, count):
             y = np.zeros(d, complex)
         elif kind == 3:
             y[int(rng.integers(d))] = 0
+        elif kind == 5:
+            y[int(rng.integers(d))] = complex(np.nan, 0)
         rows.append(y)
         stages.append(stage)
         bins.append(ell % f)
@@ -403,31 +409,33 @@ class TestBinStatistics:
         stages = [0] * 6
         bins = [0, 1, 2, 1, 1, 1]
         stats = bin_statistics(rows, stages, bins, plan20)
-        verdicts = [classify_bin(stats, i) for i in range(len(rows))]
-        assert [v.reason for v in verdicts] == list(VerdictReason)
-        assert [v.kind for v in verdicts] == (
+        reasons = list(map(classify_bin, stats.reason.tolist()))
+        assert reasons == list(VerdictReason)
+        assert [reason.kind for reason in reasons] == (
             [VerdictKind.ZERO_TON] + [VerdictKind.MULTI_TON] * 4 + [VerdictKind.SINGLETON]
         )
-        assert verdicts[-1].support == 13
+        assert stats.support.tolist() == [0] * 5 + [13]
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 24), snap=st.booleans())
     def test_stack_matches_one_row_calls(self, plan504, seed, count, snap):
-        """Each row of a stacked call gets the verdict and support of a
-        call on that row alone; sums may run in another order in the
-        two forms, so values agree to a few ulp."""
+        """Each row of a stacked call gets the reason and support of a
+        call on that row alone, in arrays of a numeric dtype, never object;
+        sums may run in another order in the two forms, so values and
+        residuals agree to a few ulp, and a NaN row's residual is NaN in both."""
         con = Constellation(4.0) if snap else None
         rows, stages, bins = _mixed_rows(plan504, seed, count)
         stacked = bin_statistics(rows, stages, bins, plan504, con)
+        alone = BinStatistics._make(map(np.concatenate, zip(*(
+            bin_statistics(rows[i : i + 1], stages[i : i + 1], bins[i : i + 1], plan504, con)
+            for i in range(count)
+        ))))
+        assert [field.dtype.name for field in stacked] == ["int8", "int64", "complex128", "float64"]
+        np.testing.assert_array_equal(stacked.reason, alone.reason)
+        np.testing.assert_array_equal(stacked.support, alone.support)
         ulp = np.finfo(float).eps
-        for i in range(count):
-            together = classify_bin(stacked, i)
-            alone = classify_one(rows[i], stages[i], bins[i], plan504, con)
-            assert (together.kind, together.reason) == (alone.kind, alone.reason)
-            assert together.support == alone.support
-            if together.value is not None:
-                assert abs(together.value - alone.value) <= 64 * ulp * abs(alone.value)
-            scale = max(1.0, float(row_energies(rows[i : i + 1])[0]))
-            assert together.residual_energy == pytest.approx(
-                alone.residual_energy, rel=0, abs=64 * ulp * scale
-            )
+        np.testing.assert_allclose(stacked.value, alone.value, rtol=64 * ulp, atol=0)
+        scale = np.fmax(1.0, row_energies(rows))
+        np.testing.assert_allclose(
+            stacked.residual / scale, alone.residual / scale, rtol=0, atol=64 * ulp
+        )
