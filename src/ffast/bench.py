@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .frontend import subsample_and_transform
 from .metrics import support_recovery
@@ -68,6 +69,11 @@ class ExperimentConfig:
         if self.snr_db is None:
             return 4.0
         return 10.0 ** (self.snr_db / 10.0)
+
+    @cached_property
+    def constellation(self) -> Constellation:
+        """The value grid at rho, built once per config and shared by its trials."""
+        return Constellation(self.rho)
 
     @property
     def snap(self) -> bool:
@@ -130,7 +136,7 @@ def plan_for_config(config: ExperimentConfig) -> FrontendPlan:
 
 def run_trial(plan: FrontendPlan, config: ExperimentConfig, trial: int) -> TrialRow:
     trial_seed = config.seed ^ trial
-    constellation = Constellation(config.rho)
+    constellation = config.constellation
     if config.random_phases:
         truth = random_phase_spectrum(
             plan.n, config.k, math.sqrt(config.rho), trial_seed

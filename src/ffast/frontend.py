@@ -15,7 +15,9 @@ SNR.
 
 The front end owns this sampling pattern: it reads the signal at
 plan.sample_index, laid out like the bank, and evaluates the signal's
-spectrum there only.
+spectrum there only.  Each stage's DFT is written over its rows in
+place.  subtract_batch, the decoder's peel, takes a pass's commits as a
+support array and a value array.
 """
 from __future__ import annotations
 
@@ -50,18 +52,17 @@ class BinBank:
         return BinBank(self.plan, self.rows.copy())
 
 
-def subtract_batch(bank: BinBank, peels: list[tuple[int, complex]]) -> None:
+def subtract_batch(bank: BinBank, supports: np.ndarray, values: np.ndarray) -> None:
     """Subtract value * sqrt(f_i) * s_support from bin support mod f_i of each stage.
 
-    peels lists (support, value) pairs.  One batch applies them in list
-    order, bit for bit what subtracting one at a time gives; each
-    steering vector is recomputed rather than carried from its fit.
+    supports (int64) and values (complex128) are parallel arrays of
+    peels.  One batch applies them in array order, bit for bit what
+    subtracting one at a time gives; each steering vector is recomputed
+    rather than carried from its fit.
     """
-    if not peels:
+    if not supports.size:
         return
     plan = bank.plan
-    supports = np.array([support for support, _ in peels], dtype=np.int64)
-    values = np.array([value for _, value in peels], dtype=np.complex128)
     counts = np.asarray(plan.bin_counts)
     d_chains = plan.chain_count
     targets = supports[:, None] % counts + np.asarray(plan.row_offsets)
@@ -137,5 +138,5 @@ def subsample_and_transform(signal: TimeSignal, plan: FrontendPlan) -> BinBank:
         x = unit_roots(plan.row_start[:, None] * ells % plan.n, plan.n) @ steer
     bank = BinBank(plan, signal.add_noise_at(x, index))
     for stage in bank.stages:
-        stage[...] = np.fft.fft(stage, axis=0, norm="ortho")
+        np.fft.fft(stage, axis=0, norm="ortho", out=stage)
     return bank

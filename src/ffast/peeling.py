@@ -13,23 +13,26 @@ passes repeat until a pass commits nothing (at most MAX_PASSES).
 Decoding converges when no bin's leftover energy exceeds the singleton
 residual cap: what is left is noise, not an unrecovered coefficient.
 
-The work follows the d bins each commit changes.  The statistics, four
+The work follows the d bins each commit changes.  The statistics, five
 arrays over the rows, are computed for the whole bank once; after that,
-one batch per pass subtracts that pass's commits and rewrites the rows
-they touched.  A pass takes its candidates with one mask and ranks them
-with one sort, with no Python object per row.  Its classify_bin map over
-every row's code and its per-commit peel calls stay because the
-benchmark's tracer rebinds and counts them.
+one batch per pass subtracts that pass's commits, given as a support
+array and a value array, and rewrites the rows they touched, energies
+included, so the leftover test reads the table rather than the bank.  A
+pass takes its candidates with one mask and ranks them with one sort,
+with no Python object per row.  Its classify_bin map over every row's
+code and its per-commit peel calls, each appending one record to the
+log, stay because the benchmark's tracer rebinds and counts them.
 
-A result keeps its peel events as one packed record each (support,
-value, pass, stage; the bin is the support's residue in that stage),
-with each distinct value stored once, and builds the spectrum and the
-PeelEvent objects from them when read.
+A result keeps its peel events as one packed word each (support, stage,
+pass and value index as bit fields; the bin is the support's residue in
+that stage), with each distinct value stored once, and builds the
+spectrum and the PeelEvent objects from them when read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,6 +49,10 @@ from .spectral import Constellation, SparseSpectrum
 # A decode stops after this many passes even if the last one committed.
 MAX_PASSES = 32
 
+# The SINGLETON code as a plain int: numpy probes an enum member for the
+# array protocols each time one is compared with an array.
+_SINGLETON = int(VerdictReason.SINGLETON)
+
 # A singleton fit whose residual energy is below this is exact: it sorts
 # as residual 0, so exact fits commit in row order.  Float rounding in a
 # noiseless decode leaves residuals of about 1e-25, while unit-variance
@@ -53,25 +60,18 @@ MAX_PASSES = 32
 # and that of a noiseless one does not hang on last-bit differences.
 EXACT_FIT_RESIDUAL = 1e-9
 
-# One peel, packed.  "support" is as narrow as n allows: two bytes up to
-# n = 65,536, else four, which covers every n the decoder handles, since
-# steering_vector's int64 phase products already need n below 2**31.5.
-# "value" indexes DecodeResult.values and is as narrow as the count of
-# distinct values allows, so a snapped decode at n <= 65,536 takes 5
-# bytes per peel.  A pass index fits a byte, since MAX_PASSES does.
-_RECORDS = {
-    (np.dtype(support), np.dtype(value)): np.dtype(
-        [("support", support), ("value", value), ("pass", "u1"), ("stage", "u1")]
-    )
-    for support in ("<u2", "<u4")
-    for value in ("u1", "<u2", "<u4")
-}
-
-
-def _record(n: int, value_count: int) -> np.dtype:
-    """The packed peel record of a length-n log with value_count distinct values."""
-    support = np.dtype("<u2" if n <= 1 << 16 else "<u4")
-    return _RECORDS[support, np.min_scalar_type(max(value_count - 1, 0))]
+# One peel, packed into one unsigned word: the support in the low bits,
+# then the stage, the pass less one and the value's index in
+# DecodeResult.values, each field as wide as the plan and the decode
+# need, so a snapped decode at every benchmark size takes 4 bytes per
+# peel.  A log that would need more than 64 bits a peel is refused.
+def _layout(n: int, stages: int, passes: int, value_count: int) -> tuple[np.dtype, list[int]]:
+    """The word type of a packed peel and the bits its stage, pass and value start at."""
+    ends = list(accumulate((count - 1).bit_length() for count in (n, stages, passes, value_count)))
+    if ends[-1] > 64:
+        raise OverflowError(f"a packed peel needs {ends[-1]} bits")
+    word = "<u2" if ends[-1] <= 16 else "<u4" if ends[-1] <= 32 else "<u8"
+    return np.dtype(word), ends[:3]
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +89,7 @@ class PeelEvent:
 class DecodeResult:
     """What a decode found.
 
-    log holds one packed record per peel, in commit order, and values
+    log holds one packed word per peel, in commit order, and values
     holds each distinct committed value once, as complex128 bytes (a
     snapped decode holds its constellation's grid, one bytes object
     shared by every such decode); spectrum and events are built from
@@ -105,23 +105,30 @@ class DecodeResult:
     log: bytes
     values: bytes
 
-    def _records(self) -> tuple[np.ndarray, np.ndarray]:
+    def _records(self) -> tuple[np.ndarray, ...]:
+        """Each peel's support, stage, pass and value index, and the values."""
         values = np.frombuffer(self.values, dtype=np.complex128)
-        return np.frombuffer(self.log, dtype=_record(self.plan.n, values.size)), values
+        word, starts = _layout(self.plan.n, self.plan.d, self.passes, values.size)
+        packed = np.frombuffer(self.log, dtype=word).astype(np.uint64)
+        bounds = [0, *starts, 64]
+        support, stage, pass_less_one, value = (
+            (packed >> low) & ((1 << (high - low)) - 1) for low, high in zip(bounds, bounds[1:])
+        )
+        return support, stage, pass_less_one + 1, value, values
 
     @property
     def spectrum(self) -> SparseSpectrum:
-        records, values = self._records()
-        return SparseSpectrum(self.plan.n, records["support"], values[records["value"]])
+        support, _, _, value, values = self._records()
+        return SparseSpectrum(self.plan.n, support, values[value])
 
     @property
     def events(self) -> tuple[PeelEvent, ...]:
         counts = self.plan.bin_counts
-        records, values = self._records()
+        *fields, values = self._records()
         values = values.tolist()
         return tuple(
             PeelEvent(pass_index, stage, support % counts[stage], support, values[value])
-            for support, value, pass_index, stage in records.tolist()
+            for support, stage, pass_index, value in zip(*(field.tolist() for field in fields))
         )
 
 
@@ -132,9 +139,9 @@ def _grid_values(constellation: Constellation) -> tuple[bytes, dict[complex, int
     return points.tobytes(), {point: i for i, point in enumerate(points.tolist())}
 
 
-def peel(batch: list[tuple[int, complex]], support: int, value: complex) -> None:
-    """Append one commit to its pass's batch: the call the benchmark's tracer counts."""
-    batch.append((support, value))
+def peel(records: list, support: int, value_id: int, pass_index: int, stage: int) -> None:
+    """Append one commit to the decode's log: the call the benchmark's tracer counts."""
+    records.append((support, value_id, pass_index, stage))
 
 
 def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeResult:
@@ -161,7 +168,7 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     row_stage, row_bin = plan.row_stage, plan.row_bin
     bank_rows = len(row_stage)
     counts, offsets = np.asarray(plan.bin_counts), np.asarray(plan.row_offsets)
-    stats = bin_statistics(bank.rows, row_stage, row_bin, plan, constellation)
+    stats = bin_statistics(bank.rows, np.arange(bank_rows), plan, constellation)
     recovered = np.zeros(plan.n, dtype=bool)
     records = []
     # equal values share an entry, so a 0.0 and a -0.0 part are not told
@@ -173,7 +180,7 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         passes += 1
         # looked up each pass, so a rebound classify_bin sees every call
         list(map(classify_bin, stats.reason.tolist()))
-        scan = (stats.reason == VerdictReason.SINGLETON).nonzero()[0]
+        scan = (stats.reason == _SINGLETON).nonzero()[0]
         scan = scan[~recovered[stats.support[scan]]]
         residual = stats.residual[scan]
         # ties rank in row order; rows are stage-major, so that is (stage, bin) order
@@ -187,31 +194,35 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         np.minimum.at(best, touched, rank[:, None])
         commits = (best[scan] == rank).nonzero()[0]
         committed = scan[commits]
-        recovered[supports[commits]] = True
-        batch: list[tuple[int, complex]] = []
+        peeled, peeled_values = supports[commits], stats.value[committed]
+        recovered[peeled] = True
         for support, value, stage in zip(
-            supports[commits].tolist(),
-            stats.value[committed].tolist(),
-            row_stage[committed].tolist(),
+            peeled.tolist(), peeled_values.tolist(), row_stage[committed].tolist()
         ):
-            value_id = value_ids.setdefault(value, len(value_ids))
-            records.append((support, value_id, passes, stage))
-            peel(batch, support, value)
-        subtract_batch(bank, batch)
+            peel(records, support, value_ids.setdefault(value, len(value_ids)), passes, stage)
+        subtract_batch(bank, peeled, peeled_values)
         if not commits.size or passes == MAX_PASSES:
             break
         stale = np.zeros(bank_rows, dtype=bool)
         stale[touched[commits]] = True
         rows = stale.nonzero()[0]
-        fresh = bin_statistics(bank.rows[rows], row_stage[rows], row_bin[rows], plan, constellation)
+        fresh = bin_statistics(bank.rows[rows], rows, plan, constellation)
         for field, update in zip(stats, fresh):
             field[rows] = update
 
     cap = singleton_residual_threshold(plan.chain_count)
+    # the table's energies match the bank unless the last pass committed
+    # and stopped at MAX_PASSES before refreshing the rows it touched
+    energy = row_energies(bank.rows) if commits.size else stats.energy
     # not <= rather than >, so a NaN row is left over too
-    left = ~(row_energies(bank.rows) <= cap)
+    left = ~(energy <= cap)
     leftover = tuple(zip(row_stage[left].tolist(), row_bin[left].tolist()))
-    log = np.array(records, dtype=_record(plan.n, len(value_ids))).tobytes()
+    word, (stage_at, pass_at, value_at) = _layout(plan.n, plan.d, passes, len(value_ids))
+    log = np.array(
+        [support | stage << stage_at | (pass_index - 1) << pass_at | value_id << value_at
+         for support, value_id, pass_index, stage in records],
+        dtype=word,
+    ).tobytes()
     if values is None:
         values = np.array(list(value_ids), dtype=np.complex128).tobytes()
     return DecodeResult(plan, not leftover, passes, leftover, log, values)

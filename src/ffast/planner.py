@@ -265,9 +265,34 @@ class FrontendPlan:
         return _read_only(np.concatenate([np.arange(f) for f in self.bin_counts]))
 
     @cached_property
+    def row_bin_count(self) -> np.ndarray:
+        """Bin count f of each bank row's stage (read-only int64)."""
+        return _read_only(np.repeat(np.array(self.bin_counts, dtype=np.int64), self.bin_counts))
+
+    @cached_property
+    def row_gain(self) -> np.ndarray:
+        """sqrt(f) of each bank row's stage: a singleton's gain in that bin (read-only)."""
+        return _read_only(np.sqrt(self.row_bin_count))
+
+    @cached_property
+    def row_period(self) -> np.ndarray:
+        """Sampling period n/f of each bank row's stage (read-only int64)."""
+        return _read_only(self.n // self.row_bin_count)
+
+    @cached_property
     def row_start(self) -> np.ndarray:
         """Sample a * n/f each bank row starts at: row a of a stage with f bins (read-only)."""
-        return _read_only(self.row_bin * np.repeat(self.periods, self.bin_counts))
+        return _read_only(self.row_bin * self.row_period)
+
+    @cached_property
+    def cluster_spacing(self) -> np.ndarray:
+        """base**c for each cluster c, as float64 (read-only).
+
+        Cluster c's consecutive shifts differ by base**c, and refine lifts
+        its estimate onto the grid of period 2*pi/base**c.  Exact while
+        base**(C-1) < 2**53, as refine already requires.
+        """
+        return _read_only(np.array([self.base**c for c in range(self.clusters)], dtype=np.float64))
 
     @cached_property
     def sample_index(self) -> np.ndarray:

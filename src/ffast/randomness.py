@@ -24,11 +24,15 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO_GAMMA = np.uint64((2 * int(_GAMMA)) & _MASK64)
+_SHIFT_53 = np.uint64(11)
 # A 53-bit integer u times this is a double in [0, 1) with every bit exact.
 _TWO_TO_MINUS_53 = 2.0**-53
 # complex_normal's phase: a table of 2**_PHASE_TABLE_BITS roots of unity.
 _PHASE_TABLE_BITS = 10
 _PHASE_TABLE = np.exp(2j * np.pi * np.arange(1 << _PHASE_TABLE_BITS) / (1 << _PHASE_TABLE_BITS))
+# its real and imaginary parts as contiguous tables, for one gather each
+_COS_TABLE = np.ascontiguousarray(_PHASE_TABLE.real)
+_SIN_TABLE = np.ascontiguousarray(_PHASE_TABLE.imag)
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
@@ -42,20 +46,31 @@ def generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64's output function, in place on a uint64 array."""
-    x ^= x >> np.uint64(30)
+    """splitmix64's output function, in place on a uint64 array.
+
+    The three shifts share one scratch array.
+    """
+    shifted = x >> np.uint64(30)
+    x ^= shifted
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= _MIX2
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
     return x
+
+
+def _mix_int(x: int) -> int:
+    """splitmix64's output function on one 64-bit Python int: _mix's arithmetic."""
+    x ^= x >> 30
+    x = (x * int(_MIX1)) & _MASK64
+    x ^= x >> 27
+    x = (x * int(_MIX2)) & _MASK64
+    return x ^ (x >> 31)
 
 
 def stream_key(seed: int, stream: int) -> int:
     """The splitmix64 state that (seed, stream) starts from."""
-    x = _mix(np.array([seed & _MASK64], dtype=np.uint64))
-    x ^= np.uint64(stream & _MASK64)
-    return int(_mix(x)[0])
+    return _mix_int(_mix_int(seed & _MASK64) ^ (stream & _MASK64))
 
 
 def index_bits(seed: int, stream: int, index) -> np.ndarray:
@@ -64,13 +79,15 @@ def index_bits(seed: int, stream: int, index) -> np.ndarray:
     They are the top 53 bits of outputs 2p+1 and 2p+2 of the splitmix64
     sequence that starts from stream_key(seed, stream), for index p.
     """
-    p = np.ravel(index).astype(np.int64).astype(np.uint64)
+    p = np.ravel(index).astype(np.uint64)
     state = np.empty((2, p.size), dtype=np.uint64)
     np.multiply(p, _TWO_GAMMA, out=state[0])
     state[0] += np.uint64(stream_key(seed, stream))
     np.add(state[0], _TWO_GAMMA, out=state[1])
     state[0] += _GAMMA
-    return (_mix(state) >> np.uint64(11)).reshape((2,) + np.shape(index))
+    _mix(state)
+    state >>= _SHIFT_53
+    return state.reshape((2,) + np.shape(index))
 
 
 def _cos_sin_2pi(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,10 +99,13 @@ def _cos_sin_2pi(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi**7/5040, are below 1e-16.  This agrees with np.cos and np.sin to
     a few ulp at a third of their cost.  Only real ufuncs are used, each
     rounded once per element, so a value does not depend on the length
-    of the array or its place in it.
+    of the array or its place in it.  bits is overwritten.
     """
     low_bits = 53 - _PHASE_TABLE_BITS
-    phi = (bits & np.uint64((1 << low_bits) - 1)).astype(np.float64)
+    # the top bits are under 2**_PHASE_TABLE_BITS, so their uint64 bits read as intp
+    top = (bits >> np.uint64(low_bits)).view(np.intp)
+    bits &= np.uint64((1 << low_bits) - 1)
+    phi = bits.astype(np.float64)
     phi *= 2.0 * np.pi * _TWO_TO_MINUS_53
     phi2 = phi * phi
     cos_phi = phi2 * (1.0 / 24.0)
@@ -97,12 +117,14 @@ def _cos_sin_2pi(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sin_phi *= phi2
     sin_phi += 1.0
     sin_phi *= phi
-    top = (bits >> np.uint64(low_bits)).astype(np.intp)
-    cos_top, sin_top = _PHASE_TABLE.real[top], _PHASE_TABLE.imag[top]
-    cos = cos_phi * cos_top
-    cos -= sin_phi * sin_top
-    sin = sin_phi * cos_top
-    sin += cos_phi * sin_top
+    cos_top, sin_top = _COS_TABLE.take(top), _SIN_TABLE.take(top)
+    # cos = cos_phi*cos_top - sin_phi*sin_top, sin = sin_phi*cos_top + cos_phi*sin_top,
+    # written over phi, phi2 and sin_phi once they are spent
+    cos = np.multiply(cos_phi, cos_top, out=phi)
+    term = np.multiply(sin_phi, sin_top, out=phi2)
+    cos -= term
+    sin = np.multiply(sin_phi, cos_top, out=sin_phi)
+    sin += np.multiply(cos_phi, sin_top, out=term)
     return cos, sin
 
 
@@ -118,7 +140,8 @@ def complex_normal(seed: int, stream: int, index, variance: float) -> np.ndarray
     so the real and imaginary parts are independent N(0, variance/2).
     """
     bits = index_bits(seed, stream, np.ravel(index))
-    radius = (bits[0] + np.uint64(1)).astype(np.float64)
+    bits[0] += np.uint64(1)
+    radius = bits[0].astype(np.float64)
     radius *= _TWO_TO_MINUS_53
     np.log(radius, out=radius)
     radius *= -variance

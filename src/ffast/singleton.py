@@ -16,7 +16,13 @@ the n-th roots of unity, so classification evaluates no complex exp.
 
 bin_statistics runs these steps for a whole stack of bins at once, each
 step only on the rows that passed the one before, and returns the
-verdicts as four parallel arrays, with no Python object per row.
+verdicts and the row energies as five parallel arrays, with no Python
+object per row.  Each row is named by its bank row index, and what the
+plan fixes per row (bin, bin count, gain, period) and per cluster (the
+shift spacings, which are also refinement's powers) is read from the
+plan's cached arrays with that one index, so a call over a few rows pays
+for those rows and not for re-deriving plan constants.  The rows above
+the energy gate are gathered once, and a step no row reaches is skipped.
 classify_bin turns one row's reason code into its VerdictReason, kept as
 a call of its own because the benchmark's tracer counts it: a decoder
 maps it over every row's code once per pass.
@@ -69,19 +75,23 @@ def cluster_estimate(samples: np.ndarray, spacing: int | np.ndarray) -> np.ndarr
     [0, 2*pi/spacing).
     """
     samples = np.asarray(samples)
-    products = samples[..., 1:] * np.conj(samples[..., :-1])
+    products = samples[..., 1:] * samples[..., :-1].conj()
     total = products.sum(axis=-1)
-    reference = np.angle(total)
+    # np.angle is this arctan2, behind a Python wrapper
+    reference = np.arctan2(total.imag, total.real)
     # rotate by -reference: conj(total) / |total|, or 1 where total = 0,
-    # whose angle np.angle gives as 0
+    # whose angle is taken as 0
     magnitude = np.abs(total)
-    rotation = np.divide(total.conj(), magnitude, out=np.ones_like(total), where=magnitude > 0)
-    deviations = np.angle(products * rotation[..., None])
+    rotation = np.empty_like(total)
+    rotation.fill(1)
+    np.divide(total.conj(), magnitude, out=rotation, where=magnitude > 0)
+    turned = products * rotation[..., None]
+    deviations = np.arctan2(turned.imag, turned.real)
     theta = reference + deviations @ kay_weights(samples.shape[-1])
     return np.mod(theta / spacing, 2.0 * np.pi / spacing)
 
 
-def refine(estimates, base: int):
+def refine(estimates, base: int, powers: np.ndarray | None = None):
     """Fuse per-cluster estimates into one frequency in [0, 2*pi).
 
     estimates[..., i] is omega modulo 2*pi/base**i; leading axes are
@@ -93,11 +103,14 @@ def refine(estimates, base: int):
     K = sum_i c_i * base**(C-1-i) of width 2*pi/base**(C-1): one dot
     product, exact in float64 while base**(C-1) < 2**53.  The final
     interval width is 2*pi/base**(C-1) times the last cluster's accuracy.
+    powers, base**i for each cluster as float64 (a plan's
+    cluster_spacing), is computed when not given.
     """
     est = np.asarray(estimates, dtype=np.float64)
     if est.ndim == 0 or est.shape[-1] == 0:
         raise ValueError("need at least one cluster estimate")
-    powers = np.array([base**i for i in range(est.shape[-1])], dtype=np.float64)
+    if powers is None:
+        powers = np.array([base**i for i in range(est.shape[-1])], dtype=np.float64)
     turns = est * powers / (2.0 * np.pi)
     u = turns - np.floor(turns)  # mod 1; numpy's float % is several times slower
     carries = np.rint(base * u[..., :-1] - u[..., 1:])
@@ -142,20 +155,22 @@ _KINDS = (VerdictKind.ZERO_TON,) + (VerdictKind.MULTI_TON,) * 4 + (VerdictKind.S
 
 
 class BinStatistics(NamedTuple):
-    """Classification of a stack of bins: four parallel arrays, one entry per row.
+    """Classification of a stack of bins: five parallel arrays, one entry per row.
 
     reason holds each row's VerdictReason code (int8).  support (int64)
     and value (complex128) hold the fitted support and value, a verdict
     only where reason is SINGLETON and 0 elsewhere.  residual (float64)
     is the fit's residual energy, or the row's energy where no fit was
-    made.  A decoder overwrites the entries of the rows it recomputes,
-    one field at a time.
+    made, and energy (float64) is the row's energy, row_energies' value
+    bit for bit.  A decoder overwrites the entries of the rows it
+    recomputes, one field at a time.
     """
 
     reason: np.ndarray
     support: np.ndarray
     value: np.ndarray
     residual: np.ndarray
+    energy: np.ndarray
 
 
 def zero_ton_threshold(plan: FrontendPlan) -> float:
@@ -208,10 +223,13 @@ def singleton_residual_threshold(chain_count: int) -> float:
 
 
 def _project_to_residue_class(
-    target: np.ndarray, bins: np.ndarray, f: np.ndarray, n: int
+    target: np.ndarray, bins: np.ndarray, f: np.ndarray, period: np.ndarray, n: int
 ) -> np.ndarray:
-    """Nearest integer to each target that is congruent to its bin mod f (circularly)."""
-    step = np.rint((target - bins) / f).astype(np.int64) % (n // f)
+    """Nearest integer to each target that is congruent to its bin mod f (circularly).
+
+    period is n // f, entry by entry.
+    """
+    step = np.rint((target - bins) / f).astype(np.int64) % period
     return (bins + f * step) % n
 
 
@@ -231,21 +249,24 @@ def _consistent_with_bin(target: np.ndarray, q: np.ndarray, n: int) -> np.ndarra
 
 def bin_statistics(
     rows: np.ndarray,
-    stages,
-    bins,
+    row_ids: np.ndarray,
     plan: FrontendPlan,
     constellation: Constellation | None = None,
 ) -> BinStatistics:
     """Run the classification tests over a (B, D) stack of bin rows.
 
-    Row r is bin bins[r] of stage stages[r].  Energy covers every row,
-    the zero-sample test only the rows above the energy gate, the
-    frequency estimate only those with no zero sample, and the fit only
-    the rows whose estimate lands in the bin's residue class (a singleton in bin j of stage i must
+    Row r of the stack is bank row row_ids[r] of the plan, whose
+    per-row constants (bin, bin count, gain, period) are read by that
+    one index array.  Energy covers every row, the zero-sample test only
+    the rows above the energy gate, the frequency estimate only those
+    with no zero sample, and the fit only the rows whose estimate lands
+    in the bin's residue class (a singleton in bin j of stage i must
     satisfy l = j mod f_i).  When a constellation is supplied the fitted
     value snaps to the nearest grid point before the residual test.  A
     singleton needs the residual to pass both the noise-level quantile
-    cap and the explained-energy fraction.
+    cap and the explained-energy fraction.  The rows above the gate are
+    gathered once, and gathered again only if some of them hold a zero
+    sample.
     """
     rows = np.asarray(rows)
     n, d_chains = plan.n, plan.chain_count
@@ -254,42 +275,51 @@ def bin_statistics(
     support = np.zeros(len(rows), dtype=np.int64)
     value = np.zeros(len(rows), dtype=np.complex128)
     residual = energy.copy()
-    live = (~(energy < zero_ton_threshold(plan))).nonzero()[0]
+    stats = BinStatistics(reason, support, value, residual, energy)
+    est = (~(energy < zero_ton_threshold(plan))).nonzero()[0]
+    if not est.size:
+        return stats
+    y = rows[est]
     # a zero or non-finite sample leaves a phase difference undefined
-    zero = ~(np.isfinite(energy[live]) & rows[live].all(axis=1))
-    reason[live[zero]] = _ZERO_SAMPLE
-    est = live[~zero]
-    if est.size:
-        y = rows[est]
-        f = np.asarray(plan.bin_counts)[np.asarray(stages)[est]]
-        spacing = plan.base ** np.arange(plan.clusters)
-        estimates = cluster_estimate(y.reshape(-1, plan.clusters, plan.per_cluster), spacing)
-        target = refine(estimates, plan.base) * n / (2.0 * np.pi)
-        q = _project_to_residue_class(target, np.asarray(bins)[est], f, n)
-        in_class = _consistent_with_bin(target, q, n)
+    zero = ~(np.isfinite(energy[est]) & y.all(axis=1))
+    if zero.any():
+        reason[est[zero]] = _ZERO_SAMPLE
+        keep = ~zero
+        est, y = est[keep], y[keep]
+        if not est.size:
+            return stats
+    ids = np.asarray(row_ids)[est]
+    f = plan.row_bin_count[ids]
+    spacing = plan.cluster_spacing
+    estimates = cluster_estimate(y.reshape(-1, plan.clusters, plan.per_cluster), spacing)
+    target = refine(estimates, plan.base, spacing) * n / (2.0 * np.pi)
+    q = _project_to_residue_class(target, plan.row_bin[ids], f, plan.row_period[ids], n)
+    in_class = _consistent_with_bin(target, q, n)
+    if not in_class.all():
         reason[est[~in_class]] = _OFF_RESIDUE_CLASS
-        fit = est[in_class]
-        if fit.size:
-            y, q = y[in_class], q[in_class]
-            columns = steering_vector(q, plan)
-            gain = np.sqrt(f[in_class])
-            fitted = np.einsum("ij,ij->i", columns.conj(), y) / (gain * d_chains)
-            if constellation is not None:
-                fitted = constellation.snap(fitted)
-            left = row_energies(y - (gain * fitted)[:, None] * columns)
-            cap = singleton_residual_threshold(d_chains)
-            explained = left <= (1.0 - MIN_EXPLAINED_FRACTION) * energy[fit]
-            code = np.where(
-                ~(left < cap),
-                _RESIDUAL_CAP,
-                np.where(explained, _SINGLETON, _EXPLAINED_FRACTION),
-            )
-            reason[fit] = code
-            single = code == _SINGLETON
-            support[fit[single]] = q[single]
-            value[fit[single]] = fitted[single]
-            residual[fit] = left
-    return BinStatistics(reason, support, value, residual)
+        est, ids, y, q = est[in_class], ids[in_class], y[in_class], q[in_class]
+        if not est.size:
+            return stats
+    columns = steering_vector(q, plan)
+    gain = plan.row_gain[ids]
+    fitted = np.einsum("ij,ij->i", columns.conj(), y) / (gain * d_chains)
+    if constellation is not None:
+        fitted = constellation.snap(fitted)
+    left = row_energies(y - (gain * fitted)[:, None] * columns)
+    cap = singleton_residual_threshold(d_chains)
+    explained = left <= (1.0 - MIN_EXPLAINED_FRACTION) * energy[est]
+    code = np.where(
+        ~(left < cap),
+        _RESIDUAL_CAP,
+        np.where(explained, _SINGLETON, _EXPLAINED_FRACTION),
+    )
+    reason[est] = code
+    single = code == _SINGLETON
+    hit = est[single]
+    support[hit] = q[single]
+    value[hit] = fitted[single]
+    residual[est] = left
+    return stats
 
 
 def classify_bin(code: int) -> VerdictReason:

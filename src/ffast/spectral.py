@@ -74,7 +74,7 @@ class Constellation:
     def snap(self, value):
         """Nearest grid point to value, entry by entry (Euclidean distance in C)."""
         pts = self.points
-        return pts[np.argmin(np.abs(pts - np.asarray(value)[..., None]), axis=-1)]
+        return pts[np.abs(pts - np.asarray(value)[..., None]).argmin(axis=-1)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,8 +242,8 @@ def unit_roots(m, n: int) -> np.ndarray:
     # m in [0, n) keeps both indices in range, so wrap never wraps; it
     # only skips take's bounds check: a gather of 5,400 entries takes
     # 4.9 us against 5.8 us with "raise" (2-vCPU Xeon, numpy 2.4)
-    roots = np.take(high, m >> bits, mode="wrap")
-    roots *= np.take(low, m & ((1 << bits) - 1), mode="wrap")
+    roots = high.take(m >> bits, mode="wrap")
+    roots *= low.take(m & ((1 << bits) - 1), mode="wrap")
     return roots
 
 

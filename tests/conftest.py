@@ -42,8 +42,9 @@ def make_singleton_obs(plan, ell, value, rng=None, stage=0):
 
 def classify_one(y, stage, bin, plan, constellation=None):
     """(reason, support, value, residual) of one bin row, through the batched statistics."""
-    stats = bin_statistics(y[None, :], [stage], [bin], plan, constellation)
-    code, support, value, residual = (field[0].item() for field in stats)
+    row = plan.row_offsets[stage] + bin
+    stats = bin_statistics(y[None, :], [row], plan, constellation)
+    code, support, value, residual = (field[0].item() for field in stats[:4])
     return classify_bin(code), support, value, residual
 
 
@@ -67,5 +68,5 @@ def bank_from_samples(samples, plan):
     """
     bank = BinBank(plan, samples[plan.sample_index])
     for stage in bank.stages:
-        stage[...] = np.fft.fft(stage, axis=0, norm="ortho")
+        np.fft.fft(stage, axis=0, norm="ortho", out=stage)
     return bank

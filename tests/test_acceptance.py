@@ -93,7 +93,7 @@ def test_02_worked_small_instance():
     signal = synthesize(truth)
     bank = subsample_and_transform(signal, plan)
 
-    stats = bin_statistics(bank.rows, plan.row_stage, plan.row_bin, plan)
+    stats = bin_statistics(bank.rows, np.arange(len(bank.rows)), plan)
     # stage 0's bins are the bank's first rows
     kinds = [VerdictReason(code).kind for code in stats.reason[:4].tolist()]
     roles_ok = kinds == [

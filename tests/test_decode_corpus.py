@@ -11,7 +11,9 @@ classifier or the decoder that moves any of them fails here.  At 0 dB
 n504 pins the schedule: a decoder that re-reads a candidate whose row an
 earlier commit of the same pass touched, instead of deferring it, gives
 another digest.  The random-phase configuration keeps every fitted value
-as it is, so it pins the unsnapped value table bit for bit.
+as it is, so it pins the unsnapped value table bit for bit.  The banks
+the front end builds for the three benchmark configurations are pinned
+on their own, byte for byte.
 """
 import hashlib
 import math
@@ -53,11 +55,22 @@ DIGESTS = {
 }
 
 
-def corpus_digest(name: str) -> str:
+# SHA-256 of the front end's bank bytes over the same trial seeds, for the
+# three benchmark configurations: the noise kernel, the stage FFTs and the
+# factored synthesis must stay bit for bit.  Recorded before the noise kernel
+# and the stage FFTs were rewritten in place.
+BANK_DIGESTS = {
+    "sparse-5db": "7ef649c60a51d2361886da66f3f93777c73131f4d7f3ec1e5ab5ab086288e742",
+    "stretch-x12": "8f72a89c2a9dde15f3a3c14dae4ded82f5fb4bbf595b2ac318dc04345954dcb6",
+    "dense-noiseless": "228a774f21ceb2602ca5cb38f0571a42814d21da19dbe2dced013c99db355c42",
+}
+
+
+def corpus_signals(name: str):
+    """(config, plan, constellation, seed, signal) for each trial seed of a configuration."""
     config = ExperimentConfig(**CORPUS[name], seed=PLAN_SEED)
     plan = plan_for_config(config)
     constellation = Constellation(config.rho)
-    digest = hashlib.sha256()
     for seed in TRIAL_SEEDS:
         if config.random_phases:
             truth = random_phase_spectrum(plan.n, config.k, math.sqrt(config.rho), seed)
@@ -66,6 +79,12 @@ def corpus_digest(name: str) -> str:
         signal = synthesize(truth)
         if config.snr_db is not None:
             signal = add_noise(signal, 1.0, seed)
+        yield config, plan, constellation, seed, signal
+
+
+def corpus_digest(name: str) -> str:
+    digest = hashlib.sha256()
+    for config, plan, constellation, seed, signal in corpus_signals(name):
         result = decode(
             subsample_and_transform(signal, plan), constellation if config.snap else None
         )
@@ -81,3 +100,11 @@ def corpus_digest(name: str) -> str:
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_corpus_decodes_are_frozen(name):
     assert corpus_digest(name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(BANK_DIGESTS))
+def test_front_end_banks_are_frozen(name):
+    digest = hashlib.sha256()
+    for _, plan, _, _, signal in corpus_signals(name):
+        digest.update(subsample_and_transform(signal, plan).rows.tobytes())
+    assert digest.hexdigest() == BANK_DIGESTS[name]

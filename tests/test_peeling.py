@@ -21,7 +21,12 @@ from ffast.frontend import (
 from ffast.peeling import EXACT_FIT_RESIDUAL, MAX_PASSES, decode
 from ffast.planner import FrontendPlan, build_plan
 from ffast.randomness import generator
-from ffast.singleton import VerdictReason, bin_statistics, zero_ton_threshold
+from ffast.singleton import (
+    VerdictReason,
+    bin_statistics,
+    singleton_residual_threshold,
+    zero_ton_threshold,
+)
 from ffast.spectral import (
     Constellation,
     add_noise,
@@ -103,10 +108,16 @@ def _rows_of(support, plan):
     return [o + support % f for o, f in zip(plan.row_offsets, plan.bin_counts)]
 
 
+def _batch(peels):
+    """The (support, value) pairs peels as subtract_batch's two arrays."""
+    supports = np.array([support for support, _ in peels], dtype=np.int64)
+    return supports, np.array([value for _, value in peels], dtype=np.complex128)
+
+
 def _peeled(bank, peels):
     """A copy of bank with the (support, value) pairs peels subtracted in one batch."""
     bank = bank.copy()
-    subtract_batch(bank, peels)
+    subtract_batch(bank, *_batch(peels))
     return bank
 
 
@@ -162,7 +173,7 @@ class TestPeel:
         rows = _bank_for(random_spectrum(504, 7, Constellation(2.0), seed=6), plan504).rows
         bank = BinBank(plan504, np.asfortranarray(rows))
         value = 1.5 - 0.5j
-        subtract_batch(bank, [(10, value)])
+        subtract_batch(bank, *_batch([(10, value)]))
         expected = rows.copy()
         expected[_rows_of(10, plan504)] -= (
             np.sqrt(plan504.bin_counts)[:, None] * value * steering_vector(10, plan504)
@@ -298,10 +309,11 @@ class TestDecodeNoiseless:
 
 
 class TestDecodeLog:
-    @pytest.mark.parametrize("preset,k,record_bytes", [("n4845", 170, 5), ("paper-124950", 40, 7)])
+    @pytest.mark.parametrize("preset,k,record_bytes", [("n4845", 170, 4), ("paper-124950", 40, 4)])
     def test_support_is_packed_as_narrow_as_n_allows(self, preset, k, record_bytes):
-        """A snapped log takes a two-byte support up to n = 65,536 and a
-        four-byte one above it; either way it reads back every peel."""
+        """A snapped log packs each peel into one 4-byte word at n = 4,845
+        and at n = 124,950, its support taking the 13 or 17 bits n needs,
+        and reads back every peel."""
         config = ExperimentConfig(preset=preset, k=k, snr_db=None, seed=20260817)
         plan = plan_for_config(config)
         con = Constellation(config.rho)
@@ -311,8 +323,6 @@ class TestDecodeLog:
         assert len(result.log) == record_bytes * len(result.events) == record_bytes * k
         assert sorted(e.support for e in result.events) == truth.indices.tolist()
         assert oracle.compare_spectra(result.spectrum, truth, 1e-9).matched
-        # the widest support fits the two-byte field only when n does
-        assert (truth.indices.max() < 1 << 16) == (plan.n <= 1 << 16)
 
 
     def test_snapped_decodes_share_the_grid_as_their_values(self):
@@ -428,6 +438,29 @@ class TestDecodeStructure:
         assert calls == {"classify_bin": result.passes * sum(plan.bin_counts),
                          "peel": len(result.events)}
 
+    @pytest.mark.parametrize("max_passes", [1, MAX_PASSES])
+    def test_leftovers_are_those_of_the_final_bank(self, plan504, monkeypatch, max_passes):
+        """multi_ton_bins lists the rows of the bank left after every commit
+        whose energy exceeds the cap, read from the decode's table of
+        energies.  A decode stopped at MAX_PASSES = 1 while committing has
+        not refreshed the rows its last pass touched, and must still report
+        what a recomputation from the final bank gives."""
+        monkeypatch.setattr(peeling, "MAX_PASSES", max_passes)
+        cap = singleton_residual_threshold(plan504.chain_count)
+        stale_rows = 0
+        for seed in range(2, 8):
+            bank = _bank_for(random_spectrum(504, 7, Constellation(4.0), seed=seed), plan504)
+            result = decode(bank)
+            assert result.events
+            final = _peeled(bank, [(e.support, e.value) for e in result.events])
+            left = ~(row_energies(final.rows) <= cap)
+            expected = tuple(zip(plan504.row_stage[left].tolist(), plan504.row_bin[left].tolist()))
+            assert result.multi_ton_bins == expected
+            before = ~(row_energies(bank.rows) <= cap)
+            stale_rows += int((before & ~left).sum())
+        # the commits emptied rows that were over the cap before them
+        assert stale_rows > 0
+
     def test_max_passes_cap_respected(self, plan504, monkeypatch):
         monkeypatch.setattr(peeling, "MAX_PASSES", 1)
         truth = random_spectrum(504, 7, Constellation(4.0), seed=2)
@@ -457,9 +490,9 @@ class TestDecodeStructure:
         offsets, counts = plan.row_offsets, plan.bin_counts
         calls = []
 
-        def counted(stack, stages, bins, *args):
-            calls.append((np.asarray(offsets)[stages] + bins).tolist())
-            return bin_statistics(stack, stages, bins, *args)
+        def counted(stack, row_ids, *args):
+            calls.append(np.asarray(row_ids).tolist())
+            return bin_statistics(stack, row_ids, *args)
 
         monkeypatch.setattr(peeling, "bin_statistics", counted)
         for seed in range(1, 6):
@@ -546,8 +579,8 @@ def _reference_decode(bank, constellation):
     recovered, events, passes = set(), [], 0
     while True:
         passes += 1
-        stats = bin_statistics(bank.rows, plan.row_stage, plan.row_bin, plan, constellation)
-        reasons, supports, values, residuals = (field.tolist() for field in stats)
+        stats = bin_statistics(bank.rows, np.arange(len(bank.rows)), plan, constellation)
+        reasons, supports, values, residuals = (field.tolist() for field in stats[:4])
         singletons = []
         for row, reason in enumerate(reasons):
             if reason == VerdictReason.SINGLETON and supports[row] not in recovered:

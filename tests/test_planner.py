@@ -327,11 +327,12 @@ class TestRetainedBytes:
     grows with every trial a run keeps.  Measured with numpy 2.4 on
     CPython 3.11, over 200 spectra or 60 decode results: a random_spectrum
     truth holds about 3,370 B at n4845, k=170 (int16 indices; 4,440 B
-    with int64) and 1,100 B at paper-124950, k=40 (int32; 1,290 B), and a
-    dense-noiseless DecodeResult 983 B.  Each budget is that plus 5%.
-    Those figures counted the keeping list's growth in the window; the
-    exact count below reads about 3,355, 1,090 and 972 B (an 80 B
-    DecodeResult, its 883 B log and the list slot)."""
+    with int64) and 1,100 B at paper-124950, k=40 (int32; 1,290 B).  Each
+    budget is that plus 5%.  Those figures counted the keeping list's
+    growth in the window; the exact count below reads about 3,355 and
+    1,090 B.  A dense-noiseless DecodeResult reads 801 B by the exact
+    count (an 80 B DecodeResult, its 713 B log of 4-byte words and the
+    list slot), and its budget is that plus 5%."""
 
     @staticmethod
     def _bytes_per_object(make, count):
@@ -372,7 +373,7 @@ class TestRetainedBytes:
         banks = [subsample_and_transform(synthesize(random_spectrum(plan.n, 170, con, seed)), plan)
                  for seed in range(120)]
         kept = self._bytes_per_object(lambda seed: decode(banks[seed % 120], con), 60)
-        assert kept <= 1.05 * 983, kept
+        assert kept <= 1.05 * 801, kept
 
 
 class TestBuildPlan:

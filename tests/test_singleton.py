@@ -24,7 +24,7 @@ from ffast.singleton import (
     singleton_residual_threshold,
     zero_ton_threshold,
 )
-from ffast.spectral import Constellation, synthesize
+from ffast.spectral import Constellation, add_noise, random_spectrum, synthesize
 
 
 class TestKayWeights:
@@ -355,11 +355,11 @@ class TestClassifyBin:
 
 def _mixed_rows(plan, seed, count):
     """count bin rows of every kind: empty, noise, lone tones, two-tone
-    mixtures, rows with a zero sample or a NaN sample; with a (stage, bin)
-    each."""
+    mixtures, rows with a zero sample or a NaN sample; with the bank row,
+    (stage, bin), each stands for."""
     rng = np.random.default_rng(seed)
     d = plan.chain_count
-    rows, stages, bins = [], [], []
+    rows, row_ids = [], []
     for _ in range(count):
         stage = int(rng.integers(plan.d))
         f = plan.bin_counts[stage]
@@ -377,9 +377,8 @@ def _mixed_rows(plan, seed, count):
         elif kind == 5:
             y[int(rng.integers(d))] = complex(np.nan, 0)
         rows.append(y)
-        stages.append(stage)
-        bins.append(ell % f)
-    return np.array(rows), stages, bins
+        row_ids.append(plan.row_offsets[stage] + ell % f)
+    return np.array(rows), np.array(row_ids)
 
 
 class TestBinStatistics:
@@ -406,15 +405,33 @@ class TestBinStatistics:
             math.sqrt(10.0) * tone * spiky,  # residual under the cap, poor fit
             2.0 * tone,  # a lone tone
         ])
-        stages = [0] * 6
-        bins = [0, 1, 2, 1, 1, 1]
-        stats = bin_statistics(rows, stages, bins, plan20)
+        # bins 0, 1, 2, 1, 1, 1 of stage 0, whose bins are the bank's first rows
+        stats = bin_statistics(rows, [0, 1, 2, 1, 1, 1], plan20)
         reasons = list(map(classify_bin, stats.reason.tolist()))
         assert reasons == list(VerdictReason)
         assert [reason.kind for reason in reasons] == (
             [VerdictKind.ZERO_TON] + [VerdictKind.MULTI_TON] * 4 + [VerdictKind.SINGLETON]
         )
         assert stats.support.tolist() == [0] * 5 + [13]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_energy_is_row_energies_bit_for_bit(self, plan504, seed):
+        """stats.energy is row_energies of the same rows, byte for byte,
+        whether the stack is the whole bank or one row, and so is the
+        residual of every row that was not fitted."""
+        con = Constellation(4.0)
+        signal = add_noise(synthesize(random_spectrum(plan504.n, 7, con, seed)), 1.0, seed)
+        rows = subsample_and_transform(signal, plan504).rows
+        mixed, mixed_ids = _mixed_rows(plan504, seed, 24)
+        for stack, row_ids in ((rows, np.arange(len(rows))), (mixed, mixed_ids)):
+            expected = row_energies(stack)
+            stats = bin_statistics(stack, row_ids, plan504, con)
+            assert stats.energy.tobytes() == expected.tobytes()
+            unfitted = stats.reason < VerdictReason.RESIDUAL_CAP
+            assert stats.residual[unfitted].tobytes() == expected[unfitted].tobytes()
+            for i in range(len(stack)):
+                alone = bin_statistics(stack[i : i + 1], row_ids[i : i + 1], plan504, con)
+                assert alone.energy.tobytes() == expected[i : i + 1].tobytes()
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 24), snap=st.booleans())
@@ -424,13 +441,15 @@ class TestBinStatistics:
         sums may run in another order in the two forms, so values and
         residuals agree to a few ulp, and a NaN row's residual is NaN in both."""
         con = Constellation(4.0) if snap else None
-        rows, stages, bins = _mixed_rows(plan504, seed, count)
-        stacked = bin_statistics(rows, stages, bins, plan504, con)
+        rows, row_ids = _mixed_rows(plan504, seed, count)
+        stacked = bin_statistics(rows, row_ids, plan504, con)
         alone = BinStatistics._make(map(np.concatenate, zip(*(
-            bin_statistics(rows[i : i + 1], stages[i : i + 1], bins[i : i + 1], plan504, con)
+            bin_statistics(rows[i : i + 1], row_ids[i : i + 1], plan504, con)
             for i in range(count)
         ))))
-        assert [field.dtype.name for field in stacked] == ["int8", "int64", "complex128", "float64"]
+        assert [field.dtype.name for field in stacked] == [
+            "int8", "int64", "complex128", "float64", "float64"
+        ]
         np.testing.assert_array_equal(stacked.reason, alone.reason)
         np.testing.assert_array_equal(stacked.support, alone.support)
         ulp = np.finfo(float).eps
