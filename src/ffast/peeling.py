@@ -36,7 +36,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .frontend import BinBank, row_energies, subtract_batch
+from .frontend import BinBank, subtract_batch
 from .planner import FrontendPlan
 from .singleton import (
     VerdictReason,
@@ -157,7 +157,8 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     a second sighting of a committed support among them, wait for the next
     pass.  After the commits, subtract_batch removes them from the bank in
     one batch, and one bin_statistics batch recomputes the rows they
-    touched, so the next pass reads a table that matches the bank.
+    touched, so the next pass, and the leftover test after the last one,
+    read a table that matches the bank.
 
     Range: float64 rounding in a singleton's estimate and fit grows with
     |X|, so an |X| of about 1e16 gives no support; entries past about
@@ -201,7 +202,7 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         ):
             peel(records, support, value_ids.setdefault(value, len(value_ids)), passes, stage)
         subtract_batch(bank, peeled, peeled_values)
-        if not commits.size or passes == MAX_PASSES:
+        if not commits.size:
             break
         stale = np.zeros(bank_rows, dtype=bool)
         stale[touched[commits]] = True
@@ -209,13 +210,12 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         fresh = bin_statistics(bank.rows[rows], rows, plan, constellation)
         for field, update in zip(stats, fresh):
             field[rows] = update
+        if passes == MAX_PASSES:
+            break
 
     cap = singleton_residual_threshold(plan.chain_count)
-    # the table's energies match the bank unless the last pass committed
-    # and stopped at MAX_PASSES before refreshing the rows it touched
-    energy = row_energies(bank.rows) if commits.size else stats.energy
     # not <= rather than >, so a NaN row is left over too
-    left = ~(energy <= cap)
+    left = ~(stats.energy <= cap)
     leftover = tuple(zip(row_stage[left].tolist(), row_bin[left].tolist()))
     word, (stage_at, pass_at, value_at) = _layout(plan.n, plan.d, passes, len(value_ids))
     log = np.array(

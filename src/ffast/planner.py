@@ -285,16 +285,6 @@ class FrontendPlan:
         return _read_only(self.row_bin * self.row_period)
 
     @cached_property
-    def cluster_spacing(self) -> np.ndarray:
-        """base**c for each cluster c, as float64 (read-only).
-
-        Cluster c's consecutive shifts differ by base**c, and refine lifts
-        its estimate onto the grid of period 2*pi/base**c.  Exact while
-        base**(C-1) < 2**53, as refine already requires.
-        """
-        return _read_only(np.array([self.base**c for c in range(self.clusters)], dtype=np.float64))
-
-    @cached_property
     def sample_index(self) -> np.ndarray:
         """Time index each bank row reads under each shift (read-only).
 

@@ -24,7 +24,6 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO_GAMMA = np.uint64((2 * int(_GAMMA)) & _MASK64)
-_SHIFT_53 = np.uint64(11)
 # A 53-bit integer u times this is a double in [0, 1) with every bit exact.
 _TWO_TO_MINUS_53 = 2.0**-53
 # complex_normal's phase: a table of 2**_PHASE_TABLE_BITS roots of unity.
@@ -46,16 +45,12 @@ def generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64's output function, in place on a uint64 array.
-
-    The three shifts share one scratch array.
-    """
-    shifted = x >> np.uint64(30)
-    x ^= shifted
+    """splitmix64's output function, in place on a uint64 array."""
+    x ^= x >> np.uint64(30)
     x *= _MIX1
-    x ^= np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= x >> np.uint64(27)
     x *= _MIX2
-    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -86,7 +81,7 @@ def index_bits(seed: int, stream: int, index) -> np.ndarray:
     np.add(state[0], _TWO_GAMMA, out=state[1])
     state[0] += _GAMMA
     _mix(state)
-    state >>= _SHIFT_53
+    state >>= np.uint64(11)
     return state.reshape((2,) + np.shape(index))
 
 
@@ -102,8 +97,8 @@ def _cos_sin_2pi(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of the array or its place in it.  bits is overwritten.
     """
     low_bits = 53 - _PHASE_TABLE_BITS
-    # the top bits are under 2**_PHASE_TABLE_BITS, so their uint64 bits read as intp
-    top = (bits >> np.uint64(low_bits)).view(np.intp)
+    # the top bits are under 2**_PHASE_TABLE_BITS, so their uint64 bits read as int64
+    top = (bits >> np.uint64(low_bits)).view(np.int64)
     bits &= np.uint64((1 << low_bits) - 1)
     phi = bits.astype(np.float64)
     phi *= 2.0 * np.pi * _TWO_TO_MINUS_53

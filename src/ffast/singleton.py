@@ -17,12 +17,12 @@ the n-th roots of unity, so classification evaluates no complex exp.
 bin_statistics runs these steps for a whole stack of bins at once, each
 step only on the rows that passed the one before, and returns the
 verdicts and the row energies as five parallel arrays, with no Python
-object per row.  Each row is named by its bank row index, and what the
-plan fixes per row (bin, bin count, gain, period) and per cluster (the
-shift spacings, which are also refinement's powers) is read from the
-plan's cached arrays with that one index, so a call over a few rows pays
-for those rows and not for re-deriving plan constants.  The rows above
-the energy gate are gathered once, and a step no row reaches is skipped.
+object per row.  Each row is named by its bank row index, which reads
+what the plan fixes per row (bin, bin count, gain, period) from the
+plan's cached arrays; the shift spacings, which are also refinement's
+powers, come from one cached table.  So a call over a few rows pays for
+those rows and not for re-deriving plan constants.  The rows above the
+energy gate are gathered once, and a step no row reaches is skipped.
 classify_bin turns one row's reason code into its VerdictReason, kept as
 a call of its own because the benchmark's tracer counts it: a decoder
 maps it over every row's code once per pass.
@@ -61,6 +61,19 @@ def kay_weights(n_samples: int) -> np.ndarray:
     return beta
 
 
+@lru_cache(maxsize=64)
+def _cluster_powers(base: int, clusters: int) -> np.ndarray:
+    """base**c for c = 0..clusters-1, as float64 (cached, read-only).
+
+    Cluster c's consecutive shifts differ by base**c, and refine lifts
+    its estimate onto the grid of period 2*pi/base**c.  Exact while
+    base**(clusters-1) < 2**53, as refine already requires.
+    """
+    powers = np.array([base**c for c in range(clusters)], dtype=np.float64)
+    powers.flags.writeable = False
+    return powers
+
+
 def cluster_estimate(samples: np.ndarray, spacing: int | np.ndarray) -> np.ndarray:
     """Frequency estimate per cluster, modulo 2*pi/spacing.
 
@@ -91,7 +104,7 @@ def cluster_estimate(samples: np.ndarray, spacing: int | np.ndarray) -> np.ndarr
     return np.mod(theta / spacing, 2.0 * np.pi / spacing)
 
 
-def refine(estimates, base: int, powers: np.ndarray | None = None):
+def refine(estimates, base: int):
     """Fuse per-cluster estimates into one frequency in [0, 2*pi).
 
     estimates[..., i] is omega modulo 2*pi/base**i; leading axes are
@@ -103,14 +116,11 @@ def refine(estimates, base: int, powers: np.ndarray | None = None):
     K = sum_i c_i * base**(C-1-i) of width 2*pi/base**(C-1): one dot
     product, exact in float64 while base**(C-1) < 2**53.  The final
     interval width is 2*pi/base**(C-1) times the last cluster's accuracy.
-    powers, base**i for each cluster as float64 (a plan's
-    cluster_spacing), is computed when not given.
     """
     est = np.asarray(estimates, dtype=np.float64)
     if est.ndim == 0 or est.shape[-1] == 0:
         raise ValueError("need at least one cluster estimate")
-    if powers is None:
-        powers = np.array([base**i for i in range(est.shape[-1])], dtype=np.float64)
+    powers = _cluster_powers(base, est.shape[-1])
     turns = est * powers / (2.0 * np.pi)
     u = turns - np.floor(turns)  # mod 1; numpy's float % is several times slower
     carries = np.rint(base * u[..., :-1] - u[..., 1:])
@@ -290,9 +300,9 @@ def bin_statistics(
             return stats
     ids = np.asarray(row_ids)[est]
     f = plan.row_bin_count[ids]
-    spacing = plan.cluster_spacing
-    estimates = cluster_estimate(y.reshape(-1, plan.clusters, plan.per_cluster), spacing)
-    target = refine(estimates, plan.base, spacing) * n / (2.0 * np.pi)
+    samples = y.reshape(-1, plan.clusters, plan.per_cluster)
+    estimates = cluster_estimate(samples, _cluster_powers(plan.base, plan.clusters))
+    target = refine(estimates, plan.base) * n / (2.0 * np.pi)
     q = _project_to_residue_class(target, plan.row_bin[ids], f, plan.row_period[ids], n)
     in_class = _consistent_with_bin(target, q, n)
     if not in_class.all():

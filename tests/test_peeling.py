@@ -309,21 +309,65 @@ class TestDecodeNoiseless:
 
 
 class TestDecodeLog:
-    @pytest.mark.parametrize("preset,k,record_bytes", [("n4845", 170, 4), ("paper-124950", 40, 4)])
+    @pytest.mark.parametrize(
+        "preset,k,record_bytes", [("paper-20", 3, 2), ("n4845", 170, 4), ("paper-124950", 40, 4)]
+    )
     def test_support_is_packed_as_narrow_as_n_allows(self, preset, k, record_bytes):
-        """A snapped log packs each peel into one 4-byte word at n = 4,845
-        and at n = 124,950, its support taking the 13 or 17 bits n needs,
-        and reads back every peel."""
+        """A snapped log packs each peel into one word as wide as its fields
+        need: 2 bytes at n = 20 (a 5-bit support), 4 bytes at n = 4,845 and
+        at n = 124,950 (13 or 17 bits), and reads back every peel."""
         config = ExperimentConfig(preset=preset, k=k, snr_db=None, seed=20260817)
         plan = plan_for_config(config)
         con = Constellation(config.rho)
         truth = random_spectrum(plan.n, k, con, 3)
         result = decode(_bank_for(truth, plan), con)
         assert result.converged
+        word, _ = peeling._layout(plan.n, plan.d, result.passes, con.points.size)
+        assert word.itemsize == record_bytes
         assert len(result.log) == record_bytes * len(result.events) == record_bytes * k
         assert sorted(e.support for e in result.events) == truth.indices.tolist()
         assert oracle.compare_spectra(result.spectrum, truth, 1e-9).matched
 
+    def test_a_log_past_32_bits_a_peel_reads_back_from_8_byte_words(self, plan_big):
+        """An unsnapped decode at n = 124,950 with 600 distinct values and 32
+        passes needs 17 + 2 + 5 + 10 = 34 bits a peel: its words are 8
+        bytes, and every field reads back, the top one included."""
+        rng = np.random.default_rng(11)
+        peels, passes, value_count = 600, MAX_PASSES, 600
+        word, (stage_at, pass_at, value_at) = peeling._layout(
+            plan_big.n, plan_big.d, passes, value_count
+        )
+        assert word.itemsize == 8 and value_at + (value_count - 1).bit_length() > 32
+        support = rng.choice(plan_big.n, size=peels, replace=False)
+        stage = rng.integers(0, plan_big.d, size=peels)
+        pass_index = rng.integers(1, passes + 1, size=peels)
+        value_id = rng.permutation(value_count)
+        values = rng.normal(size=value_count) + 1j * rng.normal(size=value_count)
+        log = np.array(
+            [s | t << stage_at | (p - 1) << pass_at | v << value_at
+             for s, t, p, v in zip(support.tolist(), stage.tolist(),
+                                   pass_index.tolist(), value_id.tolist())],
+            dtype=word,
+        ).tobytes()
+        result = peeling.DecodeResult(plan_big, True, passes, (), log, values.tobytes())
+        counts = plan_big.bin_counts
+        assert [(e.pass_index, e.stage, e.bin, e.support, e.value) for e in result.events] == [
+            (p, t, s % counts[t], s, v)
+            for s, t, p, v in zip(support.tolist(), stage.tolist(),
+                                  pass_index.tolist(), values[value_id].tolist())
+        ]
+        spectrum = result.spectrum
+        order = np.argsort(support)
+        np.testing.assert_array_equal(spectrum.indices, support[order])
+        np.testing.assert_array_equal(spectrum.values, values[value_id][order])
+
+    def test_a_peel_past_64_bits_is_refused(self):
+        """n = 2**40, 3 stages, 32 passes and 2**17 values need
+        40 + 2 + 5 + 17 = 64 bits a peel, which fit; one more value bit is
+        refused."""
+        assert peeling._layout(1 << 40, 3, 32, 1 << 17)[0].itemsize == 8
+        with pytest.raises(OverflowError):
+            peeling._layout(1 << 40, 3, 32, 1 << 18)
 
     def test_snapped_decodes_share_the_grid_as_their_values(self):
         """A snapped value is a grid point, so every snapped decode with an
@@ -442,9 +486,9 @@ class TestDecodeStructure:
     def test_leftovers_are_those_of_the_final_bank(self, plan504, monkeypatch, max_passes):
         """multi_ton_bins lists the rows of the bank left after every commit
         whose energy exceeds the cap, read from the decode's table of
-        energies.  A decode stopped at MAX_PASSES = 1 while committing has
-        not refreshed the rows its last pass touched, and must still report
-        what a recomputation from the final bank gives."""
+        energies.  A decode stopped at MAX_PASSES = 1 while committing
+        refreshes the rows its last pass touched before it stops, so it too
+        reports what a recomputation from the final bank gives."""
         monkeypatch.setattr(peeling, "MAX_PASSES", max_passes)
         cap = singleton_residual_threshold(plan504.chain_count)
         stale_rows = 0
