@@ -77,8 +77,20 @@ def subtract_batch(bank: BinBank, supports: np.ndarray, values: np.ndarray) -> N
 
 
 def row_energies(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of a (B, D) array."""
-    return np.einsum("ij,ij->i", rows.conj(), rows).real
+    """Squared norm of each row of a (B, D) complex array.
+
+    Reads the rows through their float64 view, a (B, 2D) array that
+    holds each sample's real and imaginary part side by side, and sums
+    the 2D squares of a row in one einsum, with no conjugate copy.  A
+    NaN in either part of a sample gives NaN, an infinity gives inf.
+    Against the sum of the D complex products conj(y) * y this changes
+    only the order of the additions: both round sums of the same 2D
+    nonnegative terms, so they differ by at most about (4D + 2) ulp of
+    the energy, and by at most 6 ulp in a check over random rows at
+    D = 36 and 44.
+    """
+    flat = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 def steering_vector(ell, plan: FrontendPlan) -> np.ndarray:
@@ -91,7 +103,8 @@ def steering_vector(ell, plan: FrontendPlan) -> np.ndarray:
     exp is evaluated.  This serves the fit columns, the peel columns
     and the factored front end.
     """
-    phases = (np.asarray(ell, dtype=np.int64)[..., None] * plan.shift_array) % plan.n
+    phases = np.asarray(ell, dtype=np.int64)[..., None] * plan.shift_array
+    phases %= plan.n
     return unit_roots(phases, plan.n)
 
 

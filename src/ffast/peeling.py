@@ -170,7 +170,7 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
     bank_rows = len(row_stage)
     counts, offsets = np.asarray(plan.bin_counts), np.asarray(plan.row_offsets)
     stats = bin_statistics(bank.rows, np.arange(bank_rows), plan, constellation)
-    recovered = np.zeros(plan.n, dtype=bool)
+    recovered = set()  # the supports committed so far: sized by k, not by n
     records = []
     # equal values share an entry, so a 0.0 and a -0.0 part are not told
     # apart; a snapped value is always a key of the grid's table already
@@ -182,7 +182,8 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         # looked up each pass, so a rebound classify_bin sees every call
         list(map(classify_bin, stats.reason.tolist()))
         scan = (stats.reason == _SINGLETON).nonzero()[0]
-        scan = scan[~recovered[stats.support[scan]]]
+        if recovered:
+            scan = scan[[support not in recovered for support in stats.support[scan].tolist()]]
         residual = stats.residual[scan]
         # ties rank in row order; rows are stage-major, so that is (stage, bin) order
         scan = scan[np.lexsort((scan, np.where(residual < EXACT_FIT_RESIDUAL, 0.0, residual)))]
@@ -196,10 +197,10 @@ def decode(bank: BinBank, constellation: Constellation | None = None) -> DecodeR
         commits = (best[scan] == rank).nonzero()[0]
         committed = scan[commits]
         peeled, peeled_values = supports[commits], stats.value[committed]
-        recovered[peeled] = True
         for support, value, stage in zip(
             peeled.tolist(), peeled_values.tolist(), row_stage[committed].tolist()
         ):
+            recovered.add(support)
             peel(records, support, value_ids.setdefault(value, len(value_ids)), passes, stage)
         subtract_batch(bank, peeled, peeled_values)
         if not commits.size:

@@ -2,15 +2,16 @@
 
 A singleton bin y = sqrt(f) * X[l] * s_l + w is identified in three
 steps.  First an energy gate: ||y||^2 < (1+GAMMA)*D means noise only.
-Next the frequency: one array expression over the (B, C, N) view of a
-stack of bins gives each shift cluster c's weighted phase-difference
-estimate of (base**c * omega) mod 2*pi, omega = 2*pi*l/n (a zero sample
-leaves it undefined, so such a bin is a multi-ton), and successive
-refinement lifts these onto ever finer grids until omega is pinned to
-better than half a grid cell of 2*pi/n.  Last the value: least squares
-against the steering column of the rounded support, accepted as a
-singleton only if the residual looks like pure noise and the column
-explains most of the bin energy.  The steering column comes from
+Next the frequency: strided array operations over the (B, C, N) view
+of a stack of bins, one per lag, give each shift cluster c's weighted
+phase-difference estimate of (base**c * omega) mod 2*pi, omega =
+2*pi*l/n (a zero sample leaves it undefined, so such a bin is a
+multi-ton), and successive refinement lifts these onto ever finer
+grids until omega is pinned to better than half a grid cell of
+2*pi/n.  Last the value: least squares against the steering column of
+the rounded support, accepted as a singleton only if the residual
+looks like pure noise and the column explains most of the bin energy.
+The steering column comes from
 frontend.steering_vector, a lookup in spectral.unit_roots' table of
 the n-th roots of unity, so classification evaluates no complex exp.
 
@@ -22,7 +23,10 @@ what the plan fixes per row (bin, bin count, gain, period) from the
 plan's cached arrays; the shift spacings, which are also refinement's
 powers, come from one cached table.  So a call over a few rows pays for
 those rows and not for re-deriving plan constants.  The rows above the
-energy gate are gathered once, and a step no row reaches is skipped.
+energy gate are gathered once, and a step no row reaches is skipped;
+the fit and the residual then work in place on that gathered copy, so
+a call allocates nothing the size of the bank and never writes its
+input.
 classify_bin turns one row's reason code into its VerdictReason, kept as
 a call of its own because the benchmark's tracer counts it: a decoder
 maps it over every row's code once per pass.
@@ -74,6 +78,39 @@ def _cluster_powers(base: int, clusters: int) -> np.ndarray:
     return powers
 
 
+def _lag_sum(lags: list[np.ndarray]) -> np.ndarray:
+    """The lags' sum as .sum(axis=-1) gives it over a stack of len(lags).
+
+    numpy adds the sum's +0.0 identity to a pairwise sum of the terms,
+    which adds fewer than 4 terms in sequence.  Up to 64 it keeps 4
+    running sums, term j joining sum j mod 4 over the full blocks of 4,
+    adds them as (s0 + s1) + (s2 + s3), then adds the terms past the
+    last full block in sequence.  Past 64 it sums two parts apart, split
+    at a multiple of 4, and adds the parts.  The identity only turns a
+    -0.0 sum into +0.0, which starting the first running sum at
+    term + 0.0 does as well.
+    """
+    count = len(lags)
+    if count > 64:
+        half = (count - count % 8) // 2
+        return _lag_sum(lags[:half]) + _lag_sum(lags[half:])
+    if count < 4:
+        runs, rest = [lags[0] + 0.0], lags[1:]
+    else:
+        blocks = count - count % 4
+        runs = [lags[0] + 0.0] + [lags[j].copy() for j in range(1, 4)]
+        rest = lags[blocks:]
+        for i in range(4, blocks):
+            runs[i % 4] += lags[i]
+        runs[0] += runs[1]
+        runs[2] += runs[3]
+        runs[0] += runs[2]
+    total = runs[0]
+    for lag in rest:
+        total += lag
+    return total
+
+
 def cluster_estimate(samples: np.ndarray, spacing: int | np.ndarray) -> np.ndarray:
     """Frequency estimate per cluster, modulo 2*pi/spacing.
 
@@ -86,10 +123,31 @@ def cluster_estimate(samples: np.ndarray, spacing: int | np.ndarray) -> np.ndarr
     a complex exp.
     Returns the weighted estimate divided by spacing, reduced to
     [0, 2*pi/spacing).
+
+    Layout: lag t's products y[t+1] * conj(y[t]) are written with one
+    strided multiply into slab t of one contiguous (..., C, N-1) stack,
+    so no step runs along the short lag axis.  The slabs are summed in
+    the order .sum(axis=-1) adds them, with the +0.0 it adds
+    (_lag_sum); the stack is turned in place, and Kay's weights apply
+    as one 2-D matvec over its (-1, N-1) rows.  Each row's estimate is then
+    the one the lag-axis form (products.sum(axis=-1), a broadcast turn,
+    a (..., C, N-1) @ weights matmul) gives, bit for bit, for N <= 8
+    and C >= 2, and it does not depend on the stack the row comes in.
+    Two differences remain, each at most a few ulp of an estimate:
+    - BLAS's matvec sums a row in an order set by its place in a block
+      of 4 rows when N >= 9, or when C = 1 and N >= 4, so one matvec
+      over the stack and one per (C, N-1) matrix can differ there;
+    - above 256 KiB of products numpy elides the lag-axis form's conj
+      temporary into its product, which then multiplies conj(y[t]) *
+      y[t+1]; this form always multiplies y[t+1] * conj(y[t]).
     """
     samples = np.asarray(samples)
-    products = samples[..., 1:] * samples[..., :-1].conj()
-    total = products.sum(axis=-1)
+    lags = samples.shape[-1] - 1
+    stack = np.empty(samples.shape[:-1] + (lags,), dtype=np.complex128)
+    slabs = [stack[..., t] for t in range(lags)]
+    for t, slab in enumerate(slabs):
+        np.multiply(samples[..., t + 1], samples[..., t].conj(), out=slab)
+    total = _lag_sum(slabs)
     # np.angle is this arctan2, behind a Python wrapper
     reference = np.arctan2(total.imag, total.real)
     # rotate by -reference: conj(total) / |total|, or 1 where total = 0,
@@ -98,10 +156,23 @@ def cluster_estimate(samples: np.ndarray, spacing: int | np.ndarray) -> np.ndarr
     rotation = np.empty_like(total)
     rotation.fill(1)
     np.divide(total.conj(), magnitude, out=rotation, where=magnitude > 0)
-    turned = products * rotation[..., None]
-    deviations = np.arctan2(turned.imag, turned.real)
-    theta = reference + deviations @ kay_weights(samples.shape[-1])
-    return np.mod(theta / spacing, 2.0 * np.pi / spacing)
+    for slab in slabs:
+        if slab.size > 1:
+            np.multiply(slab, rotation, out=slab)
+        else:
+            # numpy multiplies a lone element in place without the fused
+            # multiply-add of its vector loop, so one product turns by copy
+            slab[...] = slab * rotation
+    deviations = np.arctan2(stack.imag, stack.real).reshape(-1, lags)
+    theta = reference + (deviations @ kay_weights(lags + 1)).reshape(np.shape(reference))
+    # np.mod(theta / spacing, period) bit for bit, in half its time on a
+    # dense bank's few thousand clusters: fmod is exact, and np.mod adds
+    # the period to a negative remainder and turns a zero one into +0.0,
+    # as adding +0.0 does
+    period = 2.0 * np.pi / spacing
+    turns = np.fmod(theta / spacing, period)
+    turns += np.where(turns < 0, period, 0.0)
+    return turns
 
 
 def refine(estimates, base: int):
@@ -310,12 +381,18 @@ def bin_statistics(
         est, ids, y, q = est[in_class], ids[in_class], y[in_class], q[in_class]
         if not est.size:
             return stats
+    # the fit reads the steering columns conjugated in place, and the
+    # residual turns them back and subtracts them from y, a gathered copy
     columns = steering_vector(q, plan)
+    np.conjugate(columns, out=columns)
     gain = plan.row_gain[ids]
-    fitted = np.einsum("ij,ij->i", columns.conj(), y) / (gain * d_chains)
+    fitted = np.einsum("ij,ij->i", columns, y) / (gain * d_chains)
     if constellation is not None:
         fitted = constellation.snap(fitted)
-    left = row_energies(y - (gain * fitted)[:, None] * columns)
+    np.conjugate(columns, out=columns)
+    np.multiply((gain * fitted)[:, None], columns, out=columns)
+    y -= columns
+    left = row_energies(y)
     cap = singleton_residual_threshold(d_chains)
     explained = left <= (1.0 - MIN_EXPLAINED_FRACTION) * energy[est]
     code = np.where(

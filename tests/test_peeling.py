@@ -1,6 +1,7 @@
 """Peeling decoder tests: peel arithmetic, convergence, graph decodability."""
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -602,6 +603,35 @@ class TestDecodeInvariants:
         assert all(1 <= e.pass_index <= result.passes for e in events)
         assert all(e.bin == e.support % plan.bin_counts[e.stage] for e in events)
         assert np.isfinite(result.spectrum.values).all()
+
+
+def _decode_peak_bytes(preset, seed):
+    """decode's tracemalloc peak on one sparse-5db-style trial of preset
+    (k=40, 5 dB, C=12, N=3), after a first decode fills the caches."""
+    kw = dict(preset=preset, k=40, snr_db=5.0, clusters=12, per_cluster=3)
+    config = ExperimentConfig(**kw, seed=20260817)
+    plan = plan_for_config(config)
+    con = Constellation(config.rho)
+    signal = add_noise(synthesize(random_spectrum(plan.n, 40, con, seed)), 1.0, seed)
+    bank = subsample_and_transform(signal, plan)
+    decode(bank, con)
+    tracemalloc.start()
+    try:
+        decode(bank, con)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDecodeMemory:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_peak_does_not_grow_with_n(self, seed):
+        """Twelve times the length, with the same bins, k, C and N, costs
+        decode no more than 10% more memory at its peak: it holds nothing
+        sized by n."""
+        small = _decode_peak_bytes("paper-124950", seed)
+        large = _decode_peak_bytes("paper-124950x12", seed)
+        assert large <= 1.1 * small, (small, large)
 
 
 def _reference_decode(bank, constellation):

@@ -16,6 +16,7 @@ from ffast.singleton import (
     VerdictKind,
     VerdictReason,
     _consistent_with_bin,
+    _lag_sum,
     bin_statistics,
     classify_bin,
     cluster_estimate,
@@ -127,6 +128,94 @@ class TestClusterEstimate:
         variance = 6.0 / (rho_b * n_samp * (n_samp**2 - 1))
         standard_error = math.sqrt(variance / trials)
         assert abs(float(np.mean(ests)) - omega) < 3 * standard_error
+
+
+def _lag_axis_estimate(samples, spacing):
+    """cluster_estimate as one array expression per step along the lag
+    axis: the products, their .sum(axis=-1), the turn by a broadcast
+    multiply and one (..., C, N-1) @ weights matmul.  The reference for
+    the strided lag-slab form."""
+    samples = np.asarray(samples)
+    products = samples[..., 1:] * samples[..., :-1].conj()
+    total = products.sum(axis=-1)
+    reference = np.arctan2(total.imag, total.real)
+    magnitude = np.abs(total)
+    rotation = np.empty_like(total)
+    rotation.fill(1)
+    np.divide(total.conj(), magnitude, out=rotation, where=magnitude > 0)
+    turned = products * rotation[..., None]
+    deviations = np.arctan2(turned.imag, turned.real)
+    theta = reference + deviations @ kay_weights(samples.shape[-1])
+    return np.mod(theta / spacing, 2.0 * np.pi / spacing)
+
+
+def _random_stack(rng, shape, zeros=False):
+    """Complex samples whose magnitudes spread over four decades; with
+    zeros, about one sample in five is 0 and some parts are -0.0."""
+    stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * rng.uniform(0.01, 100.0, shape[:-1] + (1,))
+    if zeros:
+        stack[rng.random(shape) < 0.2] = 0
+        stack.real[rng.random(shape) < 0.1] = -0.0
+        stack.imag[rng.random(shape) < 0.1] = -0.0
+    return stack
+
+
+class TestClusterEstimateLayout:
+    """The lag-slab estimator against the lag-axis expression, byte for byte."""
+
+    @pytest.mark.parametrize("n_samples", range(2, 7))
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_matches_the_lag_axis_form_bit_for_bit(self, n_samples, zeros):
+        """Stacks of 1 to 99 rows of 2 to 12 clusters, a (C, N) array and
+        a 1-D chain.  The stacks stay under 16,384 products: above 256 KiB
+        numpy elides the reference's conj temporary into its product, which
+        then multiplies conj(y[t]) * y[t+1] and rounds its imaginary parts
+        differently (test_a_stack_matches_its_rows_bit_for_bit)."""
+        rng = np.random.default_rng(n_samples + 10 * zeros)
+        for _ in range(40):
+            shape = (int(rng.integers(1, 100)), int(rng.integers(2, 13)), n_samples)
+            stack = _random_stack(rng, shape, zeros)
+            spacing = 3.0 ** np.arange(shape[1])
+            expected = _lag_axis_estimate(stack, spacing)
+            assert cluster_estimate(stack, spacing).tobytes() == expected.tobytes()
+            assert cluster_estimate(stack[0], spacing).tobytes() == expected[0].tobytes()
+            chain = stack[0, 0]
+            alone = cluster_estimate(chain, 1)
+            assert type(alone) is np.float64
+            assert alone.tobytes() == _lag_axis_estimate(chain, 1).tobytes()
+
+    def test_two_samples_with_a_signed_zero_product(self):
+        """At N = 2 the sum of the products is their one product plus
+        the +0.0 that .sum(axis=-1) adds.  The product here is (-0.0, +0.0),
+        whose angle is pi; the sum's is 0.  Reference 0 plus deviation pi
+        gives pi, where the product itself as the sum would give 2*pi,
+        that is 0."""
+        chain = np.array([complex(-0.0, -0.0), complex(0.0, 0.0)])
+        product = (chain[1:] * chain[:-1].conj())[0]
+        assert np.signbit(product.real) and not np.signbit(product.imag)
+        assert cluster_estimate(chain, 1) == _lag_axis_estimate(chain, 1) == np.pi
+
+    @pytest.mark.parametrize("n_samples", range(2, 7))
+    def test_a_stack_matches_its_rows_bit_for_bit(self, n_samples):
+        """Each row's estimate is the same whatever stack it comes in, up
+        to 20,000 products, past the size where the lag-axis expression's
+        product order changes."""
+        rng = np.random.default_rng(100 + n_samples)
+        rows = 20_000 // (12 * (n_samples - 1))
+        stack = _random_stack(rng, (rows, 12, n_samples))
+        spacing = 3.0 ** np.arange(12)
+        together = cluster_estimate(stack, spacing)
+        picks = rng.choice(rows, 40, replace=False)
+        alone = np.array([cluster_estimate(stack[i : i + 1], spacing)[0] for i in picks])
+        assert together[picks].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("count", list(range(1, 13)) + [63, 64, 65, 70, 131])
+    def test_lag_sum_is_the_order_of_np_sum(self, count):
+        rng = np.random.default_rng(count)
+        stack = _random_stack(rng, (50, 3, count), zeros=True)
+        total = _lag_sum([stack[..., t] for t in range(count)])
+        assert total.tobytes() == stack.sum(axis=-1).tobytes()
 
 
 def _refine_by_lifts(estimates, base):
@@ -432,6 +521,48 @@ class TestBinStatistics:
             for i in range(len(stack)):
                 alone = bin_statistics(stack[i : i + 1], row_ids[i : i + 1], plan504, con)
                 assert alone.energy.tobytes() == expected[i : i + 1].tobytes()
+
+    def test_a_non_finite_row_reads_zero_sample(self, plan504):
+        """A row over the gate but for one sample with a NaN real part, a
+        NaN imaginary part, +inf or -inf is a zero-sample multi-ton, stacked
+        with live rows or alone.  A NaN row's energy is NaN, and both
+        NaN < gate and NaN >= gate are false: the gate passes such a row
+        on only because it tests not-under."""
+        tone = 3.0 * math.sqrt(plan504.bin_counts[0]) * steering_vector(100, plan504)
+        bad = []
+        for sample in (complex(np.nan, 1.0), complex(1.0, np.nan), complex(np.inf, 0.0),
+                       complex(-np.inf, 0.0)):
+            row = tone.copy()
+            row[3] = sample
+            bad.append(row)
+        bad = np.array(bad)
+        energy = row_energies(bad)
+        assert np.isnan(energy[:2]).all() and (energy[2:] == np.inf).all()
+        row_id = plan504.row_offsets[0] + 100 % plan504.bin_counts[0]
+        live, live_ids = _mixed_rows(plan504, 5, 12)
+        stack = np.concatenate((live[:6], bad, live[6:]))
+        ids = np.concatenate((live_ids[:6], [row_id] * 4, live_ids[6:]))
+        for con in (None, Constellation(4.0)):
+            stats = bin_statistics(stack, ids, plan504, con)
+            assert (stats.reason[6:10] == VerdictReason.ZERO_SAMPLE).all()
+            for row in bad:
+                alone = bin_statistics(row[None, :], [row_id], plan504, con)
+                assert alone.reason[0] == VerdictReason.ZERO_SAMPLE
+
+    @pytest.mark.parametrize("snap", [False, True])
+    def test_the_input_is_never_written(self, plan504, snap):
+        """A whole bank and stacks of mixed rows keep their bytes: the fit
+        and the residual work in place only on gathered copies."""
+        con = Constellation(4.0) if snap else None
+        signal = add_noise(synthesize(random_spectrum(plan504.n, 7, Constellation(4.0), 3)), 1.0, 3)
+        bank = subsample_and_transform(signal, plan504).rows
+        stacks = [(bank, np.arange(len(bank)))]
+        stacks += [_mixed_rows(plan504, seed, 24) for seed in range(4)]
+        for rows, row_ids in stacks:
+            before = rows.tobytes()
+            stats = bin_statistics(rows, row_ids, plan504, con)
+            assert (stats.reason >= VerdictReason.RESIDUAL_CAP).any()
+            assert rows.tobytes() == before
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 24), snap=st.booleans())
